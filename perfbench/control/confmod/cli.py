@@ -1,0 +1,472 @@
+"""Batch driver: runs the verification suites and writes machine-readable
+reports and CSV exports.
+
+Every check record carries a stable anchor slug, a status in {pass, fail,
+skip}, the measured value and its threshold.  All randomness flows from the
+single configured seed through per-suite generator streams, so identical
+configurations produce identical reports apart from the wall clock.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import __version__, calibration
+from . import chiral as ch
+from . import confgroup as cg
+from . import flows as fl
+from . import modular as md
+from .geometry import sample_region, spacelike_complement, standard_wedge
+
+SUITES = ("group", "flows", "modular", "bw", "duality", "pct")
+
+DEFAULT_TOLERANCES = {
+    "group_identity": 1e-9,
+    "energy_period": 1e-8,
+    "flow_conjugacy": 1e-8,
+    "flow_group_law": 1e-9,
+    "modular_residual": 1e-6,
+    "rotation_invariance": 1e-10,
+}
+
+
+class ConfigurationError(Exception):
+    pass
+
+
+@dataclass
+class SuiteConfig:
+    suite: str = "all"
+    dims: tuple = (2, 3, 4)
+    seed: int = 42
+    sizes: tuple = (64, 128, 256)
+    tolerances: dict = field(default_factory=dict)
+    out: str | None = None
+
+    def validate(self):
+        if self.suite != "all" and self.suite not in SUITES:
+            raise ConfigurationError(f"unknown suite {self.suite!r}")
+        if any(d < 2 for d in self.dims):
+            raise ConfigurationError("suite dimensions must satisfy d >= 2")
+        if any(L < 16 or (L & (L - 1)) for L in self.sizes):
+            raise ConfigurationError("lattice sizes must be powers of two, >= 16")
+        eps = np.finfo(float).eps
+        for name, value in self.tolerances.items():
+            if value < eps:
+                raise ConfigurationError(f"tolerance {name} below machine epsilon")
+
+    def tol(self, name: str) -> float:
+        return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
+
+
+@dataclass
+class Report:
+    version: str
+    config: dict
+    checks: list
+    wall_clock_s: float = 0.0
+
+    @property
+    def summary(self) -> dict:
+        out = {"pass": 0, "fail": 0, "skip": 0}
+        for c in self.checks:
+            out[c["status"]] += 1
+        return out
+
+    def to_dict(self) -> dict:
+        return {
+            "tool": "confmod",
+            "version": self.version,
+            "config": self.config,
+            "checks": self.checks,
+            "summary": self.summary,
+            "wall_clock_s": self.wall_clock_s,
+        }
+
+    def failed(self) -> bool:
+        return any(c["status"] == "fail" for c in self.checks)
+
+
+def _check(checks, name, anchor, value, threshold, ok=None):
+    if ok is None:
+        ok = value < threshold
+    checks.append({
+        "name": name,
+        "anchor": anchor,
+        "status": "pass" if ok else "fail",
+        "value": float(value),
+        "threshold": float(threshold) if threshold is not None else None,
+    })
+
+
+def _suite_rng(config: SuiteConfig, suite: str) -> np.random.Generator:
+    return np.random.default_rng([config.seed, SUITES.index(suite)])
+
+
+# --- suites -------------------------------------------------------------------
+
+def run_group_suite(config: SuiteConfig) -> list:
+    rng = _suite_rng(config, "group")
+    checks = []
+    tol = config.tol("group_identity")
+    for d in config.dims:
+        worst = 0.0
+        for _ in range(100):
+            a = rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])
+            worst = max(worst, cg.dilation_identity_defect(d, a))
+        _check(checks, f"dilation-generation-identity-d{d}",
+               "dilation-generation-identity", worst, tol)
+
+        ident = cg.GroupElement(np.eye(d + 2))
+        worst = max(cg.distance_mod_sign(cg.axis_inversion_subgroup(d, 0.0), ident),
+                    cg.distance_mod_sign(cg.axis_inversion_subgroup(d, np.pi), ident),
+                    cg.distance_mod_sign(cg.axis_inversion_subgroup(d, np.pi / 2),
+                                         cg.axis_inversion(d, 1)))
+        _check(checks, f"axis-inversion-subgroup-endpoints-d{d}",
+               "axis-inversion-subgroup-period", worst, tol)
+
+        worst = 0.0
+        for _ in range(100):
+            al, be = rng.uniform(0.15, np.pi - 0.15, size=2)
+            s = (al + be) % np.pi
+            if min(s, np.pi - s) < 0.1:
+                continue
+            lhs = cg.axis_inversion_subgroup(d, al) @ cg.axis_inversion_subgroup(d, be)
+            worst = max(worst, cg.distance_mod_sign(lhs, cg.axis_inversion_subgroup(d, s)))
+        _check(checks, f"axis-inversion-subgroup-law-d{d}",
+               "axis-inversion-subgroup-period", worst, 1e-8)
+
+        e = cg.conformal_energy(d).exp(2.0 * np.pi)
+        _check(checks, f"conformal-energy-period-d{d}", "conformal-energy-period",
+               cg.distance_mod_sign(e, cg.GroupElement(np.eye(d + 2))),
+               config.tol("energy_period"))
+
+        ok = cg.in_identity_component(cg.axis_inversion(d, 1))
+        expected_p = (d % 2 == 1)
+        ok = ok and (cg.in_identity_component(cg.space_reflection(d, 1)) == expected_p)
+        _check(checks, f"reflection-component-parity-d{d}",
+               "reflection-component-parity", 0.0, 1.0, ok=ok)
+    return checks
+
+
+def run_flows_suite(config: SuiteConfig) -> list:
+    checks = []
+    tol_c = config.tol("flow_conjugacy")
+    tol_g = config.tol("flow_group_law")
+    for d in config.dims:
+        wf, df, cf = fl.wedge_flow(d), fl.doublecone_flow(d), fl.cone_flow(d)
+        g = fl.wedge_to_doublecone(d)
+        worst = 0.0
+        for t in np.linspace(-2.0, 2.0, 9):
+            worst = max(worst, cg.distance_mod_sign(
+                df.matrix(t), g @ wf.matrix(t) @ g.inverse()))
+        _check(checks, f"wedge-cone-flow-conjugacy-d{d}",
+               "wedge-cone-flow-conjugacy", worst, tol_c)
+
+        rng = _suite_rng(config, "flows")
+        worst = 0.0
+        for flow in (wf, df, cf):
+            pts = sample_region(flow.region, 50, seed=config.seed)
+            for _ in range(20):
+                s, t = rng.uniform(-1.0, 1.0, size=2)
+                for p in pts[:5]:
+                    a = flow.closed_form(s, flow.closed_form(t, p))
+                    b = flow.closed_form(s + t, p)
+                    if a is not None and b is not None:
+                        worst = max(worst, float(np.max(np.abs(a - b)) /
+                                                 max(1.0, np.linalg.norm(b))))
+        _check(checks, f"flow-group-law-d{d}", "flow-group-law", worst, tol_g)
+
+        ok = True
+        for flow in (wf, df, cf):
+            pts = sample_region(flow.region, 200, seed=config.seed + 1)
+            for t in (-2.0, -1.0, -0.1, 0.1, 1.0, 2.0):
+                for p in pts:
+                    y = flow.closed_form(t, p)
+                    if y is None or not flow.region.contains(y):
+                        ok = False
+        _check(checks, f"flow-region-preservation-d{d}",
+               "flow-region-preservation", 0.0, 1.0, ok=ok)
+
+        beta, r1, sw1 = fl.pct_ingredients(d)
+        _check(checks, f"pct-factorization-d{d}", "pct-factorization",
+               np.max(np.abs((r1 @ sw1).matrix - beta.matrix)), 1e-12)
+
+        w1 = standard_wedge(d)
+        w1p = spacelike_complement(w1)
+        pts = sample_region(w1, 2000, seed=config.seed + 2)
+        img, okmask = cg.act_array(cg.axis_inversion(d, 1), pts)
+        frac = np.mean([w1p.contains(p) for p in img[okmask]])
+        _check(checks, f"axis-inversion-maps-wedge-d{d}",
+               "axis-inversion-maps-wedge-to-complement", 1.0 - frac, 1e-12)
+    return checks
+
+
+def run_modular_suite(config: SuiteConfig) -> list:
+    rng = _suite_rng(config, "modular")
+    checks = []
+    tol = config.tol("modular_residual")
+    worst = {"involution": 0.0, "conjugation": 0.0, "cocycle": 0.0,
+             "fix": 0.0, "flow": 0.0, "complement": 0.0, "kms": 0.0}
+    for _ in range(100):
+        m = int(rng.integers(1, 9))
+        K = md.random_standard_subspace(m, rng)
+        dat = md.tomita_operators(K)
+        S, D, J = dat.s_real, dat.delta_real, dat.j_real
+        eye = np.eye(2 * m)
+        worst["involution"] = max(worst["involution"],
+                                  np.max(np.abs(S @ S - eye)) / max(1.0, np.max(np.abs(S)) ** 2),
+                                  np.max(np.abs(J @ J - eye)))
+        dinv = np.linalg.inv(D)
+        worst["conjugation"] = max(worst["conjugation"],
+                                   np.max(np.abs(J @ D @ J - dinv)) / max(1.0, np.max(np.abs(dinv))))
+        for g in K.generators:
+            worst["fix"] = max(worst["fix"],
+                               np.linalg.norm(dat.apply_s(g) - g) / np.linalg.norm(g))
+        for t in (0.3, 1.0, 2.7):
+            fk = dat.flow_real(t) @ K.basis
+            worst["flow"] = max(worst["flow"], md.subspace_angle(
+                K, md.StandardSubspace(m, md._complexify_vectors(fk).T)))
+        jk = md.StandardSubspace(m, md._complexify_vectors(J @ K.basis).T)
+        worst["complement"] = max(worst["complement"],
+                                  md.subspace_angle(jk, md.symplectic_complement(K)))
+        sq = dat._assemble(dat._plane_blocks("delta_sqrt"))
+        x, y = rng.normal(size=2 * m), rng.normal(size=2 * m)
+        cplx = md._complexify_vectors
+        lhs = np.vdot(cplx(sq @ x), cplx(sq @ y))
+        rhs = np.vdot(cplx(S @ y), cplx(S @ x))
+        worst["kms"] = max(worst["kms"], abs(lhs - rhs) / max(1.0, abs(lhs)))
+        worst["cocycle"] = max(worst["cocycle"], np.max(np.abs(
+            dat.flow(0.4) @ dat.flow(0.9) - dat.flow(1.3))))
+    _check(checks, "tomita-involutions", "tomita-involutions", worst["involution"], tol)
+    _check(checks, "modular-conjugation-inverts", "modular-conjugation-inverts",
+           worst["conjugation"], tol)
+    _check(checks, "tomita-fixes-subspace", "tomita-fixes-subspace", worst["fix"], tol)
+    _check(checks, "modular-flow-preserves-subspace", "modular-flow-preserves-subspace",
+           worst["flow"], tol)
+    _check(checks, "conjugation-maps-to-complement", "conjugation-maps-to-complement",
+           worst["complement"], tol)
+    _check(checks, "kms-symmetry", "kms-symmetry", worst["kms"], tol)
+    _check(checks, "modular-flow-group-law", "modular-flow-group-law",
+           worst["cocycle"], 1e-8)
+    return checks
+
+
+def _bw_ladder(config: SuiteConfig):
+    interval = ch.half_circle()
+    reports = []
+    for L in config.sizes:
+        model = ch.build_model(L)
+        reports.append(ch.bw_defect(model, interval, [0.0, 0.1, 0.25]))
+    return reports
+
+
+def run_bw_suite(config: SuiteConfig) -> list:
+    checks = []
+    reports = _bw_ladder(config)
+    defects = [float(r.defects[-1]) for r in reports]
+    for L, dft in zip(config.sizes, defects):
+        ceiling = calibration.BW_CEILINGS.get(L)
+        if ceiling is None:
+            _check(checks, f"bw-defect-L{L}", "bw-defect-ladder", dft, None, ok=True)
+        else:
+            _check(checks, f"bw-defect-L{L}", "bw-defect-ceiling", dft,
+                   ceiling * calibration.SLACK)
+    strict = all(a > b for a, b in zip(defects, defects[1:]))
+    _check(checks, "bw-defect-monotone", "bw-defect-ladder",
+           max(b - a for a, b in zip(defects, defects[1:])), 0.0, ok=strict)
+    zmax = reports[-1].max_z_residual()
+    top = config.sizes[-1]
+    zceiling = calibration.BW_CEILINGS.get(top, defects[-1]) * calibration.SLACK
+    _check(checks, "z-cocycle-group-law", "z-cocycle-triviality", zmax, zceiling)
+    return checks
+
+
+def run_duality_suite(config: SuiteConfig) -> list:
+    checks = []
+    interval = ch.half_circle()
+    angles = []
+    for L in config.sizes:
+        model = ch.build_model(L)
+        angles.append(ch.duality_defect(model, interval))
+        _check(checks, f"duality-angle-L{L}", "duality-angle-ladder",
+               angles[-1], None, ok=True)
+    strict = all(a > b for a, b in zip(angles, angles[1:]))
+    _check(checks, "duality-angle-monotone", "duality-angle-ladder",
+           max(b - a for a, b in zip(angles, angles[1:])), 0.0, ok=strict)
+    model = ch.build_model(config.sizes[0])
+    L = config.sizes[0]
+    shift = 2.0 * np.pi * (L // 8) / L
+    rot = ch.CircleInterval(interval.a + shift, interval.b + shift)
+    _check(checks, "duality-rotation-invariance", "duality-rotation-invariance",
+           abs(angles[0] - ch.duality_defect(model, rot)),
+           config.tol("rotation_invariance"))
+    _check(checks, "duality-swap-symmetry", "duality-swap-symmetry",
+           abs(angles[0] - ch.duality_defect(model, interval.complement())), 1e-10)
+    return checks
+
+
+def run_pct_suite(config: SuiteConfig) -> list:
+    checks = []
+    interval = ch.half_circle()
+    probe = ch.CircleInterval(np.pi + 0.7, np.pi + 1.5)
+    angles = []
+    for L in config.sizes:
+        model = ch.build_model(L)
+        angles.append(ch.pct_geometry_defect(model, interval, probe))
+        _check(checks, f"pct-angle-L{L}", "pct-angle-ladder", angles[-1], None, ok=True)
+    decreasing = all(a > b for a, b in zip(angles, angles[1:]))
+    _check(checks, "pct-angle-monotone", "pct-angle-ladder",
+           max(b - a for a, b in zip(angles, angles[1:])), 0.0, ok=decreasing)
+    model = ch.build_model(config.sizes[-1])
+    dat = ch.interval_tomita(model, interval)
+    _check(checks, "pct-conjugation-involution", "pct-conjugation-involution",
+           np.max(np.abs(dat.j_real @ dat.j_real - np.eye(2 * model.m))),
+           config.tol("modular_residual"))
+    return checks
+
+
+SUITE_RUNNERS = {
+    "group": run_group_suite,
+    "flows": run_flows_suite,
+    "modular": run_modular_suite,
+    "bw": run_bw_suite,
+    "duality": run_duality_suite,
+    "pct": run_pct_suite,
+}
+
+
+def run(config: SuiteConfig) -> Report:
+    """Run the configured suites and return the report; raises
+    ConfigurationError before any computation on invalid configs."""
+    config.validate()
+    start = time.time()
+    names = SUITES if config.suite == "all" else (config.suite,)
+    checks = []
+    for name in names:
+        checks.extend(SUITE_RUNNERS[name](config))
+    report = Report(__version__, {
+        "suite": config.suite,
+        "dims": list(config.dims),
+        "seed": config.seed,
+        "sizes": list(config.sizes),
+        "tolerances": dict(config.tolerances),
+    }, checks, wall_clock_s=time.time() - start)
+    if config.out:
+        with open(config.out, "w") as fh:
+            json.dump(report.to_dict(), fh, indent=2)
+            fh.write("\n")
+    return report
+
+
+# --- CSV exports ---------------------------------------------------------------
+
+def _fmt(x) -> str:
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return str(x)
+
+
+def export_csv(rows: list, header: list, path: str) -> None:
+    """Write rows as CSV with a header; floats carry 17 significant digits."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(x) for x in row) + "\n")
+
+
+def export_report_csv(report: Report, path: str) -> None:
+    rows = [(c["name"], c["anchor"], c["status"], c["value"],
+             "" if c["threshold"] is None else c["threshold"])
+            for c in report.checks]
+    export_csv(rows, ["name", "anchor", "status", "value", "threshold"], path)
+
+
+def export_trajectory(flow_name: str, d: int, point, t_grid, path: str) -> None:
+    flow = {"wedge": fl.wedge_flow, "doublecone": fl.doublecone_flow,
+            "cone": fl.cone_flow}[flow_name](d)
+    rows = []
+    for t in t_grid:
+        y = flow.closed_form(float(t), np.asarray(point, dtype=float))
+        if y is not None:
+            rows.append([float(t)] + [float(v) for v in y])
+    export_csv(rows, ["t"] + [f"x{i}" for i in range(d)], path)
+
+
+# --- entry point ----------------------------------------------------------------
+
+def _parse_tol(items):
+    out = {}
+    for item in items or []:
+        if "=" not in item:
+            raise ConfigurationError(f"bad --tol entry {item!r}, expected name=value")
+        name, value = item.split("=", 1)
+        if name not in DEFAULT_TOLERANCES:
+            raise ConfigurationError(f"unknown tolerance {name!r}")
+        out[name] = float(value)
+    return out
+
+
+def _parse_ints(text):
+    return tuple(int(x) for x in text.split(",") if x)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="confmod",
+        description="verification suites for conformal group geometry, "
+                    "canonical flows and modular calculus")
+    parser.add_argument("--suite", default="all",
+                        help="one of %s or 'all'" % (", ".join(SUITES)))
+    parser.add_argument("--d", default="2,3,4", help="comma-separated dimensions")
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--sizes", default="64,128,256",
+                        help="comma-separated lattice ladder")
+    parser.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                        help="tolerance override, repeatable")
+    parser.add_argument("--out", default=None, help="write JSON report here")
+    parser.add_argument("--csv", default=None, help="write check records as CSV")
+    parser.add_argument("--trajectory", default=None,
+                        choices=("wedge", "doublecone", "cone"),
+                        help="export a flow trajectory instead of running suites")
+    parser.add_argument("--point", default=None,
+                        help="start point for --trajectory, comma-separated")
+    parser.add_argument("--t-grid", default="-2,2,9", dest="t_grid",
+                        help="min,max,steps for --trajectory")
+    args = parser.parse_args(argv)
+
+    try:
+        if args.trajectory:
+            if not args.point or not args.csv:
+                raise ConfigurationError("--trajectory needs --point and --csv")
+            point = [float(x) for x in args.point.split(",")]
+            lo, hi, steps = args.t_grid.split(",")
+            grid = np.linspace(float(lo), float(hi), int(steps))
+            export_trajectory(args.trajectory, len(point), point, grid, args.csv)
+            return 0
+        config = SuiteConfig(suite=args.suite, dims=_parse_ints(args.d),
+                             seed=args.seed, sizes=_parse_ints(args.sizes),
+                             tolerances=_parse_tol(args.tol), out=args.out)
+        report = run(config)
+    except ConfigurationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    if args.csv:
+        export_report_csv(report, args.csv)
+    for c in report.checks:
+        print(f"[{c['status'].upper():4s}] {c['name']}: value={c['value']:.6g}"
+              + (f" threshold={c['threshold']:.6g}" if c["threshold"] is not None else ""))
+    s = report.summary
+    print(f"summary: {s['pass']} pass, {s['fail']} fail, {s['skip']} skip "
+          f"({report.wall_clock_s:.1f}s)")
+    return 1 if report.failed() else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,471 @@
+"""The conformal group of d-dimensional Minkowski space as matrices.
+
+The compactified space is the manifold of isotropic rays of the quadratic
+form Q = diag(+1, -1, ..., -1, +1) on R^{d+2} (negative on indices 1..d).
+A finite point x embeds as the ray
+
+    xi_i = x_i (i < d),   xi_d = (1 + x^2)/2,   xi_{d+1} = (1 - x^2)/2,
+
+which satisfies Q(xi) = 0 identically; the ray is recovered from a point by
+xi_d + xi_{d+1} = 1, and rays with xi_d + xi_{d+1} = 0 are the points at
+infinity.  Matrices preserving Q act on rays; restricted to finite points
+this is the conformal action, with singularities exactly where the image
+ray lands at infinity.  Group elements are compared modulo overall sign
+since only the ray action matters.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.linalg import expm
+
+from .geometry import PoincareMap, minkowski_norm
+
+__all__ = [
+    "quadratic_form",
+    "Ray",
+    "GroupElement",
+    "LieGenerator",
+    "embed",
+    "project",
+    "act",
+    "make_element",
+    "translation",
+    "boost",
+    "rotation",
+    "dilation",
+    "special",
+    "ray_inversion",
+    "axis_inversion",
+    "space_reflection",
+    "in_identity_component",
+    "axis_inversion_subgroup",
+    "dilation_identity_defect",
+    "conformal_energy",
+    "translation_generator",
+    "boost_generator",
+    "dilation_generator",
+    "poincare_to_conformal",
+    "double_cone_transport",
+    "distance_mod_sign",
+]
+
+INFINITY_TOL = 1e-10
+FORM_TOL = 1e-10
+
+
+def quadratic_form(d: int) -> np.ndarray:
+    """Diagonal matrix of Q on R^{d+2}: +1 at indices 0 and d+1, -1 at 1..d."""
+    q = -np.ones(d + 2)
+    q[0] = 1.0
+    q[d + 1] = 1.0
+    return np.diag(q)
+
+
+def _metric_signs(d: int) -> np.ndarray:
+    # Minkowski metric signs (+1, -1, ..., -1) on the first d coordinates.
+    s = -np.ones(d)
+    s[0] = 1.0
+    return s
+
+
+@dataclass(frozen=True)
+class Ray:
+    """Isotropic ray of Q, stored as a unit Euclidean vector (mod sign)."""
+
+    xi: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.xi, dtype=float)
+        norm = np.linalg.norm(v)
+        if norm == 0.0:
+            raise ValueError("ray vector must be nonzero")
+        v = v / norm
+        d = v.shape[0] - 2
+        q = np.concatenate([[1.0], -np.ones(d), [1.0]])
+        if abs(np.dot(q * v, v)) > 1e-12:
+            raise ValueError("vector is not isotropic for the (d,2) form")
+        object.__setattr__(self, "xi", v)
+
+    @property
+    def dim(self) -> int:
+        return self.xi.shape[0] - 2
+
+    def at_infinity(self) -> bool:
+        return abs(self.xi[-2] + self.xi[-1]) < INFINITY_TOL
+
+
+@dataclass(frozen=True)
+class GroupElement:
+    """(d+2)x(d+2) real matrix g with g^T Q g = Q, acting on rays."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=float)
+        object.__setattr__(self, "matrix", m)
+        d = m.shape[0] - 2
+        if m.shape != (d + 2, d + 2) or d < 1:
+            raise ValueError("matrix must be square of size d+2 with d >= 1")
+        q = quadratic_form(d)
+        # Rounding in g^T Q g scales with the squared entry magnitude, so the
+        # acceptance threshold must scale the same way for large parameters.
+        tol = FORM_TOL * max(1.0, np.max(np.abs(m)) ** 2)
+        if np.max(np.abs(m.T @ q @ m - q)) > tol:
+            raise ValueError("matrix does not preserve the (d,2) form")
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0] - 2
+
+    def __matmul__(self, other: "GroupElement") -> "GroupElement":
+        return GroupElement(self.matrix @ other.matrix)
+
+    def inverse(self) -> "GroupElement":
+        q = quadratic_form(self.dim)
+        return GroupElement(q @ self.matrix.T @ q)
+
+    def act(self, x):
+        """Conformal action on a point; None where the action is singular."""
+        return act(self, x)
+
+
+@dataclass(frozen=True)
+class LieGenerator:
+    """(d+2)x(d+2) real matrix A with A^T Q + Q A = 0."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=float)
+        object.__setattr__(self, "matrix", m)
+        d = m.shape[0] - 2
+        q = quadratic_form(d)
+        tol = FORM_TOL * max(1.0, np.max(np.abs(m)))
+        if np.max(np.abs(m.T @ q + q @ m)) > tol:
+            raise ValueError("matrix is not in the (d,2) Lie algebra")
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0] - 2
+
+    def exp(self, t: float = 1.0) -> GroupElement:
+        return GroupElement(expm(t * self.matrix))
+
+    def __rmul__(self, c: float) -> "LieGenerator":
+        return LieGenerator(c * self.matrix)
+
+    def __add__(self, other: "LieGenerator") -> "LieGenerator":
+        return LieGenerator(self.matrix + other.matrix)
+
+    def __sub__(self, other: "LieGenerator") -> "LieGenerator":
+        return LieGenerator(self.matrix - other.matrix)
+
+
+def embed(x) -> Ray:
+    """Ray of a finite point."""
+    x = np.asarray(x, dtype=float)
+    s = minkowski_norm(x)
+    return Ray(np.concatenate([x, [(1.0 + s) / 2.0, (1.0 - s) / 2.0]]))
+
+
+def embed_raw(X: np.ndarray) -> np.ndarray:
+    """Unnormalized ray vectors for an (n, d) array of points."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    s = X[:, 0] ** 2 - np.sum(X[:, 1:] ** 2, axis=1)
+    return np.hstack([X, (1.0 + s[:, None]) / 2.0, (1.0 - s[:, None]) / 2.0])
+
+
+def project(ray: Ray):
+    """Finite point of a ray, or None when the ray is at infinity."""
+    if ray.at_infinity():
+        return None
+    v = ray.xi
+    return v[:-2] / (v[-2] + v[-1])
+
+
+def act(g: GroupElement, x):
+    """project(g . embed(x)); None exactly when the image ray is at infinity."""
+    v = g.matrix @ np.concatenate(
+        [np.asarray(x, dtype=float),
+         [(1.0 + minkowski_norm(x)) / 2.0, (1.0 - minkowski_norm(x)) / 2.0]])
+    v = v / np.linalg.norm(v)
+    denom = v[-2] + v[-1]
+    if abs(denom) < INFINITY_TOL:
+        return None
+    return v[:-2] / denom
+
+
+def act_array(g: GroupElement, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized action on an (n, d) array: (images, regular-point mask).
+
+    Rows whose image is at infinity carry NaNs and a False mask entry.
+    """
+    V = embed_raw(X) @ g.matrix.T
+    V = V / np.linalg.norm(V, axis=1, keepdims=True)
+    denom = V[:, -2] + V[:, -1]
+    ok = np.abs(denom) >= INFINITY_TOL
+    out = np.full((V.shape[0], V.shape[1] - 2), np.nan)
+    out[ok] = V[ok, :-2] / denom[ok, None]
+    return out, ok
+
+
+# --- element constructors ---------------------------------------------------
+
+def translation(d: int, a) -> GroupElement:
+    a = np.asarray(a, dtype=float)
+    if a.shape != (d,):
+        raise ValueError("translation vector must have length d")
+    eta = _metric_signs(d)
+    a2 = float(np.dot(eta * a, a))
+    m = np.eye(d + 2)
+    # xi_mu' = xi_mu + a_mu (xi_d + xi_{d+1})
+    m[:d, d] = a
+    m[:d, d + 1] = a
+    # xi_d' = xi_d + <a, xi> + (a^2/2)(xi_d + xi_{d+1}); xi_{d+1}' mirrors it.
+    m[d, :d] = eta * a
+    m[d, d] = 1.0 + a2 / 2.0
+    m[d, d + 1] = a2 / 2.0
+    m[d + 1, :d] = -eta * a
+    m[d + 1, d] = -a2 / 2.0
+    m[d + 1, d + 1] = 1.0 - a2 / 2.0
+    return GroupElement(m)
+
+
+def boost(d: int, axis: int, rapidity: float) -> GroupElement:
+    """Hyperbolic rotation of (x0, x_axis) acting as x0' = cosh(s) x0 - sinh(s) x_axis."""
+    if not 1 <= axis <= d - 1:
+        raise ValueError("boost axis out of range")
+    m = np.eye(d + 2)
+    c, s = np.cosh(rapidity), np.sinh(rapidity)
+    m[0, 0] = c
+    m[0, axis] = -s
+    m[axis, 0] = -s
+    m[axis, axis] = c
+    return GroupElement(m)
+
+
+def rotation(d: int, i: int, j: int, angle: float) -> GroupElement:
+    if not (1 <= i <= d - 1 and 1 <= j <= d - 1 and i != j):
+        raise ValueError("rotation axes out of range")
+    m = np.eye(d + 2)
+    c, s = np.cos(angle), np.sin(angle)
+    m[i, i] = c
+    m[i, j] = -s
+    m[j, i] = s
+    m[j, j] = c
+    return GroupElement(m)
+
+
+def dilation(d: int, lam: float) -> GroupElement:
+    """x -> lam x for lam > 0; hyperbolic in the (xi_d, xi_{d+1}) plane."""
+    if lam <= 0:
+        raise ValueError("dilation parameter must be positive")
+    m = np.eye(d + 2)
+    inv, lm = 1.0 / lam, lam
+    m[d, d] = (inv + lm) / 2.0
+    m[d, d + 1] = (inv - lm) / 2.0
+    m[d + 1, d] = (inv - lm) / 2.0
+    m[d + 1, d + 1] = (inv + lm) / 2.0
+    return GroupElement(m)
+
+
+def ray_inversion(d: int) -> GroupElement:
+    """x -> -x / x^2: sign flip of the Minkowski block and of xi_{d+1}."""
+    diag = np.concatenate([-np.ones(d), [1.0, -1.0]])
+    return GroupElement(np.diag(diag))
+
+
+def special(d: int, a) -> GroupElement:
+    """Special conformal transformation: ray inversion, translation, inversion."""
+    rho = ray_inversion(d)
+    return rho @ translation(d, a) @ rho
+
+
+def axis_inversion(d: int, axis: int) -> GroupElement:
+    """x -> -(1/x^2)(x0, ..., -x_axis, ..., x_{d-1}): inversion with one
+    space axis spared."""
+    if not 1 <= axis <= d - 1:
+        raise ValueError("axis out of range")
+    diag = np.concatenate([-np.ones(d), [1.0, -1.0]])
+    diag[axis] = 1.0
+    return GroupElement(np.diag(diag))
+
+
+def space_reflection(d: int, axis: int) -> GroupElement:
+    """Sign flip of one space coordinate."""
+    if not 1 <= axis <= d - 1:
+        raise ValueError("axis out of range")
+    diag = np.ones(d + 2)
+    diag[axis] = -1.0
+    return GroupElement(np.diag(diag))
+
+
+def make_element(d: int, kind: str, *params) -> GroupElement:
+    """Dispatch constructor: kind in {'translation', 'boost', 'rotation',
+    'dilation', 'special', 'ray_inversion', 'R', 'P'}."""
+    table = {
+        "translation": translation,
+        "boost": boost,
+        "rotation": rotation,
+        "dilation": dilation,
+        "special": special,
+        "ray_inversion": ray_inversion,
+        "R": axis_inversion,
+        "P": space_reflection,
+    }
+    try:
+        ctor = table[kind]
+    except KeyError:
+        raise ValueError(f"unknown element kind {kind!r}") from None
+    return ctor(d, *params)
+
+
+# --- generators --------------------------------------------------------------
+
+def translation_generator(d: int, a) -> LieGenerator:
+    a = np.asarray(a, dtype=float)
+    eta = _metric_signs(d)
+    m = np.zeros((d + 2, d + 2))
+    m[:d, d] = a
+    m[:d, d + 1] = a
+    m[d, :d] = eta * a
+    m[d + 1, :d] = -eta * a
+    return LieGenerator(m)
+
+
+def boost_generator(d: int, axis: int, rate: float = 1.0) -> LieGenerator:
+    """Derivative of boost(d, axis, rate * t) at t = 0."""
+    if not 1 <= axis <= d - 1:
+        raise ValueError("boost axis out of range")
+    m = np.zeros((d + 2, d + 2))
+    m[0, axis] = -rate
+    m[axis, 0] = -rate
+    return LieGenerator(m)
+
+
+def dilation_generator(d: int) -> LieGenerator:
+    """Derivative of dilation(d, e^t) at t = 0."""
+    m = np.zeros((d + 2, d + 2))
+    m[d, d + 1] = -1.0
+    m[d + 1, d] = -1.0
+    return LieGenerator(m)
+
+
+def conformal_energy(d: int) -> LieGenerator:
+    """Generator h + rho h rho with h the time-translation generator.
+
+    The sum rotates the (xi_0, xi_{d+1}) plane and vanishes on its orthogonal
+    complement, so its one-parameter group is periodic.
+    """
+    e0 = np.zeros(d)
+    e0[0] = 1.0
+    h = translation_generator(d, e0).matrix
+    rho = ray_inversion(d).matrix
+    return LieGenerator(h + rho @ h @ rho)
+
+
+# --- group structure ---------------------------------------------------------
+
+def in_identity_component(g: GroupElement) -> bool:
+    """Whether +g or -g lies in the identity component of O(d,2).
+
+    Components of an indefinite orthogonal group are classified by the signs
+    of the determinants of the blocks on the positive-definite plane
+    (xi_0, xi_{d+1}) and the negative-definite block (xi_1 .. xi_d).  The
+    2x2 positive block determinant is even under g -> -g; the d x d block
+    determinant flips sign when d is odd.
+    """
+    d = g.dim
+    pos = [0, d + 1]
+    neg = list(range(1, d + 1))
+    det_pos = np.linalg.det(g.matrix[np.ix_(pos, pos)])
+    det_neg = np.linalg.det(g.matrix[np.ix_(neg, neg)])
+    if det_pos <= 0:
+        return False
+    return det_neg > 0 or d % 2 == 1
+
+
+def axis_inversion_subgroup(d: int, alpha: float, axis: int = 1) -> GroupElement:
+    """One-parameter elliptic subgroup through the axis inversion:
+
+        U(alpha) = tau(-cot a) D(sin(a)^-2) R_axis tau(-cot a)
+
+    with tau the translation along the axis.  U(0) = U(pi) = identity,
+    U(pi/2) = R_axis; as matrices the group law holds modulo sign.
+    """
+    s = np.sin(alpha)
+    if abs(s) < 1e-12:
+        return GroupElement(np.eye(d + 2))
+    a = np.zeros(d)
+    a[axis] = -np.cos(alpha) / s
+    tau = translation(d, a)
+    return tau @ dilation(d, s ** -2) @ axis_inversion(d, axis) @ tau
+
+
+def dilation_identity_defect(d: int, a: float, axis: int = 1) -> float:
+    """Max-norm distance (mod sign) between
+    tau(a) R tau(1/a) R tau(a) R and the dilation by a^2."""
+    if a == 0:
+        raise ValueError("parameter must be nonzero")
+    ea = np.zeros(d)
+    ea[axis] = a
+    einv = np.zeros(d)
+    einv[axis] = 1.0 / a
+    r = axis_inversion(d, axis)
+    lhs = translation(d, ea) @ r @ translation(d, einv) @ r @ translation(d, ea) @ r
+    rhs = dilation(d, a * a)
+    return distance_mod_sign(lhs, rhs)
+
+
+def distance_mod_sign(g: GroupElement, h: GroupElement) -> float:
+    """min over sign of the max-norm distance between +-g and h."""
+    diff = np.max(np.abs(g.matrix - h.matrix))
+    summ = np.max(np.abs(g.matrix + h.matrix))
+    return min(diff, summ)
+
+
+# --- Poincare embedding and double-cone transport ----------------------------
+
+def poincare_to_conformal(p: PoincareMap) -> GroupElement:
+    d = p.dim
+    lorentz = np.eye(d + 2)
+    lorentz[:d, :d] = p.lorentz
+    return translation(d, p.translation) @ GroupElement(lorentz)
+
+
+def _boost_to_unit_timelike(u: np.ndarray) -> PoincareMap:
+    """Pure Lorentz boost mapping e0 to the unit timelike future vector u."""
+    d = u.shape[0]
+    gamma = u[0]
+    L = np.eye(d)
+    if d > 1:
+        beta = u[1:] / gamma
+        b2 = float(np.dot(beta, beta))
+        L[0, 0] = gamma
+        if b2 > 0:
+            L[0, 1:] = gamma * beta
+            L[1:, 0] = gamma * beta
+            L[1:, 1:] = np.eye(d - 1) + (gamma - 1.0) * np.outer(beta, beta) / b2
+    return PoincareMap(L, np.zeros(d))
+
+
+def double_cone_transport(src, dst) -> GroupElement:
+    """Conformal element (translation . boost . dilation . boost . translation)
+    mapping the source double cone onto the destination one."""
+    d = src.dim
+
+    def parts(cone):
+        center = (cone.tip_past + cone.tip_future) / 2.0
+        v = cone.tip_future - cone.tip_past
+        radius = np.sqrt(minkowski_norm(v)) / 2.0
+        return center, v / (2.0 * radius), radius
+
+    c1, u1, r1 = parts(src)
+    c2, u2, r2 = parts(dst)
+    b1 = poincare_to_conformal(_boost_to_unit_timelike(u1))
+    b2 = poincare_to_conformal(_boost_to_unit_timelike(u2))
+    return (translation(d, c2) @ b2 @ dilation(d, r2 / r1)
+            @ b1.inverse() @ translation(d, -c1))

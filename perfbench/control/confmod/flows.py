@@ -1,0 +1,176 @@
+"""Canonical one-parameter conformal groups attached to regions.
+
+Three closed-form flows are provided: the boost flow of the standard wedge
+x1 > |x0| (rapidity 2 pi t, acting as x0' = cosh(2 pi t) x0 - sinh(2 pi t) x1),
+the fractional-linear flow of the unit double cone acting on the light-cone
+combinations x0 +- |vec x| with fixed points +-1, and the dilation flow of
+the future cone.  Each flow carries its region, its Lie-algebra generator,
+and the closed-form point map; conjugation transports all three coherently.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from . import confgroup as cg
+from .geometry import (FutureCone, Region, TransformedRegion, standard_wedge,
+                       unit_double_cone)
+
+__all__ = [
+    "CanonicalFlow",
+    "wedge_flow",
+    "doublecone_flow",
+    "cone_flow",
+    "conjugate_flow",
+    "pct_ingredients",
+    "wedge_to_doublecone",
+    "time_reflection",
+]
+
+
+@dataclass(frozen=True)
+class CanonicalFlow:
+    """A region together with the one-parameter group preserving it."""
+
+    region: Region
+    generator: cg.LieGenerator
+    closed_form: Callable[[float, np.ndarray], np.ndarray | None]
+
+    def matrix(self, t: float) -> cg.GroupElement:
+        return self.generator.exp(t)
+
+    def __call__(self, t: float, x):
+        return self.closed_form(t, np.asarray(x, dtype=float))
+
+
+def wedge_flow(d: int) -> CanonicalFlow:
+    """Boost flow of the standard wedge, rapidity 2 pi t."""
+    if d < 2:
+        raise ValueError("the wedge flow needs d >= 2")
+
+    def closed_form(t, x):
+        y = np.array(x, dtype=float)
+        c, s = np.cosh(2 * np.pi * t), np.sinh(2 * np.pi * t)
+        y[0] = c * x[0] - s * x[1]
+        y[1] = -s * x[0] + c * x[1]
+        return y
+
+    return CanonicalFlow(standard_wedge(d), cg.boost_generator(d, 1, 2 * np.pi),
+                         closed_form)
+
+
+def _mobius_pm(t: float, v: float):
+    """((1+v) - e^{-2 pi t}(1-v)) / ((1+v) + e^{-2 pi t}(1-v)); None at the pole."""
+    e = np.exp(-2 * np.pi * t)
+    den = (1.0 + v) + e * (1.0 - v)
+    if abs(den) < cg.INFINITY_TOL * max(1.0, abs(v)):
+        return None
+    return ((1.0 + v) - e * (1.0 - v)) / den
+
+
+def doublecone_flow(d: int) -> CanonicalFlow:
+    """Flow of the unit double cone |x0| + |vec x| < 1.
+
+    Acts on x_pm = x0 +- |vec x| at fixed spatial direction by the
+    fractional-linear map fixing +-1; commutes with spatial rotations.
+    The generator is pi (h - rho h rho) with h the time-translation
+    generator, whose vector field is the same map differentiated at t = 0.
+    """
+    if d < 2:
+        raise ValueError("the double-cone flow needs d >= 2")
+
+    def closed_form(t, x):
+        r = float(np.linalg.norm(x[1:]))
+        a = _mobius_pm(t, x[0] + r)
+        b = _mobius_pm(t, x[0] - r)
+        if a is None or b is None:
+            return None
+        y = np.empty_like(np.asarray(x, dtype=float))
+        y[0] = (a + b) / 2.0
+        if r > 0:
+            y[1:] = ((a - b) / (2.0 * r)) * x[1:]
+        else:
+            y[1:] = 0.0
+        return y
+
+    e0 = np.zeros(d)
+    e0[0] = 1.0
+    h = cg.translation_generator(d, e0).matrix
+    rho = cg.ray_inversion(d).matrix
+    gen = cg.LieGenerator(np.pi * (h - rho @ h @ rho))
+    return CanonicalFlow(unit_double_cone(d), gen, closed_form)
+
+
+def cone_flow(d: int) -> CanonicalFlow:
+    """Dilation flow x -> e^t x of the future cone."""
+
+    def closed_form(t, x):
+        return np.exp(t) * np.asarray(x, dtype=float)
+
+    return CanonicalFlow(FutureCone(np.zeros(d)), cg.dilation_generator(d),
+                         closed_form)
+
+
+def conjugate_flow(g: cg.GroupElement, flow: CanonicalFlow) -> CanonicalFlow:
+    """Transport a flow to the image region: generator g A g^{-1}, closed form
+    g . flow_t . g^{-1}, region the image of the original region under g."""
+    ginv = g.inverse()
+
+    def closed_form(t, x):
+        y = ginv.act(x)
+        if y is None:
+            return None
+        z = flow.closed_form(t, y)
+        if z is None:
+            return None
+        return g.act(z)
+
+    gen = cg.LieGenerator(g.matrix @ flow.generator.matrix @ ginv.matrix)
+    return CanonicalFlow(TransformedRegion(g, flow.region), gen, closed_form)
+
+
+def time_reflection(d: int) -> cg.GroupElement:
+    """Sign flip of the time coordinate, as a ray-action matrix."""
+    diag = np.ones(d + 2)
+    diag[0] = -1.0
+    return cg.GroupElement(np.diag(diag))
+
+
+def wedge_to_doublecone(d: int) -> cg.GroupElement:
+    """Explicit element g with g(W1) = unit double cone and
+    g wedge_flow(t) g^{-1} = doublecone_flow(t) as matrices.
+
+    The light-cone factor maps are Cayley transforms built from translations
+    along x1, one dilation, and the axis inversion R1.  A time reflection is
+    composed in first: the wedge flow above drifts its points toward the past
+    horizon while the double-cone flow drifts toward the future tip, so the
+    intertwiner must reverse time orientation.
+    """
+    if d < 2:
+        raise ValueError("needs d >= 2")
+    e1 = np.zeros(d)
+    e1[1] = 1.0
+    tau = cg.translation(d, e1)
+    cayley = tau @ cg.dilation(d, 2.0) @ cg.axis_inversion(d, 1) @ tau
+    return cayley @ time_reflection(d)
+
+
+def pct_ingredients(d: int) -> tuple[cg.GroupElement, cg.GroupElement, cg.GroupElement]:
+    """(beta, r1, S_W1): total inversion x -> -x, the reflection flipping
+    (x0, x1), and the sign flip of the transverse coordinates x2 .. x_{d-1}.
+    All three are ray-action matrices with beta = r1 . S_W1; whether they lie
+    in the identity component depends on the parity of d."""
+    if d < 2:
+        raise ValueError("needs d >= 2")
+    beta = np.ones(d + 2)
+    beta[:d] = -1.0
+    r1 = np.ones(d + 2)
+    r1[0] = -1.0
+    r1[1] = -1.0
+    sw1 = np.ones(d + 2)
+    sw1[2:d] = -1.0
+    return (cg.GroupElement(np.diag(beta)), cg.GroupElement(np.diag(r1)),
+            cg.GroupElement(np.diag(sw1)))

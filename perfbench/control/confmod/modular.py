@@ -1,0 +1,372 @@
+"""Tomita calculus on standard real subspaces of C^m.
+
+A real-linear subspace K of C^m is standard when K and iK meet only at 0 and
+span C^m over the reals; equivalently dim_R K = m and the smallest principal
+angle between K and iK is positive.  The closed antilinear involution fixing
+K pointwise and negating iK factors as S = J Delta^{1/2}; this module builds
+S, Delta and J and the unitary flow Delta^{it}.
+
+Construction.  Everything is computed in the real encoding v = [Re v; Im v]
+of C^m, where multiplication by i is the orthogonal matrix J_STD and the
+Euclidean inner product is Re<.,.>.  Principal vectors of the pair (K, iK)
+split R^{2m} into m mutually orthogonal S-invariant planes; on the plane
+with principal angle theta (sigma = cos theta, s = sin theta, in the
+orthonormal frame (b, perp) with the iK principal vector at sigma b + s perp)
+
+    S     = [[1, -2 sigma/s], [0, -1]]
+    Delta = S^T S,  with eigenvalues ((1+sigma)/s)^{+-2}
+    J     = [[s, -sigma], [-sigma, -s]]
+
+and Delta^{it} has the real encoding cos(t log lambda) I + i sin(t log
+lambda) G with G = [[-sigma, -s], [-s, sigma]].  All flow and conjugation
+blocks are exactly orthogonal, so the construction stays stable even when
+some angles approach zero; only S and Delta themselves grow like 1/theta.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+from scipy.linalg import subspace_angles, svd
+
+__all__ = [
+    "StandardnessError",
+    "StandardnessReport",
+    "StandardSubspace",
+    "ModularData",
+    "is_standard",
+    "tomita_operators",
+    "symplectic_complement",
+    "modular_flow",
+    "subspace_angle",
+    "random_standard_subspace",
+    "DEFAULT_ANGLE_FLOOR",
+]
+
+DEFAULT_ANGLE_FLOOR = 1e-6
+RANK_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class StandardnessReport:
+    """Diagnostics from the standardness test."""
+
+    ambient_dim: int
+    real_dim: int
+    angles: np.ndarray          # principal angles between K and iK, descending
+    angle_floor: float
+
+    @property
+    def min_angle(self) -> float:
+        return float(self.angles[-1]) if self.angles.size else np.inf
+
+    @property
+    def dimension_ok(self) -> bool:
+        return self.real_dim == self.ambient_dim
+
+    @property
+    def standard(self) -> bool:
+        return self.dimension_ok and self.min_angle > self.angle_floor
+
+
+class StandardnessError(ValueError):
+    def __init__(self, message: str, report: StandardnessReport):
+        super().__init__(f"{message}: real dim {report.real_dim} of {report.ambient_dim}, "
+                         f"min principal angle {report.min_angle:.3e} "
+                         f"(floor {report.angle_floor:.1e})")
+        self.report = report
+
+
+def _std_i(m: int) -> np.ndarray:
+    j = np.zeros((2 * m, 2 * m))
+    j[:m, m:] = -np.eye(m)
+    j[m:, :m] = np.eye(m)
+    return j
+
+
+def _realify(vectors: np.ndarray) -> np.ndarray:
+    """Complex (m, k) column stack -> real (2m, k)."""
+    v = np.atleast_2d(np.asarray(vectors, dtype=complex))
+    return np.vstack([v.real, v.imag])
+
+
+def _complexify_vectors(cols: np.ndarray) -> np.ndarray:
+    m = cols.shape[0] // 2
+    return cols[:m] + 1j * cols[m:]
+
+
+def _complexify_operator(a: np.ndarray) -> np.ndarray:
+    """Real 2m x 2m matrix commuting with J_STD -> complex m x m matrix."""
+    m = a.shape[0] // 2
+    return a[:m, :m] + 1j * a[m:, :m]
+
+
+def _orthonormal_columns(cols: np.ndarray) -> np.ndarray:
+    u, s, _ = svd(cols, full_matrices=False)
+    rank = int(np.sum(s > RANK_TOL * max(1.0, s[0] if s.size else 0.0)))
+    return u[:, :rank]
+
+
+class StandardSubspace:
+    """Real-linear span of complex generator vectors in C^m."""
+
+    def __init__(self, ambient_dim: int, generators):
+        # generators are rows of a (k, m) complex array
+        gens = np.atleast_2d(np.asarray(generators, dtype=complex))
+        if gens.shape[1] != ambient_dim:
+            raise ValueError("generator length must equal the ambient dimension")
+        if gens.shape[0] == 0:
+            raise ValueError("need at least one generator")
+        norms = np.linalg.norm(gens, axis=1)
+        if np.any(norms == 0.0):
+            raise ValueError("zero vector among generators")
+        self.ambient_dim = int(ambient_dim)
+        self.generators = gens
+        self.basis = _orthonormal_columns(_realify(gens.T))
+
+    @property
+    def real_dim(self) -> int:
+        return self.basis.shape[1]
+
+    def standardness(self, angle_floor: float = DEFAULT_ANGLE_FLOOR) -> StandardnessReport:
+        j = _std_i(self.ambient_dim)
+        angles = subspace_angles(self.basis, j @ self.basis)
+        return StandardnessReport(self.ambient_dim, self.real_dim,
+                                  np.asarray(angles, dtype=float), angle_floor)
+
+
+def is_standard(subspace: StandardSubspace,
+                angle_floor: float = DEFAULT_ANGLE_FLOOR) -> tuple[bool, StandardnessReport]:
+    """Evaluate K cap iK = 0 and K + iK = C^m, with the principal-angle
+    spectrum between K and iK as the condition report."""
+    report = subspace.standardness(angle_floor)
+    return report.standard, report
+
+
+@dataclass
+class ModularData:
+    """Tomita operators of a standard subspace.
+
+    frame: orthogonal 2m x 2m matrix whose column pairs (2k, 2k+1) span the
+    S-invariant principal planes; sigmas/sines hold cos/sin of the principal
+    angle of each plane.  The complex matrices are assembled on demand.
+    """
+
+    ambient_dim: int
+    frame: np.ndarray
+    sigmas: np.ndarray
+    sines: np.ndarray
+    _cache: dict = field(default_factory=dict, repr=False)
+
+    def _assemble(self, blocks: np.ndarray) -> np.ndarray:
+        """frame @ blockdiag(blocks) @ frame^T."""
+        m = self.ambient_dim
+        # Apply each 2x2 block to its column pair in one batched product.
+        paired = self.frame.reshape(2 * m, m, 2)
+        mixed = np.einsum("nkj,kji->nki", paired, blocks)
+        return mixed.reshape(2 * m, 2 * m) @ self.frame.T
+
+    def _plane_blocks(self, kind: str, t: float | None = None) -> np.ndarray:
+        c, s = self.sigmas, self.sines
+        n = c.shape[0]
+        blocks = np.empty((n, 2, 2))
+        if kind == "S":
+            blocks[:, 0, 0] = 1.0
+            blocks[:, 0, 1] = -2.0 * c / s
+            blocks[:, 1, 0] = 0.0
+            blocks[:, 1, 1] = -1.0
+        elif kind == "delta":
+            blocks[:, 0, 0] = 1.0
+            blocks[:, 0, 1] = blocks[:, 1, 0] = -2.0 * c / s
+            blocks[:, 1, 1] = (4.0 * c ** 2 + s ** 2) / s ** 2
+        elif kind == "delta_sqrt":
+            blocks[:, 0, 0] = s
+            blocks[:, 0, 1] = blocks[:, 1, 0] = -c
+            blocks[:, 1, 1] = (2.0 * c ** 2 + s ** 2) / s
+        elif kind == "J":
+            blocks[:, 0, 0] = s
+            blocks[:, 0, 1] = blocks[:, 1, 0] = -c
+            blocks[:, 1, 1] = -s
+        elif kind == "flow_cos":
+            w = np.cos(t * self.log_eigenvalues())
+            blocks[:, 0, 0] = blocks[:, 1, 1] = w
+            blocks[:, 0, 1] = blocks[:, 1, 0] = 0.0
+        elif kind == "flow_sin":
+            w = np.sin(t * self.log_eigenvalues())
+            blocks[:, 0, 0] = -c * w
+            blocks[:, 0, 1] = blocks[:, 1, 0] = -s * w
+            blocks[:, 1, 1] = c * w
+        else:
+            raise ValueError(kind)
+        return blocks
+
+    def log_eigenvalues(self) -> np.ndarray:
+        """log lambda_k = 2 log((1+cos)/sin) per principal plane."""
+        return 2.0 * np.log((1.0 + self.sigmas) / self.sines)
+
+    def _real(self, kind: str) -> np.ndarray:
+        if kind not in self._cache:
+            self._cache[kind] = self._assemble(self._plane_blocks(kind))
+        return self._cache[kind]
+
+    # -- real-encoded operators (act on [Re v; Im v]) --
+
+    @property
+    def s_real(self) -> np.ndarray:
+        return self._real("S")
+
+    @property
+    def delta_real(self) -> np.ndarray:
+        return self._real("delta")
+
+    @property
+    def j_real(self) -> np.ndarray:
+        return self._real("J")
+
+    def flow_real(self, t: float) -> np.ndarray:
+        """Real encoding of Delta^{it}."""
+        m = self.ambient_dim
+        re = self._assemble(self._plane_blocks("flow_cos", t))
+        im = self._assemble(self._plane_blocks("flow_sin", t))
+        return re + _std_i(m) @ im
+
+    # -- complex forms --
+
+    @property
+    def s_matrix(self) -> np.ndarray:
+        """Complex matrix M with S v = M conj(v)."""
+        m = self.ambient_dim
+        conj = np.eye(2 * m)
+        conj[m:, m:] = -np.eye(m)
+        return _complexify_operator(self.s_real @ conj)
+
+    @property
+    def delta(self) -> np.ndarray:
+        return _complexify_operator(self.delta_real)
+
+    @property
+    def j_matrix(self) -> np.ndarray:
+        """Unitary U with J v = U conj(v)."""
+        m = self.ambient_dim
+        conj = np.eye(2 * m)
+        conj[m:, m:] = -np.eye(m)
+        return _complexify_operator(self.j_real @ conj)
+
+    def flow(self, t: float) -> np.ndarray:
+        """Delta^{it} as a complex unitary matrix."""
+        return _complexify_operator(self.flow_real(t))
+
+    # -- vector application --
+
+    def _apply(self, op: np.ndarray, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=complex)
+        r = op @ _realify(np.atleast_2d(v).T)
+        out = _complexify_vectors(r)
+        return out.ravel() if v.ndim == 1 else out
+
+    def apply_s(self, v: np.ndarray) -> np.ndarray:
+        return self._apply(self.s_real, v)
+
+    def apply_j(self, v: np.ndarray) -> np.ndarray:
+        return self._apply(self.j_real, v)
+
+    def apply_flow(self, t: float, v: np.ndarray) -> np.ndarray:
+        return self._apply(self.flow_real(t), v)
+
+
+def tomita_operators(subspace: StandardSubspace,
+                     angle_floor: float = DEFAULT_ANGLE_FLOOR,
+                     clip_angle: float | None = None) -> ModularData:
+    """Build the Tomita operators of a standard subspace.
+
+    Raises StandardnessError when the subspace fails the dimension test or
+    its smallest principal angle is at or below angle_floor.  When
+    clip_angle is given, angles are accepted down to numerical degeneracy
+    and any angle below clip_angle is clamped to it in the operator
+    formulas; this biases only the corresponding nearly-degenerate planes
+    and keeps every flow block exactly orthogonal (used by the lattice
+    field, whose extreme modular modes are far below double precision).
+    """
+    ok, report = is_standard(subspace, angle_floor)
+    if not report.dimension_ok or (clip_angle is None and report.min_angle <= angle_floor):
+        raise StandardnessError("subspace is not standard", report)
+
+    m = subspace.ambient_dim
+    b = subspace.basis
+    c = _std_i(m) @ b
+    u, sig, vt = svd(b.T @ c)
+    sig = np.clip(sig, 0.0, 1.0)
+    # Singular values descend, so angles ascend; process planes healthiest
+    # first so that rounding in nearly degenerate planes cannot leak into
+    # well-separated ones.
+    order = np.argsort(sig)
+    sig = sig[order]
+    bu = (b @ u)[:, order]
+    resid = ((c @ vt.T)[:, order]) - bu * sig[None, :]
+    resid_norm = np.linalg.norm(resid, axis=0)
+    healthy = resid_norm > 1e-7
+
+    frame = np.zeros((2 * m, 2 * m))
+    frame[:, 0::2] = bu
+    frame[:, 1::2][:, healthy] = resid[:, healthy] / resid_norm[healthy]
+    n_deg = int(np.sum(~healthy))
+    if n_deg:
+        # Partners for angle-degenerate planes: any orthonormal completion.
+        filled = np.hstack([bu, frame[:, 1::2][:, healthy]])
+        uu, ss, _ = svd(filled, full_matrices=True)
+        comp = uu[:, np.sum(ss > 0.5):]
+        frame[:, 1::2][:, ~healthy] = comp[:, :n_deg]
+    # Hygiene pass: QR orthonormalizes left to right, so order the healthy
+    # plane columns first and fold corrections into the degenerate tail.
+    cols = np.concatenate([np.flatnonzero(healthy), np.flatnonzero(~healthy)])
+    perm = np.empty(2 * m, dtype=int)
+    perm[0::2] = 2 * cols
+    perm[1::2] = 2 * cols + 1
+    q, r = np.linalg.qr(frame[:, perm])
+    signs = np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+    frame[:, perm] = q * signs[None, :]
+
+    sines = np.sqrt((1.0 - sig) * (1.0 + sig))
+    if clip_angle is not None:
+        lo = np.sin(clip_angle)
+        bad = sines < lo
+        sines = np.where(bad, lo, sines)
+        sig = np.where(bad, np.cos(clip_angle), sig)
+    return ModularData(m, frame, sig, sines)
+
+
+def symplectic_complement(subspace: StandardSubspace) -> StandardSubspace:
+    """K' = {v : Im<v, k> = 0 for all k in K}, the Euclidean orthogonal
+    complement of iK in the real encoding."""
+    m = subspace.ambient_dim
+    ik = _std_i(m) @ subspace.basis
+    u, s, _ = svd(ik, full_matrices=True)
+    rank = int(np.sum(s > RANK_TOL))
+    comp = u[:, rank:]
+    return StandardSubspace(m, _complexify_vectors(comp).T)
+
+
+def modular_flow(subspace: StandardSubspace, t: float,
+                 angle_floor: float = DEFAULT_ANGLE_FLOOR) -> np.ndarray:
+    """Delta^{it} of the subspace as a complex unitary matrix."""
+    return tomita_operators(subspace, angle_floor).flow(t)
+
+
+def subspace_angle(k1: StandardSubspace, k2: StandardSubspace) -> float:
+    """Largest principal angle between the two real-linear subspaces."""
+    angles = subspace_angles(k1.basis, k2.basis)
+    return float(angles[0]) if np.size(angles) else 0.0
+
+
+def random_standard_subspace(m: int, rng: np.random.Generator,
+                             angle_floor: float = DEFAULT_ANGLE_FLOOR) -> StandardSubspace:
+    """Random standard subspace: m generators with independent standard
+    normal real and imaginary parts, resampled until comfortably standard."""
+    for _ in range(256):
+        gens = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        k = StandardSubspace(m, gens)
+        ok, _ = is_standard(k, angle_floor)
+        if ok:
+            return k
+    raise RuntimeError("failed to draw a standard subspace")
