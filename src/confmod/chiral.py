@@ -120,7 +120,9 @@ def build_model(L: int) -> LatticeModel:
     phases = np.exp(2j * np.pi * np.outer(k, np.arange(L)) / L)
     coord_map = np.sqrt(2.0 * k)[:, None] * phases / L
     coord_map_real = np.vstack([coord_map.real, coord_map.imag])
-    coord_pinv = np.linalg.pinv(coord_map_real)
+    # The rows of coord_map_real are orthogonal with squared norms k/L, so
+    # the pseudo-inverse is the transpose with columns scaled by L/k.
+    coord_pinv = coord_map_real.T * (L / np.concatenate([k, k]))
     return LatticeModel(L, thetas, hilbert, coord_map, coord_map_real, coord_pinv)
 
 
@@ -180,12 +182,17 @@ def interval_tomita(model: LatticeModel, interval: CircleInterval) -> md.Modular
                                clip_angle=LATTICE_CLIP_ANGLE)
 
 
+def _window_frame(data: md.ModularData, window: float = RESOLVABLE_WINDOW) -> np.ndarray:
+    """Orthonormal frame columns (real encoding) of the modular planes whose
+    principal angle exceeds the window."""
+    return data.frame[:, np.repeat(np.arcsin(data.sines) > window, 2)]
+
+
 def resolvable_projector(data: md.ModularData,
                          window: float = RESOLVABLE_WINDOW) -> np.ndarray:
     """Orthogonal projector (real encoding) onto the modular planes whose
     principal angle exceeds the window."""
-    sel = np.repeat(np.arcsin(data.sines) > window, 2)
-    frame = data.frame[:, sel]
+    frame = _window_frame(data, window)
     return frame @ frame.T
 
 
@@ -265,6 +272,35 @@ def _synthesis(model: LatticeModel, angles: np.ndarray) -> np.ndarray:
     return 2.0 * np.real(_mode_synthesis(model, angles) @ _mode_analysis(model))
 
 
+def _pull_back(model: LatticeModel, cols: np.ndarray, angles: np.ndarray,
+               rows: np.ndarray | None = None) -> np.ndarray:
+    """Retained-mode pull-back of encoded columns: each column's field is
+    evaluated at the moved site angles, scaled by the optional row weights
+    and encoded again, as matrix-vector products on the columns only.
+
+    The positive-mode coefficients of an encoded column [x; y] are
+    (x - i y) / sqrt(2k), and coord_map_real of a field equals that of its
+    retained part, so this is coord_map_real @ diag(rows) @
+    _synthesis(model, angles) @ coord_pinv @ cols."""
+    m = model.m
+    coeffs = (cols[:m] - 1j * cols[m:]) / np.sqrt(2.0 * np.arange(1, m + 1))[:, None]
+    fields = 2.0 * np.real(_mode_synthesis(model, angles) @ coeffs)
+    if rows is not None:
+        fields = rows[:, None] * fields
+    return model.coord_map_real @ fields
+
+
+def _flow_sites(model: LatticeModel, interval: CircleInterval, t: float,
+                weight: float = 0.0):
+    """Site angles delta_{-t}(theta_j) at which the geometric flow at t
+    samples a field, and the row weights delta_{-t}'(theta_j)^weight
+    (None for weight 0)."""
+    phi = mobius_point_flow(interval, -t, model.thetas)
+    if weight == 0.0:
+        return phi, None
+    return phi, mobius_point_flow_deriv(interval, -t, model.thetas) ** weight
+
+
 def mobius_flow_unitary(model: LatticeModel, interval: CircleInterval,
                         t: float, weight: float = 0.0) -> np.ndarray:
     """Real L x L matrix of the geometric flow on lattice fields:
@@ -274,12 +310,14 @@ def mobius_flow_unitary(model: LatticeModel, interval: CircleInterval,
     evaluated by retained-mode interpolation and projected back onto the
     retained modes.  For the |n|-weighted energy form the isometric action
     is the plain pull-back (weight 0, the invariance of the Dirichlet
-    form); the suite reports exponents 1/2 and 1 as diagnostics."""
-    phi = mobius_point_flow(interval, -t, model.thetas)
+    form); the suite reports exponents 1/2 and 1 as diagnostics.
+
+    This is the dense form of the pull-back bw_defect applies to encoded
+    columns (_pull_back at the same _flow_sites); it costs O(L^3)."""
+    phi, rows = _flow_sites(model, interval, t, weight)
     pullback = _synthesis(model, phi)
-    if weight != 0.0:
-        dphi = mobius_point_flow_deriv(interval, -t, model.thetas)
-        pullback = (dphi ** weight)[:, None] * pullback
+    if rows is not None:
+        pullback = rows[:, None] * pullback
     return model.mode_projector @ pullback
 
 
@@ -316,7 +354,6 @@ class BWReport:
     z_residuals: np.ndarray        # group-law residual of z(t), per (s,t) pair
     duality_angle: float
     weight_diagnostics: dict
-    pct_angle: float | None = None
 
     def max_defect(self) -> float:
         return float(np.max(self.defects)) if self.defects.size else 0.0
@@ -325,10 +362,13 @@ class BWReport:
         return float(np.max(self.z_residuals)) if self.z_residuals.size else 0.0
 
 
-def _encoded_family(model: LatticeModel, family, projector=None) -> np.ndarray:
+def _encoded_family(model: LatticeModel, family, frame=None) -> np.ndarray:
+    """Unit-normalised encoded family, projected by frame @ frame^T when an
+    orthonormal frame is given (an orthogonal projector P serves as its own
+    frame, P P^T = P)."""
     cols = np.stack([model.coord_map_real @ f for f in family], axis=1)
-    if projector is not None:
-        cols = projector @ cols
+    if frame is not None:
+        cols = frame @ (frame.T @ cols)
     norms = np.linalg.norm(cols, axis=0)
     if np.any(norms < 1e-12):
         raise ValueError("test vector with vanishing retained part")
@@ -339,48 +379,48 @@ def bw_defect(model: LatticeModel, interval: CircleInterval,
               t_grid, test_family=None,
               window: float = RESOLVABLE_WINDOW) -> BWReport:
     """Relative defect || (Delta^{it} - U_geo(t)) v || / || v || over the test
-    family, plus the group-law residual of z(t) = Delta^{it} U_geo(-t).
+    family, plus the group-law residual z(s+t) v - z(s) z(t) v of
+    z(t) = Delta^{it} U_geo(-t).
 
     The family is compared through its component in the resolvable modular
     window: the interior content of lattice intervals occupies modular
     eigenvalues far beyond double precision, and no flow comparison there
     is meaningful at machine precision (the raw-family defect saturates
-    near 1 at every size; measured against 60-digit arithmetic)."""
+    near 1 at every size; measured against 60-digit arithmetic).
+
+    Every operator is applied to the k family columns as a chain of
+    matrix-vector products: Delta^{it} plane by plane in the modular frame
+    (ModularData.apply_flow_real) and U_geo as the retained-mode pull-back
+    (_pull_back).  After the one factorization in interval_tomita this
+    costs O(L^2 k) per application; no 2m x 2m or L x L operator is
+    formed."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size and (np.min(t_grid) < -0.5 or np.max(t_grid) > 0.5):
         raise ValueError("t grid must stay within [-0.5, 0.5]")
     if test_family is None:
         test_family = default_test_family(model, interval)
     dat = interval_tomita(model, interval)
-    proj = resolvable_projector(dat, window)
-    fam = _encoded_family(model, test_family, proj)
+    fam = _encoded_family(model, test_family, _window_frame(dat, window))
 
-    tr, pinv = model.coord_map_real, model.coord_pinv
+    def geo(t, cols, weight=0.0):
+        return _pull_back(model, cols, *_flow_sites(model, interval, t, weight))
 
-    def u_enc(t, weight=0.0):
-        return tr @ mobius_flow_unitary(model, interval, t, weight) @ pinv
+    def z(t, cols):
+        return dat.apply_flow_real(t, geo(-t, cols))
 
-    defects = np.empty(t_grid.shape)
-    for i, t in enumerate(t_grid):
-        diff = dat.flow_real(t) @ fam - u_enc(t) @ fam
-        defects[i] = np.max(np.linalg.norm(diff, axis=0))
+    def worst(diff):
+        return float(np.max(np.linalg.norm(diff, axis=0)))
+
+    defects = np.array([worst(dat.apply_flow_real(t, fam) - geo(t, fam)) for t in t_grid])
 
     t_ref = float(t_grid[np.argmax(np.abs(t_grid))]) if t_grid.size else 0.25
-    weight_diagnostics = {}
-    for w in (0.5, 1.0):
-        diff = dat.flow_real(t_ref) @ fam - u_enc(t_ref, w) @ fam
-        weight_diagnostics[w] = float(np.max(np.linalg.norm(diff, axis=0)))
+    flowed = dat.apply_flow_real(t_ref, fam)
+    weight_diagnostics = {w: worst(flowed - geo(t_ref, fam, w)) for w in (0.5, 1.0)}
 
-    def z_op(t):
-        return dat.flow_real(t) @ u_enc(-t)
-
-    z_residuals = []
-    ts = [t for t in t_grid if abs(t) > 1e-12]
-    for s in ts[:3]:
-        for t in ts[:3]:
-            if abs(s + t) <= 0.5:
-                diff = (z_op(s + t) - z_op(s) @ z_op(t)) @ fam
-                z_residuals.append(np.max(np.linalg.norm(diff, axis=0)))
+    ts = [t for t in t_grid if abs(t) > 1e-12][:3]
+    z_fam = {t: z(t, fam) for t in ts}
+    z_residuals = [worst(z(s + t, fam) - z(s, z_fam[t]))
+                   for s in ts for t in ts if abs(s + t) <= 0.5]
     dual = duality_defect(model, interval)
     return BWReport(model.L, interval, t_grid, defects,
                     np.asarray(z_residuals), dual, weight_diagnostics)
@@ -402,14 +442,9 @@ def duality_defect(model: LatticeModel, interval: CircleInterval) -> float:
 def _reflect_encoded(model: LatticeModel, interval: CircleInterval,
                      cols: np.ndarray) -> np.ndarray:
     """Geometric reflection Theta_r f = f o r applied to encoded columns:
-    the retained-mode interpolation of each field is evaluated at the
-    reflected sites (weight 0, as in mobius_flow_unitary), one
-    matrix-vector chain per column, never forming the L x L operator."""
-    fields = model.coord_pinv @ cols
-    coeffs = _mode_analysis(model) @ fields
-    angles = circle_reflection(interval, model.thetas)
-    pulled = 2.0 * np.real(_mode_synthesis(model, angles) @ coeffs)
-    return model.coord_map_real @ pulled
+    the weight-0 pull-back of each field to the reflected sites, never
+    forming the L x L operator."""
+    return _pull_back(model, cols, circle_reflection(interval, model.thetas))
 
 
 def pct_geometry_defect(model: LatticeModel, interval: CircleInterval,
@@ -430,8 +465,7 @@ def pct_geometry_defect(model: LatticeModel, interval: CircleInterval,
     J - Theta_r stays near 2).  Because K(r probe) is a real-linear space,
     J K(probe) = K(r probe) holds for either sign."""
     dat = interval_tomita(model, interval)
-    proj = resolvable_projector(dat)
-    fam = _encoded_family(model, default_test_family(model, probe), proj)
+    fam = _encoded_family(model, default_test_family(model, probe), _window_frame(dat))
     diff = dat.j_real @ fam + _reflect_encoded(model, interval, fam)
     return float(np.max(np.linalg.norm(diff, axis=0)))
 
@@ -444,8 +478,7 @@ def symplectic_locality(model: LatticeModel, region: CircleInterval,
     k2 = interval_subspace(model, region)
     # pairing matrix of Im<.,.> in the real encoding; the overall sign
     # convention does not affect the norm
-    omega = md._std_i(model.m)
-    return float(np.linalg.norm(k1.basis.T @ omega @ k2.basis, 2))
+    return float(np.linalg.norm(k1.basis.T @ md._times_i(k2.basis), 2))
 
 
 def energy_trace(beta: float, n_max: int | None = None,

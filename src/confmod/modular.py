@@ -85,6 +85,17 @@ def _std_i(m: int) -> np.ndarray:
     return j
 
 
+def _times_i(cols: np.ndarray) -> np.ndarray:
+    """Multiplication by i in the real encoding, _std_i(m) @ cols as a
+    block swap [-Im; Re].  The result is C-ordered, the layout of the
+    matrix product, so later products with it round identically."""
+    m = cols.shape[0] // 2
+    out = np.empty(cols.shape)
+    out[:m] = -cols[m:]
+    out[m:] = cols[:m]
+    return out
+
+
 def _realify(vectors: np.ndarray) -> np.ndarray:
     """Complex (m, k) column stack -> real (2m, k)."""
     v = np.atleast_2d(np.asarray(vectors, dtype=complex))
@@ -130,8 +141,7 @@ class StandardSubspace:
         return self.basis.shape[1]
 
     def standardness(self, angle_floor: float = DEFAULT_ANGLE_FLOOR) -> StandardnessReport:
-        j = _std_i(self.ambient_dim)
-        angles = subspace_angles(self.basis, j @ self.basis)
+        angles = subspace_angles(self.basis, _times_i(self.basis))
         return StandardnessReport(self.ambient_dim, self.real_dim,
                                   np.asarray(angles, dtype=float), angle_floor)
 
@@ -151,6 +161,11 @@ class ModularData:
     frame: orthogonal 2m x 2m matrix whose column pairs (2k, 2k+1) span the
     S-invariant principal planes; sigmas/sines hold cos/sin of the principal
     angle of each plane.  The complex matrices are assembled on demand.
+
+    To act on a few vectors, apply_flow_real and apply_flow use the plane
+    blocks directly, frame (blocks (frame^T cols)), in O(m^2 k) for k
+    columns; flow_real(t) assembles the same blocks into the dense 2m x 2m
+    operator at O(m^3).
     """
 
     ambient_dim: int
@@ -226,10 +241,25 @@ class ModularData:
 
     def flow_real(self, t: float) -> np.ndarray:
         """Real encoding of Delta^{it}."""
-        m = self.ambient_dim
         re = self._assemble(self._plane_blocks("flow_cos", t))
         im = self._assemble(self._plane_blocks("flow_sin", t))
-        return re + _std_i(m) @ im
+        return re + _times_i(im)
+
+    def apply_flow_real(self, t: float, cols: np.ndarray) -> np.ndarray:
+        """flow_real(t) @ cols without forming the operator: O(m^2 k) for
+        k columns.
+
+        The columns are taken into frame coordinates y = frame^T cols, each
+        principal plane gets cos(t log lambda) y and sin(t log lambda) G y,
+        and both parts are mapped back as frame (cos part) + i frame (sin
+        part)."""
+        m = self.ambient_dim
+        cols = np.asarray(cols, dtype=float)
+        y = (self.frame.T @ cols.reshape(2 * m, -1)).reshape(m, 2, -1)
+        parts = [np.einsum("kij,kjn->kin", self._plane_blocks(kind, t), y)
+                 .reshape(2 * m, -1) for kind in ("flow_cos", "flow_sin")]
+        re, im = np.hsplit(self.frame @ np.hstack(parts), 2)
+        return (re + _times_i(im)).reshape(cols.shape)
 
     # -- complex forms --
 
@@ -259,20 +289,20 @@ class ModularData:
 
     # -- vector application --
 
-    def _apply(self, op: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def _apply(self, real_map, v: np.ndarray) -> np.ndarray:
+        """Complex vectors through a map of real-encoded columns."""
         v = np.asarray(v, dtype=complex)
-        r = op @ _realify(np.atleast_2d(v).T)
-        out = _complexify_vectors(r)
+        out = _complexify_vectors(real_map(_realify(np.atleast_2d(v).T)))
         return out.ravel() if v.ndim == 1 else out
 
     def apply_s(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(self.s_real, v)
+        return self._apply(self.s_real.__matmul__, v)
 
     def apply_j(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(self.j_real, v)
+        return self._apply(self.j_real.__matmul__, v)
 
     def apply_flow(self, t: float, v: np.ndarray) -> np.ndarray:
-        return self._apply(self.flow_real(t), v)
+        return self._apply(lambda cols: self.apply_flow_real(t, cols), v)
 
 
 def tomita_operators(subspace: StandardSubspace,
@@ -288,13 +318,12 @@ def tomita_operators(subspace: StandardSubspace,
     and keeps every flow block exactly orthogonal (used by the lattice
     field, whose extreme modular modes are far below double precision).
     """
-    ok, report = is_standard(subspace, angle_floor)
-    if not report.dimension_ok or (clip_angle is None and report.min_angle <= angle_floor):
-        raise StandardnessError("subspace is not standard", report)
-
     m = subspace.ambient_dim
+    if subspace.real_dim != m:
+        raise StandardnessError("subspace is not standard", subspace.standardness(angle_floor))
+
     b = subspace.basis
-    c = _std_i(m) @ b
+    c = _times_i(b)
     u, sig, vt = svd(b.T @ c)
     sig = np.clip(sig, 0.0, 1.0)
     # Singular values descend, so angles ascend; process planes healthiest
@@ -305,6 +334,16 @@ def tomita_operators(subspace: StandardSubspace,
     bu = (b @ u)[:, order]
     resid = ((c @ vt.T)[:, order]) - bu * sig[None, :]
     resid_norm = np.linalg.norm(resid, axis=0)
+    # Standardness from the same SVD: the residual of plane k has norm
+    # sin(theta_k), accurate for small angles where the cosine rounds to 1.
+    # The SVD mixes planes whose cosines round alike (angles below ~1e-7),
+    # which can only raise the smallest residual norm, so the test is exact
+    # for floors above that regime.  A failure's report takes the sines as
+    # singular values of the residuals, which resolves every angle.
+    if clip_angle is None and np.min(np.arctan2(resid_norm, sig)) <= angle_floor:
+        angles = np.arctan2(svd(resid, compute_uv=False), sig)
+        raise StandardnessError("subspace is not standard",
+                                StandardnessReport(m, m, angles, angle_floor))
     healthy = resid_norm > 1e-7
 
     frame = np.zeros((2 * m, 2 * m))
@@ -340,8 +379,7 @@ def symplectic_complement(subspace: StandardSubspace) -> StandardSubspace:
     """K' = {v : Im<v, k> = 0 for all k in K}, the Euclidean orthogonal
     complement of iK in the real encoding."""
     m = subspace.ambient_dim
-    ik = _std_i(m) @ subspace.basis
-    u, s, _ = svd(ik, full_matrices=True)
+    u, s, _ = svd(_times_i(subspace.basis), full_matrices=True)
     rank = int(np.sum(s > RANK_TOL))
     comp = u[:, rank:]
     return StandardSubspace(m, _complexify_vectors(comp).T)

@@ -20,6 +20,16 @@ def test_build_model_validation():
             ch.build_model(bad)
 
 
+def test_coord_pinv_closed_form(models):
+    # coord_pinv is the transpose scaled by L/k: it equals the SVD
+    # pseudo-inverse and is a right inverse of the real coordinate map
+    for L, model in models.items():
+        tr = model.coord_map_real
+        np.testing.assert_allclose(model.coord_pinv, np.linalg.pinv(tr), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tr @ model.coord_pinv, np.eye(2 * model.m),
+                                   rtol=0, atol=1e-12)
+
+
 def test_complex_structure_squares_to_minus_projector(models):
     for L, model in models.items():
         J, P = model.hilbert, model.mode_projector
@@ -255,6 +265,45 @@ def test_bw_direction_is_discriminated(models):
     good = np.max(np.linalg.norm(F - fwd @ fam, axis=0))
     bad = np.max(np.linalg.norm(F - rev @ fam, axis=0))
     assert bad > 2 * good
+
+
+def _dense_bw_reference(model, interval, t_grid):
+    """bw_defect's values from dense 2m x 2m operators: flow_real and the
+    encoded mobius_flow_unitary with the SVD pseudo-inverse."""
+    dat = ch.interval_tomita(model, interval)
+    fam = ch._encoded_family(model, ch.default_test_family(model, interval),
+                             ch.resolvable_projector(dat))
+    tr, pinv = model.coord_map_real, np.linalg.pinv(model.coord_map_real)
+
+    def U(t, weight=0.0):
+        return tr @ ch.mobius_flow_unitary(model, interval, t, weight) @ pinv
+
+    def Z(t):
+        return dat.flow_real(t) @ U(-t)
+
+    def worst(op):
+        return np.max(np.linalg.norm(op @ fam, axis=0))
+
+    defects = [worst(dat.flow_real(t) - U(t)) for t in t_grid]
+    t_ref = t_grid[np.argmax(np.abs(t_grid))]
+    weights = [worst(dat.flow_real(t_ref) - U(t_ref, w)) for w in (0.5, 1.0)]
+    ts = [t for t in t_grid if abs(t) > 1e-12][:3]
+    z = [worst(Z(s + t) - Z(s) @ Z(t)) for s in ts for t in ts if abs(s + t) <= 0.5]
+    return np.array(defects), np.array(weights), np.array(z)
+
+
+def test_bw_defect_matches_dense_reference(models):
+    # the matrix-vector chains of bw_defect reproduce the dense operators
+    I = ch.half_circle()
+    grid = np.array([0.0, 0.1, 0.25])
+    for L in (64, 128):
+        rep = ch.bw_defect(models[L], I, grid)
+        defects, weights, z = _dense_bw_reference(models[L], I, grid)
+        np.testing.assert_allclose(rep.defects, defects, rtol=0, atol=1e-12)
+        np.testing.assert_allclose([rep.weight_diagnostics[w] for w in (0.5, 1.0)],
+                                   weights, rtol=0, atol=1e-12)
+        assert rep.z_residuals.shape == z.shape == (4,)
+        np.testing.assert_allclose(rep.z_residuals, z, rtol=0, atol=1e-12)
 
 
 def test_weight_diagnostics_reported(models):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
+import confmod.chiral as ch
 import confmod.modular as md
 
 
@@ -29,6 +31,51 @@ def test_dimension_deficit_is_not_standard():
     K = md.StandardSubspace(2, [[1.0, 0.0]])
     ok, report = md.is_standard(K)
     assert not ok and not report.dimension_ok
+
+
+def _tomita_report(K):
+    """The standardness report tomita_operators builds, read from the error
+    raised with a floor above every angle."""
+    with pytest.raises(md.StandardnessError) as err:
+        md.tomita_operators(K, angle_floor=4.0)
+    return err.value.report
+
+
+def _principal_angles(K):
+    """Independent oracle for the angles between K and iK, descending:
+    sines of the part of iK orthogonal to K below pi/4, cosines above."""
+    b = K.basis
+    c = md._std_i(K.ambient_dim) @ b
+    small = np.arcsin(np.clip(svdvals(c - b @ (b.T @ c)), 0.0, 1.0))
+    large = np.arccos(np.clip(svdvals(b.T @ c)[::-1], -1.0, 1.0))
+    return np.where(small < np.pi / 4, small, large)
+
+
+def test_tomita_report_matches_is_standard():
+    # tomita_operators reads the angles from its own SVD.  is_standard
+    # (scipy's subspace_angles) returns an exact right angle, which every odd
+    # m has, as arcsin of a sine that rounds to 1: ~1.5e-8 low
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        m = int(rng.integers(1, 9))
+        K = md.random_standard_subspace(m, rng)
+        report, ref = _tomita_report(K), md.is_standard(K)[1]
+        assert (report.ambient_dim, report.real_dim) == (ref.ambient_dim, ref.real_dim)
+        np.testing.assert_allclose(report.angles, _principal_angles(K), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.angles, ref.angles, rtol=0, atol=2e-8)
+        if m % 2:
+            assert report.angles[0] == pytest.approx(np.pi / 2, abs=1e-14)
+
+
+def test_tomita_report_on_lattice_half_circle():
+    # squeezed interior planes: the angles fall to ~1e-15 and are still
+    # resolved
+    model = ch.build_model(64)
+    K = ch.interval_subspace(model, ch.half_circle())
+    report, ref = _tomita_report(K), md.is_standard(K)[1]
+    np.testing.assert_allclose(report.angles, _principal_angles(K), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report.angles, ref.angles, rtol=0, atol=2e-8)
+    assert report.min_angle < 1e-13
 
 
 def test_zero_generator_rejected():
@@ -137,6 +184,23 @@ def test_flow_preserves_subspace_and_group_law():
         assert np.max(np.abs(dat.flow(0.4) @ dat.flow(0.9) - dat.flow(1.3))) < 1e-8
         u = dat.flow(1.7)
         assert np.max(np.abs(u @ u.conj().T - np.eye(m))) < 1e-10
+
+
+def test_plane_flow_matches_dense_flow():
+    # apply_flow_real works plane by plane and equals the assembled operator
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        m = int(rng.integers(1, 9))
+        dat = md.tomita_operators(md.random_standard_subspace(m, rng))
+        X = rng.normal(size=(2 * m, 3))
+        for t in (-0.7, 0.0, 0.25, 2.7):
+            np.testing.assert_allclose(dat.apply_flow_real(t, X), dat.flow_real(t) @ X,
+                                       rtol=0, atol=1e-13)
+            np.testing.assert_allclose(dat.apply_flow_real(t, X[:, 0]),
+                                       dat.flow_real(t) @ X[:, 0], rtol=0, atol=1e-13)
+        v = X[:m, 0] + 1j * X[m:, 0]
+        np.testing.assert_allclose(dat.apply_flow(0.4, v), dat.flow(0.4) @ v,
+                                   rtol=0, atol=1e-13)
 
 
 def test_kms_symmetry():
