@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .geometry import PoincareMap, minkowski_norm
+from .geometry import (PoincareMap, _boost_matrix, _metric_signs, _rotation_matrix,
+                       minkowski_norm)
 
 __all__ = [
     "quadratic_form",
@@ -64,13 +65,6 @@ def quadratic_form(d: int) -> np.ndarray:
     return np.diag(q)
 
 
-def _metric_signs(d: int) -> np.ndarray:
-    # Minkowski metric signs (+1, -1, ..., -1) on the first d coordinates.
-    s = -np.ones(d)
-    s[0] = 1.0
-    return s
-
-
 @dataclass(frozen=True)
 class Ray:
     """Isotropic ray of Q, stored as a unit Euclidean vector (mod sign)."""
@@ -83,9 +77,7 @@ class Ray:
         if norm == 0.0:
             raise ValueError("ray vector must be nonzero")
         v = v / norm
-        d = v.shape[0] - 2
-        q = np.concatenate([[1.0], -np.ones(d), [1.0]])
-        if abs(np.dot(q * v, v)) > 1e-12:
+        if abs(v @ quadratic_form(v.shape[0] - 2) @ v) > 1e-12:
             raise ValueError("vector is not isotropic for the (d,2) form")
         object.__setattr__(self, "xi", v)
 
@@ -130,6 +122,10 @@ class GroupElement:
     def act(self, x):
         """Conformal action on a point; None where the action is singular."""
         return act(self, x)
+
+    def act_array(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Action on the rows of an (n, d) array: (images, regular-row mask)."""
+        return act_array(self, X)
 
 
 @dataclass(frozen=True)
@@ -234,29 +230,21 @@ def translation(d: int, a) -> GroupElement:
     return GroupElement(m)
 
 
+def _lorentz_element(lorentz: np.ndarray) -> GroupElement:
+    """A Lorentz matrix acting on the first d ray coordinates."""
+    d = lorentz.shape[0]
+    m = np.eye(d + 2)
+    m[:d, :d] = lorentz
+    return GroupElement(m)
+
+
 def boost(d: int, axis: int, rapidity: float) -> GroupElement:
     """Hyperbolic rotation of (x0, x_axis) acting as x0' = cosh(s) x0 - sinh(s) x_axis."""
-    if not 1 <= axis <= d - 1:
-        raise ValueError("boost axis out of range")
-    m = np.eye(d + 2)
-    c, s = np.cosh(rapidity), np.sinh(rapidity)
-    m[0, 0] = c
-    m[0, axis] = -s
-    m[axis, 0] = -s
-    m[axis, axis] = c
-    return GroupElement(m)
+    return _lorentz_element(_boost_matrix(d, axis, rapidity))
 
 
 def rotation(d: int, i: int, j: int, angle: float) -> GroupElement:
-    if not (1 <= i <= d - 1 and 1 <= j <= d - 1 and i != j):
-        raise ValueError("rotation axes out of range")
-    m = np.eye(d + 2)
-    c, s = np.cos(angle), np.sin(angle)
-    m[i, i] = c
-    m[i, j] = -s
-    m[j, i] = s
-    m[j, j] = c
-    return GroupElement(m)
+    return _lorentz_element(_rotation_matrix(d, i, j, angle))
 
 
 def dilation(d: int, lam: float) -> GroupElement:
@@ -430,10 +418,7 @@ def distance_mod_sign(g: GroupElement, h: GroupElement) -> float:
 # --- Poincare embedding and double-cone transport ----------------------------
 
 def poincare_to_conformal(p: PoincareMap) -> GroupElement:
-    d = p.dim
-    lorentz = np.eye(d + 2)
-    lorentz[:d, :d] = p.lorentz
-    return translation(d, p.translation) @ GroupElement(lorentz)
+    return translation(p.dim, p.translation) @ _lorentz_element(p.lorentz)
 
 
 def _boost_to_unit_timelike(u: np.ndarray) -> PoincareMap:

@@ -4,7 +4,9 @@ Points are plain numpy arrays of length d (x[0] is time).  Regions are
 immutable predicate objects: double cones, wedges (Poincare images of the
 standard wedge x1 > |x0|), future cones, causal complements thereof, and
 images of any region under an invertible point map.  All regions are open:
-membership uses strict inequalities throughout.
+membership uses strict inequalities throughout.  Each region has one
+membership predicate that takes a point or the rows of an (n, d) array:
+contains_many(X) tests the rows at once, contains(x) one point.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 __all__ = [
     "CausalRelation",
     "minkowski_norm",
+    "minkowski_norms",
     "causal_relation",
     "PoincareMap",
     "Region",
@@ -39,6 +42,23 @@ def minkowski_norm(x) -> float:
     """x0^2 - x1^2 - ... - x_{d-1}^2."""
     x = np.asarray(x, dtype=float)
     return float(x[0] ** 2 - np.dot(x[1:], x[1:]))
+
+
+# X.T[0] is the time coordinate of a point X of shape (d,), as a scalar, or
+# the time column of an (n, d) array: the region predicates below take
+# either, and scalar arithmetic keeps the one-point case cheap.
+
+def minkowski_norms(X: np.ndarray) -> np.ndarray:
+    """minkowski_norm of a point, or of each row of an (n, d) array."""
+    t = X.T[0]
+    S = X[..., 1:]
+    return t * t - (S * S).sum(axis=-1)
+
+
+def _future_timelike(V: np.ndarray) -> np.ndarray:
+    """Whether V, a point or each row of an (n, d) array, lies in the open
+    forward light cone."""
+    return (minkowski_norms(V) > 0.0) & (V.T[0] > 0.0)
 
 
 class CausalRelation(Enum):
@@ -66,10 +86,38 @@ def causal_relation(x, y) -> CausalRelation:
     return CausalRelation.LIGHTLIKE
 
 
-def _minkowski_metric(d: int) -> np.ndarray:
-    eta = -np.eye(d)
-    eta[0, 0] = 1.0
-    return eta
+def _metric_signs(d: int) -> np.ndarray:
+    """Minkowski metric signs (+1, -1, ..., -1) on the first d coordinates."""
+    s = -np.ones(d)
+    s[0] = 1.0
+    return s
+
+
+def _boost_matrix(d: int, axis: int, rapidity: float) -> np.ndarray:
+    """Lorentz matrix of the hyperbolic rotation of the (x0, x_axis) plane,
+    acting as x0 -> cosh(s) x0 - sinh(s) x_axis."""
+    if not 1 <= axis <= d - 1:
+        raise ValueError("boost axis out of range")
+    L = np.eye(d)
+    c, s = np.cosh(rapidity), np.sinh(rapidity)
+    L[0, 0] = c
+    L[0, axis] = -s
+    L[axis, 0] = -s
+    L[axis, axis] = c
+    return L
+
+
+def _rotation_matrix(d: int, i: int, j: int, angle: float) -> np.ndarray:
+    """Lorentz matrix of the rotation of the spatial (x_i, x_j) plane."""
+    if not (1 <= i <= d - 1 and 1 <= j <= d - 1 and i != j):
+        raise ValueError("rotation axes out of range")
+    L = np.eye(d)
+    c, s = np.cos(angle), np.sin(angle)
+    L[i, i] = c
+    L[i, j] = -s
+    L[j, i] = s
+    L[j, j] = c
+    return L
 
 
 @dataclass(frozen=True)
@@ -87,7 +135,7 @@ class PoincareMap:
         d = a.shape[0]
         if L.shape != (d, d):
             raise ValueError("Lorentz block and translation dimension mismatch")
-        eta = _minkowski_metric(d)
+        eta = np.diag(_metric_signs(d))
         if np.max(np.abs(L.T @ eta @ L - eta)) > 1e-9:
             raise ValueError("matrix does not preserve the Minkowski form")
 
@@ -104,27 +152,11 @@ class PoincareMap:
     def from_boost(d: int, axis: int, rapidity: float) -> "PoincareMap":
         """Hyperbolic rotation of the (x0, x_axis) plane, acting as
         x0 -> cosh(s) x0 - sinh(s) x_axis."""
-        if not 1 <= axis <= d - 1:
-            raise ValueError("boost axis out of range")
-        L = np.eye(d)
-        c, s = np.cosh(rapidity), np.sinh(rapidity)
-        L[0, 0] = c
-        L[0, axis] = -s
-        L[axis, 0] = -s
-        L[axis, axis] = c
-        return PoincareMap(L, np.zeros(d))
+        return PoincareMap(_boost_matrix(d, axis, rapidity), np.zeros(d))
 
     @staticmethod
     def from_rotation(d: int, i: int, j: int, angle: float) -> "PoincareMap":
-        if not (1 <= i <= d - 1 and 1 <= j <= d - 1 and i != j):
-            raise ValueError("rotation axes out of range")
-        L = np.eye(d)
-        c, s = np.cos(angle), np.sin(angle)
-        L[i, i] = c
-        L[i, j] = -s
-        L[j, i] = s
-        L[j, j] = c
-        return PoincareMap(L, np.zeros(d))
+        return PoincareMap(_rotation_matrix(d, i, j, angle), np.zeros(d))
 
     @property
     def dim(self) -> int:
@@ -133,8 +165,14 @@ class PoincareMap:
     def act(self, x):
         return self.lorentz @ np.asarray(x, dtype=float) + self.translation
 
+    def act_array(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(images of a point or of the rows of an (n, d) array, all-True
+        regular mask)."""
+        return X @ self.lorentz.T + self.translation, np.ones(X.shape[:-1], dtype=bool)
+
     def inverse(self) -> "PoincareMap":
-        Linv = _minkowski_metric(self.dim) @ self.lorentz.T @ _minkowski_metric(self.dim)
+        eta = np.diag(_metric_signs(self.dim))
+        Linv = eta @ self.lorentz.T @ eta
         return PoincareMap(Linv, -Linv @ self.translation)
 
     def compose(self, other: "PoincareMap") -> "PoincareMap":
@@ -147,12 +185,31 @@ class PoincareMap:
 
 
 class Region:
-    """Open subregion of d-dimensional Minkowski space with decidable membership."""
+    """Open subregion of d-dimensional Minkowski space with decidable membership.
+
+    Each region defines one predicate, _member(X), on a point of shape (d,)
+    or on the rows of an (n, d) array; contains and contains_many check the
+    shape and call it.  The point form keeps the per-point cost of contains
+    low for callers that test one point at a time.
+    """
 
     dim: int
 
-    def contains(self, x) -> bool:
+    def _member(self, X: np.ndarray):
         raise NotImplementedError
+
+    def contains_many(self, X) -> np.ndarray:
+        """Boolean membership mask over the rows of an (n, d) array."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ValueError(f"expected an (n, {self.dim}) array of points")
+        return self._member(X)
+
+    def contains(self, x) -> bool:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"expected a point of dimension {self.dim}")
+        return bool(self._member(x))
 
     def is_bounded(self) -> bool:
         return False
@@ -178,9 +235,8 @@ class DoubleCone(Region):
     def dim(self) -> int:
         return self.tip_past.shape[0]
 
-    def contains(self, x) -> bool:
-        return (causal_relation(self.tip_past, x) is CausalRelation.TIMELIKE_FUTURE
-                and causal_relation(x, self.tip_future) is CausalRelation.TIMELIKE_FUTURE)
+    def _member(self, X):
+        return _future_timelike(X - self.tip_past) & _future_timelike(self.tip_future - X)
 
     def is_bounded(self) -> bool:
         return True
@@ -198,16 +254,17 @@ class Wedge(Region):
             raise ValueError("wedges need at least one space dimension beyond x1")
         if self.poincare is not None and self.poincare.dim != self.d:
             raise ValueError("Poincare map dimension mismatch")
+        object.__setattr__(self, "_inverse",
+                           None if self.poincare is None else self.poincare.inverse())
 
     @property
     def dim(self) -> int:
         return self.d
 
-    def contains(self, x) -> bool:
-        y = np.asarray(x, dtype=float)
-        if self.poincare is not None:
-            y = self.poincare.inverse().act(y)
-        return y[1] > abs(y[0])
+    def _member(self, X):
+        if self._inverse is not None:
+            X = self._inverse.act_array(X)[0]
+        return X.T[1] > np.abs(X.T[0])
 
 
 @dataclass(frozen=True)
@@ -223,31 +280,37 @@ class FutureCone(Region):
     def dim(self) -> int:
         return self.apex.shape[0]
 
-    def contains(self, x) -> bool:
-        return causal_relation(self.apex, x) is CausalRelation.TIMELIKE_FUTURE
+    def _member(self, X):
+        return _future_timelike(X - self.apex)
 
 
 @dataclass(frozen=True)
 class TransformedRegion(Region):
     """Image of a base region under an invertible point map.
 
-    The map object must provide act(x) -> point or None and inverse();
-    both PoincareMap and the conformal group elements qualify.  Points where
-    the inverse map is singular are reported as non-members.
+    The map object must provide inverse(), whose result provides
+    act(x) -> point or None and act_array(X) -> (images, regular-row mask)
+    on an (n, d) array; both PoincareMap and the conformal group elements
+    qualify.  The inverse is formed once, here; points where it is singular
+    are non-members.
     """
 
     map: object
     base: Region
 
+    def __post_init__(self):
+        object.__setattr__(self, "_inverse", self.map.inverse())
+
     @property
     def dim(self) -> int:
         return self.base.dim
 
-    def contains(self, x) -> bool:
-        y = self.map.inverse().act(np.asarray(x, dtype=float))
-        if y is None:
-            return False
-        return self.base.contains(y)
+    def _member(self, X):
+        if X.ndim == 1:
+            y = self._inverse.act(X)
+            return y is not None and self.base._member(y)
+        Y, regular = self._inverse.act_array(X)
+        return regular & self.base._member(Y)
 
 
 @dataclass(frozen=True)
@@ -261,9 +324,9 @@ class SpacelikeComplementOfDoubleCone(Region):
     def dim(self) -> int:
         return self.base.dim
 
-    def contains(self, x) -> bool:
-        return (causal_relation(self.base.tip_past, x) is CausalRelation.SPACELIKE
-                and causal_relation(self.base.tip_future, x) is CausalRelation.SPACELIKE)
+    def _member(self, X):
+        return ((minkowski_norms(X - self.base.tip_past) < 0.0)
+                & (minkowski_norms(X - self.base.tip_future) < 0.0))
 
 
 @dataclass(frozen=True)
@@ -277,9 +340,9 @@ class TimelikeComplementOfDoubleCone(Region):
     def dim(self) -> int:
         return self.base.dim
 
-    def contains(self, x) -> bool:
-        return (causal_relation(self.base.tip_future, x) is CausalRelation.TIMELIKE_FUTURE
-                or causal_relation(x, self.base.tip_past) is CausalRelation.TIMELIKE_FUTURE)
+    def _member(self, X):
+        return (_future_timelike(X - self.base.tip_future)
+                | _future_timelike(self.base.tip_past - X))
 
 
 def unit_double_cone(d: int) -> DoubleCone:

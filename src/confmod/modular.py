@@ -119,6 +119,27 @@ def _orthonormal_columns(cols: np.ndarray) -> np.ndarray:
     return u[:, :rank]
 
 
+def _principal_planes(b: np.ndarray):
+    """(cosines ascending, K principal vectors, residuals of the iK principal
+    vectors orthogonal to K, whose norms are the sines) for a basis b of K."""
+    c = _times_i(b)
+    u, sig, vt = svd(b.T @ c)
+    sig = np.clip(sig, 0.0, 1.0)
+    # Singular values descend, so angles ascend; process planes healthiest
+    # first so that rounding in nearly degenerate planes cannot leak into
+    # well-separated ones.
+    order = np.argsort(sig)
+    sig = sig[order]
+    bu = (b @ u)[:, order]
+    return sig, bu, (c @ vt.T)[:, order] - bu * sig[None, :]
+
+
+def _principal_angles(sig: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    """Angles between K and iK, descending.  The sines are the singular values
+    of the residuals, which resolves right angles and angles below 1e-8."""
+    return np.arctan2(svd(resid, compute_uv=False), sig)
+
+
 class StandardSubspace:
     """Real-linear span of complex generator vectors in C^m."""
 
@@ -141,9 +162,9 @@ class StandardSubspace:
         return self.basis.shape[1]
 
     def standardness(self, angle_floor: float = DEFAULT_ANGLE_FLOOR) -> StandardnessReport:
-        angles = subspace_angles(self.basis, _times_i(self.basis))
+        sig, _, resid = _principal_planes(self.basis)
         return StandardnessReport(self.ambient_dim, self.real_dim,
-                                  np.asarray(angles, dtype=float), angle_floor)
+                                  _principal_angles(sig, resid), angle_floor)
 
 
 def is_standard(subspace: StandardSubspace,
@@ -322,28 +343,17 @@ def tomita_operators(subspace: StandardSubspace,
     if subspace.real_dim != m:
         raise StandardnessError("subspace is not standard", subspace.standardness(angle_floor))
 
-    b = subspace.basis
-    c = _times_i(b)
-    u, sig, vt = svd(b.T @ c)
-    sig = np.clip(sig, 0.0, 1.0)
-    # Singular values descend, so angles ascend; process planes healthiest
-    # first so that rounding in nearly degenerate planes cannot leak into
-    # well-separated ones.
-    order = np.argsort(sig)
-    sig = sig[order]
-    bu = (b @ u)[:, order]
-    resid = ((c @ vt.T)[:, order]) - bu * sig[None, :]
+    sig, bu, resid = _principal_planes(subspace.basis)
     resid_norm = np.linalg.norm(resid, axis=0)
     # Standardness from the same SVD: the residual of plane k has norm
     # sin(theta_k), accurate for small angles where the cosine rounds to 1.
     # The SVD mixes planes whose cosines round alike (angles below ~1e-7),
     # which can only raise the smallest residual norm, so the test is exact
-    # for floors above that regime.  A failure's report takes the sines as
-    # singular values of the residuals, which resolves every angle.
+    # for floors above that regime.  A failure reports the angles of
+    # standardness(), computed from the same residuals.
     if clip_angle is None and np.min(np.arctan2(resid_norm, sig)) <= angle_floor:
-        angles = np.arctan2(svd(resid, compute_uv=False), sig)
-        raise StandardnessError("subspace is not standard",
-                                StandardnessReport(m, m, angles, angle_floor))
+        raise StandardnessError("subspace is not standard", StandardnessReport(
+            m, m, _principal_angles(sig, resid), angle_floor))
     healthy = resid_norm > 1e-7
 
     frame = np.zeros((2 * m, 2 * m))

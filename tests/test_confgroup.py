@@ -102,6 +102,20 @@ def test_constructors_preserve_form(d):
         assert np.max(np.abs(g.matrix.T @ q @ g.matrix - q)) < 1e-10
 
 
+@pytest.mark.parametrize("d", DIMS)
+def test_boost_at_large_rapidity(d):
+    # cosh^2 - sinh^2 rounds to about eps cosh^2, past the fixed 1e-9 form
+    # tolerance of PoincareMap from rapidity ~8.5 on; the group element
+    # scales its tolerance with the entries and must still accept the boost.
+    c, s = np.cosh(12.0), np.sinh(12.0)
+    expected = np.eye(d + 2)
+    expected[0, 0] = expected[1, 1] = c
+    expected[0, 1] = expected[1, 0] = -s
+    assert np.array_equal(cg.boost(d, 1, 12.0).matrix, expected)
+    with pytest.raises(ValueError):
+        cg.boost(d, d, 1.0)
+
+
 def test_make_element_dispatch():
     g = cg.make_element(4, "dilation", 2.0)
     np.testing.assert_allclose(cg.act(g, [1, 1, 0, 0]), [2, 2, 0, 0], atol=1e-12)

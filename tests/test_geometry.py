@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+import confmod.confgroup as cg
 from confmod.geometry import (CausalRelation, DoubleCone, FutureCone,
-                              PoincareMap, Wedge, causal_relation,
-                              minkowski_norm, region_contains, sample_region,
-                              spacelike_complement, standard_wedge,
-                              timelike_complement, transform_region,
-                              unit_double_cone)
+                              PoincareMap, TransformedRegion, Wedge,
+                              causal_relation, minkowski_norm, region_contains,
+                              sample_region, spacelike_complement,
+                              standard_wedge, timelike_complement,
+                              transform_region, unit_double_cone)
 
 DIMS = (2, 3, 4)
 
@@ -210,3 +211,144 @@ def test_double_cone_tip_validation():
         DoubleCone(np.zeros(3), np.array([0.0, 1.0, 0.0]))   # spacelike tips
     with pytest.raises(ValueError):
         DoubleCone(np.array([1.0, 0, 0]), np.array([-1.0, 0, 0]))  # past-directed
+
+
+# --- batched membership against closed forms ------------------------------------
+
+def _spatial(X):
+    return np.linalg.norm(X[:, 1:], axis=1)
+
+
+def _boundary_rows(d):
+    """Rows exact in binary: the origin, the tips +-e0, points on the light
+    cones through them (spatial part (0.75, 1) has norm 1.25 exactly), on the
+    edges x1 = +-x0 of the standard wedge, and a NaN row."""
+    w = np.array([0.75, 1.0, 0.0][:d - 1])
+    light = np.r_[np.linalg.norm(w), w]
+    rows = []
+    for apex in (0.0, 1.0, -1.0):
+        p = np.zeros(d)
+        p[0] = apex
+        rows.append(p)
+        for k in (0.5, -0.5, 1.0, -2.0):
+            rows += [p + k * light, p + k * light * np.r_[1.0, -np.ones(d - 1)]]
+        if d >= 2:
+            for k in (0.5, -1.0):
+                edge = p.copy()
+                edge[:2] += [k, abs(k)]
+                rows.append(edge)
+    rows.append(np.full(d, np.nan))
+    return np.array(rows)
+
+
+RAPIDITY = 0.7
+SHIFT = np.array([0.25, -0.5, 0.75, 0.125])
+CENTER, RADIUS = np.array([0.5, 0.25, -0.5, 1.0]), 2.0
+
+
+def _unboost(X, d):
+    """Coordinates of X pulled back by x -> boost(RAPIDITY) x + SHIFT."""
+    U = X - SHIFT[:d]
+    c, s = np.cosh(RAPIDITY), np.sinh(RAPIDITY)
+    return np.column_stack([c * U[:, 0] + s * U[:, 1], s * U[:, 0] + c * U[:, 1], U[:, 2:]])
+
+
+def _boost_map(d):
+    return PoincareMap.from_translation(SHIFT[:d]).compose(
+        PoincareMap.from_boost(d, 1, RAPIDITY))
+
+
+def _centered(d):
+    c = CENTER[:d]
+    return DoubleCone(c - RADIUS * np.eye(d)[0], c + RADIUS * np.eye(d)[0])
+
+
+# kind: (minimum d, region(d), margin(X, d) > 0 exactly on members, whether
+# exact-boundary rows stay exact through the region's own arithmetic)
+REGION_CASES = {
+    "double_cone": (1, unit_double_cone,
+                    lambda X, d: 1.0 - np.abs(X[:, 0]) - _spatial(X), True),
+    "centered_double_cone": (1, _centered, lambda X, d: RADIUS - np.abs(X[:, 0] - CENTER[0])
+                             - _spatial(X - CENTER[:d]), True),
+    "wedge": (2, standard_wedge, lambda X, d: X[:, 1] - np.abs(X[:, 0]), True),
+    "boosted_wedge": (2, lambda d: Wedge(d, _boost_map(d)), lambda X, d: np.minimum(
+        np.exp(-RAPIDITY) * (X - SHIFT[:d]) @ np.r_[-1.0, 1.0, np.zeros(d - 2)],
+        np.exp(RAPIDITY) * (X - SHIFT[:d]) @ np.r_[1.0, 1.0, np.zeros(d - 2)]), False),
+    "future_cone": (1, lambda d: FutureCone(CENTER[:d]),
+                    lambda X, d: X[:, 0] - CENTER[0] - _spatial(X - CENTER[:d]), True),
+    "spacelike_complement": (1, lambda d: spacelike_complement(unit_double_cone(d)),
+                             lambda X, d: _spatial(X) - np.abs(X[:, 0]) - 1.0, True),
+    "timelike_complement": (1, lambda d: timelike_complement(unit_double_cone(d)),
+                            lambda X, d: np.abs(X[:, 0]) - _spatial(X) - 1.0, True),
+    "poincare_image": (2, lambda d: TransformedRegion(_boost_map(d), unit_double_cone(d)),
+                       lambda X, d: 1.0 - np.abs(_unboost(X, d)[:, 0])
+                       - _spatial(_unboost(X, d)), False),
+    # x -> -x/x^2 maps the past cone onto the future cone and the light cone
+    # of the origin to infinity.
+    "conformal_image": (2, lambda d: TransformedRegion(cg.ray_inversion(d),
+                                                       FutureCone(np.zeros(d))),
+                        lambda X, d: -X[:, 0] - _spatial(X), True),
+}
+REGION_PARAMS = [(kind, d) for kind, case in REGION_CASES.items() for d in (1, 2, 3, 4)
+                 if d >= case[0]]
+
+
+@pytest.mark.parametrize("kind,d", REGION_PARAMS)
+def test_contains_many_matches_closed_form_margins(kind, d):
+    _, make, margin, exact = REGION_CASES[kind]
+    region = make(d)
+    rng = np.random.default_rng(17)
+    X = np.vstack([rng.uniform(-3.0, 3.0, size=(400, d)), _boundary_rows(d),
+                   CENTER[:d] + RADIUS * _boundary_rows(d)])
+    m = margin(X, d)
+    mask = region.contains_many(X)
+    assert mask.dtype == bool and mask.shape == (len(X),)
+    # Through a floating-point map a boundary row can land on either side.
+    decisive = np.ones(len(X), dtype=bool) if exact else ~(np.abs(m) < 1e-9)
+    assert np.array_equal(mask[decisive], m[decisive] > 0)
+    assert decisive.sum() > 400 and not mask.all()
+    # In d = 1 every pair of distinct points is timelike: nothing is spacelike.
+    assert mask.any() != (kind == "spacelike_complement" and d == 1)
+    assert [region.contains(x) for x in X] == list(mask)
+
+
+def test_rows_mapped_to_infinity_are_not_members():
+    d = 3
+    region = REGION_CASES["conformal_image"][1](d)
+    B = _boundary_rows(d)
+    on_cone = B[B[:, 0] ** 2 - np.sum(B[:, 1:] ** 2, axis=1) == 0.0]
+    assert len(on_cone) > 4
+    _, regular = cg.act_array(cg.ray_inversion(d), on_cone)
+    assert not regular.any()
+    assert not region.contains_many(on_cone).any()
+
+
+def test_contains_many_rejects_wrong_shapes():
+    o1 = unit_double_cone(3)
+    with pytest.raises(ValueError):
+        o1.contains_many(np.zeros((5, 4)))
+    with pytest.raises(ValueError):
+        o1.contains(np.zeros((2, 3)))
+
+
+# --- rejection sampling semantics ---------------------------------------------------
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("kind,box", [("double_cone", None), ("wedge", 10.0),
+                                      ("future_cone", 10.0)])
+def test_sample_region_matches_reference_rejection(kind, box, d):
+    # Same generator, chunks of max(256, 2 * missing) uniform draws from the
+    # sampling box, the closed-form predicate, the first n accepted points
+    # kept in draw order.
+    _, make, margin, _ = REGION_CASES[kind]
+    if box is None:        # the unit double cone's own box
+        lo, hi = np.r_[-1.0, -2.0 * np.ones(d - 1)], np.r_[1.0, 2.0 * np.ones(d - 1)]
+    else:
+        lo, hi = -box * np.ones(d), box * np.ones(d)
+    for n, seed in ((1, 3), (300, 4), (1000, 5)):
+        rng = np.random.default_rng(seed)
+        kept = []
+        while len(kept) < n:
+            pts = rng.uniform(lo, hi, size=(max(256, 2 * (n - len(kept))), d))
+            kept.extend(pts[margin(pts, d) > 0])
+        np.testing.assert_array_equal(sample_region(make(d), n, seed), np.array(kept[:n]))

@@ -52,9 +52,8 @@ def _principal_angles(K):
 
 
 def test_tomita_report_matches_is_standard():
-    # tomita_operators reads the angles from its own SVD.  is_standard
-    # (scipy's subspace_angles) returns an exact right angle, which every odd
-    # m has, as arcsin of a sine that rounds to 1: ~1.5e-8 low
+    # tomita_operators and is_standard read the angles from the same SVD; an
+    # exact right angle, which every odd m has, is resolved to 1e-14
     rng = np.random.default_rng(12)
     for _ in range(40):
         m = int(rng.integers(1, 9))
@@ -62,7 +61,7 @@ def test_tomita_report_matches_is_standard():
         report, ref = _tomita_report(K), md.is_standard(K)[1]
         assert (report.ambient_dim, report.real_dim) == (ref.ambient_dim, ref.real_dim)
         np.testing.assert_allclose(report.angles, _principal_angles(K), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(report.angles, ref.angles, rtol=0, atol=2e-8)
+        np.testing.assert_allclose(report.angles, ref.angles, rtol=0, atol=1e-12)
         if m % 2:
             assert report.angles[0] == pytest.approx(np.pi / 2, abs=1e-14)
 
@@ -74,7 +73,7 @@ def test_tomita_report_on_lattice_half_circle():
     K = ch.interval_subspace(model, ch.half_circle())
     report, ref = _tomita_report(K), md.is_standard(K)[1]
     np.testing.assert_allclose(report.angles, _principal_angles(K), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(report.angles, ref.angles, rtol=0, atol=2e-8)
+    np.testing.assert_allclose(report.angles, ref.angles, rtol=0, atol=1e-12)
     assert report.min_angle < 1e-13
 
 
