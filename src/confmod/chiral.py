@@ -75,7 +75,6 @@ class LatticeModel:
 
     L: int
     thetas: np.ndarray
-    hilbert: np.ndarray            # complex structure, real L x L
     coord_map: np.ndarray          # site functions -> C^m, complex m x L
     coord_map_real: np.ndarray     # real encoding of coord_map, 2m x L
     coord_pinv: np.ndarray         # right inverse of coord_map_real, L x 2m
@@ -87,6 +86,15 @@ class LatticeModel:
     @property
     def energy_weights(self) -> np.ndarray:
         return np.arange(1, self.m + 1, dtype=float)
+
+    @property
+    def hilbert(self) -> np.ndarray:
+        """The complex structure, multiplier -i sign n, as a real L x L matrix."""
+        mult = np.zeros(self.L, dtype=complex)
+        mult[1:self.m + 1] = -1j
+        mult[self.L - self.m:] = 1j
+        F = np.fft.fft(np.eye(self.L), axis=0)
+        return np.real(np.fft.ifft(mult[:, None] * F, axis=0))
 
     @property
     def mode_projector(self) -> np.ndarray:
@@ -107,12 +115,6 @@ def build_model(L: int) -> LatticeModel:
     m = L // 2 - 1
     thetas = 2.0 * np.pi * np.arange(L) / L
 
-    mult = np.zeros(L, dtype=complex)
-    mult[1:m + 1] = -1j
-    mult[L - m:] = 1j
-    F = np.fft.fft(np.eye(L), axis=0)
-    hilbert = np.real(np.fft.ifft(mult[:, None] * F, axis=0))
-
     # z_k = sqrt(2k) c_{-k},  c_{-k}(u) = (1/L) sum_j u_j e^{+2 pi i k j / L};
     # the negative-mode coefficients are the complex-linear ones for the
     # -i sign(n) complex structure.
@@ -123,7 +125,7 @@ def build_model(L: int) -> LatticeModel:
     # The rows of coord_map_real are orthogonal with squared norms k/L, so
     # the pseudo-inverse is the transpose with columns scaled by L/k.
     coord_pinv = coord_map_real.T * (L / np.concatenate([k, k]))
-    return LatticeModel(L, thetas, hilbert, coord_map, coord_map_real, coord_pinv)
+    return LatticeModel(L, thetas, coord_map, coord_map_real, coord_pinv)
 
 
 @dataclass(frozen=True)

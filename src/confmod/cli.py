@@ -52,6 +52,8 @@ class SuiteConfig:
     def validate(self):
         if self.suite != "all" and self.suite not in SUITES:
             raise ConfigurationError(f"unknown suite {self.suite!r}")
+        if not self.dims or not self.sizes:
+            raise ConfigurationError("dimensions and lattice sizes must not be empty")
         if any(d < 2 for d in self.dims):
             raise ConfigurationError("suite dimensions must satisfy d >= 2")
         if any(L < 16 or (L & (L - 1)) for L in self.sizes):
@@ -93,16 +95,37 @@ class Report:
         return any(c["status"] == "fail" for c in self.checks)
 
 
-def _check(checks, name, anchor, value, threshold, ok=None):
-    if ok is None:
+def _check(checks, name, anchor, value, threshold, ok=None, status=None):
+    if ok is None and status is None:
         ok = value < threshold
     checks.append({
         "name": name,
         "anchor": anchor,
-        "status": "pass" if ok else "fail",
+        "status": status or ("pass" if ok else "fail"),
         "value": float(value),
         "threshold": float(threshold) if threshold is not None else None,
     })
+
+
+def _ladder(checks, prefix, sizes, values, ceilings=None):
+    """Record a lattice ladder: `<prefix>-L<size>` per size, checked against
+    its frozen ceiling where `ceilings` has one and recorded otherwise, then
+    `<prefix>-monotone`, whose value is the largest step up the ladder (it
+    passes when every step goes down).  A one-size ladder has no step, so
+    its monotone check is skipped."""
+    ceilings = ceilings or {}
+    for L, value in zip(sizes, values):
+        ceiling = ceilings.get(L)
+        if ceiling is None:
+            _check(checks, f"{prefix}-L{L}", f"{prefix}-ladder", value, None, ok=True)
+        else:
+            _check(checks, f"{prefix}-L{L}", f"{prefix}-ceiling", value,
+                   ceiling * calibration.SLACK)
+    steps = [b - a for a, b in zip(values, values[1:])]
+    if steps:
+        _check(checks, f"{prefix}-monotone", f"{prefix}-ladder", max(steps), 0.0)
+    else:
+        _check(checks, f"{prefix}-monotone", f"{prefix}-ladder", 0.0, None, status="skip")
 
 
 def _suite_rng(config: SuiteConfig, suite: str) -> np.random.Generator:
@@ -257,50 +280,27 @@ def run_modular_suite(config: SuiteConfig) -> list:
     return checks
 
 
-def _bw_ladder(config: SuiteConfig):
-    interval = ch.half_circle()
-    reports = []
-    for L in config.sizes:
-        model = ch.build_model(L)
-        reports.append(ch.bw_defect(model, interval, [0.0, 0.1, 0.25]))
-    return reports
-
-
 def run_bw_suite(config: SuiteConfig) -> list:
     checks = []
-    reports = _bw_ladder(config)
+    interval = ch.half_circle()
+    reports = [ch.bw_defect(ch.build_model(L), interval, [0.0, 0.1, 0.25])
+               for L in config.sizes]
     defects = [float(r.defects[-1]) for r in reports]
-    for L, dft in zip(config.sizes, defects):
-        ceiling = calibration.BW_CEILINGS.get(L)
-        if ceiling is None:
-            _check(checks, f"bw-defect-L{L}", "bw-defect-ladder", dft, None, ok=True)
-        else:
-            _check(checks, f"bw-defect-L{L}", "bw-defect-ceiling", dft,
-                   ceiling * calibration.SLACK)
-    strict = all(a > b for a, b in zip(defects, defects[1:]))
-    _check(checks, "bw-defect-monotone", "bw-defect-ladder",
-           max(b - a for a, b in zip(defects, defects[1:])), 0.0, ok=strict)
-    zmax = reports[-1].max_z_residual()
-    top = config.sizes[-1]
-    zceiling = calibration.BW_CEILINGS.get(top, defects[-1]) * calibration.SLACK
-    _check(checks, "z-cocycle-group-law", "z-cocycle-triviality", zmax, zceiling)
+    _ladder(checks, "bw-defect", config.sizes, defects, calibration.BW_CEILINGS)
+    zceiling = calibration.BW_CEILINGS.get(config.sizes[-1], defects[-1]) * calibration.SLACK
+    _check(checks, "z-cocycle-group-law", "z-cocycle-triviality",
+           reports[-1].max_z_residual(), zceiling)
     return checks
 
 
 def run_duality_suite(config: SuiteConfig) -> list:
     checks = []
     interval = ch.half_circle()
-    angles = []
-    for L in config.sizes:
-        model = ch.build_model(L)
-        angles.append(ch.duality_defect(model, interval))
-        _check(checks, f"duality-angle-L{L}", "duality-angle-ladder",
-               angles[-1], None, ok=True)
-    strict = all(a > b for a, b in zip(angles, angles[1:]))
-    _check(checks, "duality-angle-monotone", "duality-angle-ladder",
-           max(b - a for a, b in zip(angles, angles[1:])), 0.0, ok=strict)
-    model = ch.build_model(config.sizes[0])
     L = config.sizes[0]
+    model = ch.build_model(L)
+    angles = [ch.duality_defect(model, interval)]
+    angles += [ch.duality_defect(ch.build_model(size), interval) for size in config.sizes[1:]]
+    _ladder(checks, "duality-angle", config.sizes, angles)
     shift = 2.0 * np.pi * (L // 8) / L
     rot = ch.CircleInterval(interval.a + shift, interval.b + shift)
     _check(checks, "duality-rotation-invariance", "duality-rotation-invariance",
@@ -315,15 +315,11 @@ def run_pct_suite(config: SuiteConfig) -> list:
     checks = []
     interval = ch.half_circle()
     probe = ch.CircleInterval(np.pi + 0.7, np.pi + 1.5)
-    angles = []
-    for L in config.sizes:
-        model = ch.build_model(L)
-        angles.append(ch.pct_geometry_defect(model, interval, probe))
-        _check(checks, f"pct-angle-L{L}", "pct-angle-ladder", angles[-1], None, ok=True)
-    decreasing = all(a > b for a, b in zip(angles, angles[1:]))
-    _check(checks, "pct-angle-monotone", "pct-angle-ladder",
-           max(b - a for a, b in zip(angles, angles[1:])), 0.0, ok=decreasing)
+    angles = [ch.pct_geometry_defect(ch.build_model(size), interval, probe)
+              for size in config.sizes[:-1]]
     model = ch.build_model(config.sizes[-1])
+    angles.append(ch.pct_geometry_defect(model, interval, probe))
+    _ladder(checks, "pct-angle", config.sizes, angles)
     dat = ch.interval_tomita(model, interval)
     _check(checks, "pct-conjugation-involution", "pct-conjugation-involution",
            np.max(np.abs(dat.j_real @ dat.j_real - np.eye(2 * model.m))),

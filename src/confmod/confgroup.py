@@ -184,9 +184,9 @@ def project(ray: Ray):
 
 def act(g: GroupElement, x):
     """project(g . embed(x)); None exactly when the image ray is at infinity."""
-    v = g.matrix @ np.concatenate(
-        [np.asarray(x, dtype=float),
-         [(1.0 + minkowski_norm(x)) / 2.0, (1.0 - minkowski_norm(x)) / 2.0]])
+    x = np.asarray(x, dtype=float)
+    s = minkowski_norm(x)
+    v = g.matrix @ np.concatenate([x, [(1.0 + s) / 2.0, (1.0 - s) / 2.0]])
     v = v / np.linalg.norm(v)
     denom = v[-2] + v[-1]
     if abs(denom) < INFINITY_TOL:

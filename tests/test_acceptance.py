@@ -1,6 +1,12 @@
 """Acceptance suite: one check per numbered criterion, each printing a
-pass/fail line.  Tolerances are fixed here, not calibrated at run time; the
-lattice ceilings come from the frozen calibration module.
+pass/fail line.
+
+The criteria the command-line suites already check are verdicts over the
+records of `cli.run` at the acceptance configuration: each criterion names
+the anchors (or record names) it stands on, and passes when every record
+under them passes and its suite ran within the criterion's wall-clock gate.
+Thresholds, seeds and loops live only in `confmod.cli`.  Inputs that no
+suite and no other test checks are still computed here.
 
 One sub-check is a strict expected failure with the evidence recorded in
 the test body and the repository notes: on sharp site lattices the raw
@@ -16,13 +22,28 @@ import pytest
 
 import confmod.chiral as ch
 import confmod.confgroup as cg
-import confmod.flows as fl
-import confmod.modular as md
-from confmod import calibration
+from confmod import cli
 from confmod.geometry import sample_region, spacelike_complement, standard_wedge, unit_double_cone
 
 DIMS = (2, 3, 4)
-LADDER = (64, 128, 256)
+
+# criterion -> (suite, anchors or record names it stands on)
+CRITERIA = {
+    "1": ("group", ("dilation-generation-identity", "axis-inversion-subgroup-period",
+                    "conformal-energy-period")),
+    "2": ("group", ("reflection-component-parity",)),
+    "4": ("flows", ("wedge-cone-flow-conjugacy", "flow-group-law",
+                    "flow-region-preservation")),
+    "5": ("modular", ("tomita-involutions", "modular-conjugation-inverts",
+                      "tomita-fixes-subspace", "modular-flow-preserves-subspace",
+                      "conjugation-maps-to-complement", "kms-symmetry",
+                      "modular-flow-group-law")),
+    "6": ("bw", ("bw-defect-ceiling", "bw-defect-monotone", "z-cocycle-triviality")),
+    "7a": ("duality", ("duality-angle-monotone",)),
+    "7b": ("duality", ("duality-rotation-invariance",)),
+    "8a": ("pct", ("pct-angle-monotone",)),
+    "8b": ("pct", ("pct-conjugation-involution",)),
+}
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -31,44 +52,40 @@ def report(criterion: str, ok: bool, detail: str):
 
 
 @pytest.fixture(scope="module")
-def models():
-    return {L: ch.build_model(L) for L in LADDER}
+def suite_runs():
+    """Each suite run once at the acceptance configuration: suite ->
+    (check records, seconds)."""
+    runs = {}
+    for suite in cli.SUITES:
+        start = time.perf_counter()
+        rep = cli.run(cli.SuiteConfig(suite=suite, dims=DIMS, sizes=(64, 128, 256), seed=42))
+        runs[suite] = (rep.checks, time.perf_counter() - start)
+    for suite, keys in CRITERIA.values():
+        present = {c["anchor"] for c in runs[suite][0]} | {c["name"] for c in runs[suite][0]}
+        assert set(keys) <= present, f"{suite} suite lacks {set(keys) - present}"
+    return runs
 
 
-def test_criterion_1_group_identities():
-    start = time.time()
-    rng = np.random.default_rng(42)
-    worst_dil = 0.0
-    worst_sub = 0.0
-    worst_energy = 0.0
-    for d in DIMS:
-        for _ in range(100):
-            a = rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])
-            worst_dil = max(worst_dil, cg.dilation_identity_defect(d, a))
-        ident = cg.GroupElement(np.eye(d + 2))
-        worst_sub = max(
-            worst_sub,
-            cg.distance_mod_sign(cg.axis_inversion_subgroup(d, 0.0), ident),
-            cg.distance_mod_sign(cg.axis_inversion_subgroup(d, np.pi), ident),
-            cg.distance_mod_sign(cg.axis_inversion_subgroup(d, np.pi / 2),
-                                 cg.axis_inversion(d, 1)))
-        worst_energy = max(worst_energy, cg.distance_mod_sign(
-            cg.conformal_energy(d).exp(2 * np.pi), ident))
-    elapsed = time.time() - start
-    ok = worst_dil < 1e-9 and worst_sub < 1e-9 and worst_energy < 1e-8 and elapsed < 5.0
-    assert report("criterion 1 (group identities)", ok,
-                  f"dilation defect {worst_dil:.2e} < 1e-9, subgroup endpoints "
-                  f"{worst_sub:.2e} < 1e-9, energy period {worst_energy:.2e} < 1e-8, "
-                  f"{elapsed:.2f}s < 5s")
+def verdict(suite_runs, criterion: str, title: str, gate_s: float | None = None) -> bool:
+    """Print and return whether every record criterion stands on passes,
+    and its suite ran in under gate_s seconds."""
+    suite, keys = CRITERIA[criterion]
+    checks, elapsed = suite_runs[suite]
+    records = [c for c in checks if c["anchor"] in keys or c["name"] in keys]
+    ok = all(c["status"] == "pass" for c in records)
+    detail = ", ".join(f"{c['name']} {c['status']} {c['value']:.3g}" for c in records)
+    if gate_s is not None:
+        ok = ok and elapsed < gate_s
+        detail += f"; {suite} suite {elapsed:.2f}s < {gate_s:g}s"
+    return report(f"criterion {criterion} ({title})", ok, detail)
 
 
-def test_criterion_2_identity_component():
-    ok = all(cg.in_identity_component(cg.axis_inversion(d, 1)) for d in DIMS)
-    ok = ok and cg.in_identity_component(cg.space_reflection(3, 1))
-    ok = ok and not cg.in_identity_component(cg.space_reflection(4, 1))
-    assert report("criterion 2 (component test)", ok,
-                  "axis inversion in the identity component for d in {2,3,4}; "
-                  "space reflection inside for d=3, outside for d=4")
+def test_criterion_1_group_identities(suite_runs):
+    assert verdict(suite_runs, "1", "group identities", gate_s=5.0)
+
+
+def test_criterion_2_identity_component(suite_runs):
+    assert verdict(suite_runs, "2", "component test")
 
 
 def test_criterion_3_geometric_duality_substrate():
@@ -95,146 +112,44 @@ def test_criterion_3_geometric_duality_substrate():
                   f"points, double complements exact on samples, {elapsed:.2f}s < 5s")
 
 
-def test_criterion_4_flow_coherence():
-    start = time.time()
-    worst_conj = 0.0
-    worst_law = 0.0
-    preserved = True
-    for d in DIMS:
-        wf, df, cf = fl.wedge_flow(d), fl.doublecone_flow(d), fl.cone_flow(d)
-        g = fl.wedge_to_doublecone(d)
-        for t in np.linspace(-2, 2, 9):
-            worst_conj = max(worst_conj, cg.distance_mod_sign(
-                df.matrix(t), g @ wf.matrix(t) @ g.inverse()))
-        rng = np.random.default_rng(45)
-        for flow in (wf, df, cf):
-            pts = sample_region(flow.region, 200, seed=46)
-            for _ in range(30):
-                s, t = rng.uniform(-1, 1, size=2)
-                p = pts[rng.integers(len(pts))]
-                a = flow.closed_form(s, flow.closed_form(t, p))
-                b = flow.closed_form(s + t, p)
-                worst_law = max(worst_law, float(np.max(np.abs(a - b))
-                                                 / max(1.0, np.linalg.norm(b))))
-            for t in (-2.0, -0.1, 0.1, 2.0):
-                for p in pts:
-                    y = flow.closed_form(t, p)
-                    preserved = preserved and y is not None and flow.region.contains(y)
-    elapsed = time.time() - start
-    ok = worst_conj < 1e-8 and worst_law < 1e-9 and preserved and elapsed < 10.0
-    assert report("criterion 4 (flow coherence)", ok,
-                  f"conjugated wedge flow vs double-cone flow {worst_conj:.2e} < 1e-8, "
-                  f"group law {worst_law:.2e} < 1e-9, regions preserved, "
-                  f"{elapsed:.2f}s < 10s")
+def test_criterion_4_flow_coherence(suite_runs):
+    assert verdict(suite_runs, "4", "flow coherence", gate_s=10.0)
 
 
-def test_criterion_5_modular_calculus():
-    start = time.time()
-    rng = np.random.default_rng(47)
-    worst = 0.0
-    worst_kms = 0.0
-    for _ in range(100):
-        m = int(rng.integers(1, 9))
-        K = md.random_standard_subspace(m, rng)
-        dat = md.tomita_operators(K)
-        S, D, J = dat.s_real, dat.delta_real, dat.j_real
-        eye = np.eye(2 * m)
-        worst = max(worst,
-                    np.max(np.abs(S @ S - eye)) / max(1.0, np.max(np.abs(S)) ** 2),
-                    np.max(np.abs(J @ J - eye)))
-        dinv = np.linalg.inv(D)
-        worst = max(worst, np.max(np.abs(J @ D @ J - dinv))
-                    / max(1.0, np.max(np.abs(dinv))))
-        for g in K.generators:
-            worst = max(worst, np.linalg.norm(dat.apply_s(g) - g) / np.linalg.norm(g))
-        fk = dat.flow_real(1.3) @ K.basis
-        worst = max(worst, md.subspace_angle(
-            K, md.StandardSubspace(m, md._complexify_vectors(fk).T)))
-        jk = md.StandardSubspace(m, md._complexify_vectors(J @ K.basis).T)
-        worst = max(worst, md.subspace_angle(jk, md.symplectic_complement(K)))
-        sqrt = dat._assemble(dat._plane_blocks("delta_sqrt"))
-        x, y = rng.normal(size=2 * m), rng.normal(size=2 * m)
-        cx = md._complexify_vectors
-        lhs = np.vdot(cx(sqrt @ x), cx(sqrt @ y))
-        rhs = np.vdot(cx(S @ y), cx(S @ x))
-        worst_kms = max(worst_kms, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    elapsed = time.time() - start
-    ok = worst < 1e-6 and worst_kms < 1e-6 and elapsed < 30.0
-    assert report("criterion 5 (modular calculus)", ok,
-                  f"100 random standard subspaces, m <= 8: worst operator "
-                  f"residual/angle {worst:.2e} < 1e-6, KMS residual "
-                  f"{worst_kms:.2e} < 1e-6, {elapsed:.1f}s < 30s")
+def test_criterion_5_modular_calculus(suite_runs):
+    assert verdict(suite_runs, "5", "modular calculus", gate_s=30.0)
 
 
-def test_criterion_6_bisognano_wichmann(models):
-    start = time.time()
-    interval = ch.half_circle()
-    defects = {}
-    z_top = None
-    for L in LADDER:
-        rep = ch.bw_defect(models[L], interval, [0.0, 0.1, 0.25])
-        defects[L] = float(rep.defects[-1])
-        if L == LADDER[-1]:
-            z_top = rep.max_z_residual()
-    elapsed = time.time() - start
-    monotone = defects[64] > defects[128] > defects[256]
-    ceiling = calibration.BW_CEILINGS[256] * calibration.SLACK
-    under = defects[256] < ceiling
-    z_ok = z_top < ceiling
-    ok = monotone and under and z_ok and elapsed < 600.0
-    assert report("criterion 6 (Bisognano-Wichmann at desk scale)", ok,
-                  f"defect(t=0.25) ladder {defects[64]:.3f} > {defects[128]:.3f} > "
-                  f"{defects[256]:.3f}, top below frozen ceiling {ceiling:.3f}, "
-                  f"z-residual {z_top:.3f} below the same ceiling, {elapsed:.0f}s < 600s")
+def test_criterion_6_bisognano_wichmann(suite_runs):
+    assert verdict(suite_runs, "6", "Bisognano-Wichmann at desk scale", gate_s=600.0)
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "the raw duality angle is pinned to boundary site pairs whose symplectic "
     "pairing is scale invariant on sharp lattices; the measured ladder "
     "increases (0.759, 0.840, 0.907) at every weighting tried, and 60-digit "
     "recomputation confirms the lattice subspaces truly behave this way"))
-def test_criterion_7_duality_monotone(models):
-    angles = [ch.duality_defect(models[L], ch.half_circle()) for L in LADDER]
-    ok = angles[0] > angles[1] > angles[2]
-    assert report("criterion 7a (duality ladder decreases)", ok,
-                  "angles " + " , ".join(f"{a:.3f}" for a in angles))
+def test_criterion_7_duality_monotone(suite_runs):
+    assert verdict(suite_runs, "7a", "duality ladder decreases")
 
 
-def test_criterion_7_rotation_invariance(models):
-    interval = ch.half_circle()
-    ok = True
-    detail = []
-    for L in (64, 128):
-        model = models[L]
-        base = ch.duality_defect(model, interval)
-        shift = 2 * np.pi * (L // 8) / L
-        rot = ch.CircleInterval(interval.a + shift, interval.b + shift)
-        delta = abs(base - ch.duality_defect(model, rot))
-        detail.append(f"L={L}: {delta:.1e}")
-        ok = ok and delta < 1e-10
-    assert report("criterion 7b (duality rotation invariance)", ok,
-                  ", ".join(detail) + " all < 1e-10")
+def test_criterion_7_rotation_invariance(suite_runs):
+    # L=64 here; L=128 is test_chiral.py::test_duality_defect_lattice_symmetries
+    assert verdict(suite_runs, "7b", "duality rotation invariance")
 
 
-def test_criterion_8_pct_monotone(models):
-    interval = ch.half_circle()
-    probe = ch.CircleInterval(np.pi + 0.7, np.pi + 1.5)
-    defects = [ch.pct_geometry_defect(models[L], interval, probe) for L in LADDER]
-    ok = defects[0] > defects[1] > defects[2]
-    assert report("criterion 8a (PCT probe ladder decreases)", ok,
-                  "windowed reflection defects "
-                  + ", ".join(f"{a:.3f}" for a in defects))
+def test_criterion_8_pct_monotone(suite_runs):
+    assert verdict(suite_runs, "8a", "PCT probe ladder decreases")
 
 
-def test_criterion_8_conjugation_involution(models):
-    worst = 0.0
-    for L in LADDER:
-        dat = ch.interval_tomita(models[L], ch.half_circle())
-        worst = max(worst, float(np.max(np.abs(
-            dat.j_real @ dat.j_real - np.eye(2 * models[L].m)))))
-    ok = worst < 1e-6
-    assert report("criterion 8b (modular conjugation squares to one)", ok,
-                  f"worst residual {worst:.1e} < 1e-6 over the ladder")
+def test_criterion_8_conjugation_involution(suite_runs):
+    # the pct suite checks J^2 = 1 at L=256, test_chiral.py at 64 and 256;
+    # L=128 is checked here
+    model = ch.build_model(128)
+    dat = ch.interval_tomita(model, ch.half_circle())
+    worst = float(np.max(np.abs(dat.j_real @ dat.j_real - np.eye(2 * model.m))))
+    ok = verdict(suite_runs, "8b", "modular conjugation squares to one")
+    assert report("criterion 8b at L=128", worst < 1e-6, f"residual {worst:.1e} < 1e-6") and ok
 
 
 def test_criterion_9_energy_trace():

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import confmod.chiral as ch
 from confmod import cli
 
 
@@ -82,6 +83,27 @@ def test_main_exit_codes(tmp_path):
     assert cli.main(["--suite", "group", "--d", "1,2"]) == 2
     # duality suite reports the non-converging ladder as a failure
     assert cli.main(["--suite", "duality", "--sizes", "64,128"]) == 1
+    # a one-size ladder has no step: its monotone check is skipped
+    for suite in ("bw", "duality", "pct"):
+        out = tmp_path / f"{suite}.json"
+        assert cli.main(["--suite", suite, "--sizes", "64", "--out", str(out)]) == 0
+        statuses = [c["status"] for c in json.loads(out.read_text())["checks"]]
+        assert statuses.count("skip") == 1, suite
+    # empty ladders and dimension lists are configuration errors
+    out = tmp_path / "never.json"
+    assert cli.main(["--suite", "bw", "--sizes", "", "--out", str(out)]) == 2
+    assert cli.main(["--suite", "group", "--d", "", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_ladder_suites_build_each_model_once(monkeypatch):
+    built = []
+    build = ch.build_model
+    monkeypatch.setattr(ch, "build_model", lambda L: built.append(L) or build(L))
+    for suite in ("bw", "duality", "pct"):
+        built.clear()
+        cli.SUITE_RUNNERS[suite](cli.SuiteConfig(sizes=(64, 128, 256)))
+        assert sorted(built) == [64, 128, 256], suite
 
 
 def test_trajectory_export(tmp_path):
