@@ -347,14 +347,16 @@ def default_test_family(model: LatticeModel, interval: CircleInterval) -> list[n
 
 @dataclass(frozen=True)
 class BWReport:
-    """Per-interval comparison of the modular flow with the geometric flow."""
+    """Per-interval comparison of the modular flow with the geometric flow:
+    the flow defects and weight diagnostics on the windowed test family and
+    the z-cocycle group-law residuals.  It holds no duality angle; that is
+    duality_defect, computed from the interval bases alone."""
 
     L: int
     interval: CircleInterval
     t_grid: np.ndarray
     defects: np.ndarray            # max over the family, per t
     z_residuals: np.ndarray        # group-law residual of z(t), per (s,t) pair
-    duality_angle: float
     weight_diagnostics: dict
 
     def max_defect(self) -> float:
@@ -393,9 +395,9 @@ def bw_defect(model: LatticeModel, interval: CircleInterval,
     Every operator is applied to the k family columns as a chain of
     matrix-vector products: Delta^{it} plane by plane in the modular frame
     (ModularData.apply_flow_real) and U_geo as the retained-mode pull-back
-    (_pull_back).  After the one factorization in interval_tomita this
-    costs O(L^2 k) per application; no 2m x 2m or L x L operator is
-    formed."""
+    (_pull_back).  The interval is factored once, in interval_tomita, and
+    every application after it costs O(L^2 k); no 2m x 2m or L x L operator
+    is formed and no other subspace is factored."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size and (np.min(t_grid) < -0.5 or np.max(t_grid) > 0.5):
         raise ValueError("t grid must stay within [-0.5, 0.5]")
@@ -423,14 +425,18 @@ def bw_defect(model: LatticeModel, interval: CircleInterval,
     z_fam = {t: z(t, fam) for t in ts}
     z_residuals = [worst(z(s + t, fam) - z(s, z_fam[t]))
                    for s in ts for t in ts if abs(s + t) <= 0.5]
-    dual = duality_defect(model, interval)
     return BWReport(model.L, interval, t_grid, defects,
-                    np.asarray(z_residuals), dual, weight_diagnostics)
+                    np.asarray(z_residuals), weight_diagnostics)
 
 
 def duality_defect(model: LatticeModel, interval: CircleInterval) -> float:
-    """Largest principal angle between the symplectic complement of K(I)
-    and K(I'), I' the interior of the complement.
+    """Largest principal angle between the symplectic complement
+    K(I)' = (iK(I))^perp and K(I'), I' the interior of the complement.
+
+    It is read from the orthonormal bases of K(I) and K(I') that
+    interval_subspace builds: arcsin of the q-th smallest singular value of
+    B_in^T (i B_out), q = min(2m - dim K(I), dim K(I'))
+    (modular.symplectic_complement_angle).  K(I)' itself is never formed.
 
     On sharp site lattices this worst-case angle is dominated by the
     boundary-adjacent site pairs, whose symplectic pairing is
@@ -438,7 +444,7 @@ def duality_defect(model: LatticeModel, interval: CircleInterval) -> float:
     measured ladder)."""
     k_in = interval_subspace(model, interval)
     k_out = interval_subspace(model, interval.complement())
-    return md.subspace_angle(md.symplectic_complement(k_in), k_out)
+    return md.symplectic_complement_angle(k_in, k_out)
 
 
 def _reflect_encoded(model: LatticeModel, interval: CircleInterval,
@@ -465,10 +471,19 @@ def pct_geometry_defect(model: LatticeModel, interval: CircleInterval,
 
     Sign: the measured convention is J ~ -Theta_r (the combination
     J - Theta_r stays near 2).  Because K(r probe) is a real-linear space,
-    J K(probe) = K(r probe) holds for either sign."""
-    dat = interval_tomita(model, interval)
+    J K(probe) = K(r probe) holds for either sign.
+
+    J is applied plane by plane (ModularData.apply_j_real) and Theta_r as
+    a pull-back of the family columns, so after the one factorization in
+    interval_tomita no 2m x 2m or L x L operator is formed."""
+    return _pct_defect(model, interval, probe, interval_tomita(model, interval))
+
+
+def _pct_defect(model: LatticeModel, interval: CircleInterval,
+                probe: CircleInterval, dat: md.ModularData) -> float:
+    """pct_geometry_defect from the interval's modular data dat."""
     fam = _encoded_family(model, default_test_family(model, probe), _window_frame(dat))
-    diff = dat.j_real @ fam + _reflect_encoded(model, interval, fam)
+    diff = dat.apply_j_real(fam) + _reflect_encoded(model, interval, fam)
     return float(np.max(np.linalg.norm(diff, axis=0)))
 
 

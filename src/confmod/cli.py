@@ -58,8 +58,12 @@ class SuiteConfig:
             raise ConfigurationError("suite dimensions must satisfy d >= 2")
         if any(L < 16 or (L & (L - 1)) for L in self.sizes):
             raise ConfigurationError("lattice sizes must be powers of two, >= 16")
+        if self.seed < 0:
+            raise ConfigurationError("the seed must be a non-negative integer")
         eps = np.finfo(float).eps
         for name, value in self.tolerances.items():
+            if not np.isfinite(value):
+                raise ConfigurationError(f"tolerance {name} is not finite")
             if value < eps:
                 raise ConfigurationError(f"tolerance {name} below machine epsilon")
 
@@ -317,10 +321,11 @@ def run_pct_suite(config: SuiteConfig) -> list:
     probe = ch.CircleInterval(np.pi + 0.7, np.pi + 1.5)
     angles = [ch.pct_geometry_defect(ch.build_model(size), interval, probe)
               for size in config.sizes[:-1]]
+    # The top size is factored once, for its pct angle and the involution.
     model = ch.build_model(config.sizes[-1])
-    angles.append(ch.pct_geometry_defect(model, interval, probe))
-    _ladder(checks, "pct-angle", config.sizes, angles)
     dat = ch.interval_tomita(model, interval)
+    angles.append(ch._pct_defect(model, interval, probe, dat))
+    _ladder(checks, "pct-angle", config.sizes, angles)
     _check(checks, "pct-conjugation-involution", "pct-conjugation-involution",
            np.max(np.abs(dat.j_real @ dat.j_real - np.eye(2 * model.m))),
            config.tol("modular_residual"))
@@ -396,6 +401,18 @@ def export_trajectory(flow_name: str, d: int, point, t_grid, path: str) -> None:
 
 # --- entry point ----------------------------------------------------------------
 
+def _parse_numbers(text, kind, what, count=None):
+    """Comma-separated numbers of one kind; a malformed entry, or a count
+    other than the one asked for, is a configuration error."""
+    try:
+        values = tuple(kind(x) for x in text.split(",") if x)
+    except ValueError:
+        values = None
+    if values is None or (count is not None and len(values) != count):
+        raise ConfigurationError(f"bad {what} {text!r}")
+    return values
+
+
 def _parse_tol(items):
     out = {}
     for item in items or []:
@@ -404,12 +421,16 @@ def _parse_tol(items):
         name, value = item.split("=", 1)
         if name not in DEFAULT_TOLERANCES:
             raise ConfigurationError(f"unknown tolerance {name!r}")
-        out[name] = float(value)
+        (out[name],) = _parse_numbers(value, float, f"--tol value for {name}", count=1)
     return out
 
 
-def _parse_ints(text):
-    return tuple(int(x) for x in text.split(",") if x)
+def _parse_t_grid(text):
+    what = "--t-grid (min,max,steps)"
+    lo, hi, steps = _parse_numbers(text, float, what, count=3)
+    if not (np.isfinite(lo) and np.isfinite(hi) and steps >= 0 and steps.is_integer()):
+        raise ConfigurationError(f"bad {what} {text!r}")
+    return np.linspace(lo, hi, int(steps))
 
 
 def main(argv=None) -> int:
@@ -440,13 +461,15 @@ def main(argv=None) -> int:
         if args.trajectory:
             if not args.point or not args.csv:
                 raise ConfigurationError("--trajectory needs --point and --csv")
-            point = [float(x) for x in args.point.split(",")]
-            lo, hi, steps = args.t_grid.split(",")
-            grid = np.linspace(float(lo), float(hi), int(steps))
+            point = _parse_numbers(args.point, float, "--point")
+            if len(point) < 2:
+                raise ConfigurationError("--point needs at least two coordinates")
+            grid = _parse_t_grid(args.t_grid)
             export_trajectory(args.trajectory, len(point), point, grid, args.csv)
             return 0
-        config = SuiteConfig(suite=args.suite, dims=_parse_ints(args.d),
-                             seed=args.seed, sizes=_parse_ints(args.sizes),
+        config = SuiteConfig(suite=args.suite, dims=_parse_numbers(args.d, int, "--d"),
+                             seed=args.seed,
+                             sizes=_parse_numbers(args.sizes, int, "--sizes"),
                              tolerances=_parse_tol(args.tol), out=args.out)
         report = run(config)
     except ConfigurationError as exc:

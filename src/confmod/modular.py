@@ -38,6 +38,7 @@ __all__ = [
     "is_standard",
     "tomita_operators",
     "symplectic_complement",
+    "symplectic_complement_angle",
     "modular_flow",
     "subspace_angle",
     "random_standard_subspace",
@@ -183,10 +184,10 @@ class ModularData:
     S-invariant principal planes; sigmas/sines hold cos/sin of the principal
     angle of each plane.  The complex matrices are assembled on demand.
 
-    To act on a few vectors, apply_flow_real and apply_flow use the plane
-    blocks directly, frame (blocks (frame^T cols)), in O(m^2 k) for k
-    columns; flow_real(t) assembles the same blocks into the dense 2m x 2m
-    operator at O(m^3).
+    To act on a few vectors, apply_flow_real, apply_j_real and their
+    complex forms use the plane blocks directly, frame (blocks (frame^T
+    cols)), in O(m^2 k) for k columns; flow_real(t) and j_real assemble the
+    same blocks into the dense 2m x 2m operator at O(m^3).
     """
 
     ambient_dim: int
@@ -266,21 +267,31 @@ class ModularData:
         im = self._assemble(self._plane_blocks("flow_sin", t))
         return re + _times_i(im)
 
+    def _apply_planes(self, kinds, t: float | None, cols: np.ndarray) -> np.ndarray:
+        """frame (blocks (frame^T cols)) for each kind of plane block, side
+        by side: O(m^2 k) for k columns, no 2m x 2m operator formed."""
+        m = self.ambient_dim
+        y = (self.frame.T @ cols.reshape(2 * m, -1)).reshape(m, 2, -1)
+        parts = [np.einsum("kij,kjn->kin", self._plane_blocks(kind, t), y)
+                 .reshape(2 * m, -1) for kind in kinds]
+        return self.frame @ np.hstack(parts)
+
     def apply_flow_real(self, t: float, cols: np.ndarray) -> np.ndarray:
-        """flow_real(t) @ cols without forming the operator: O(m^2 k) for
-        k columns.
+        """flow_real(t) @ cols without forming the operator.
 
         The columns are taken into frame coordinates y = frame^T cols, each
         principal plane gets cos(t log lambda) y and sin(t log lambda) G y,
         and both parts are mapped back as frame (cos part) + i frame (sin
         part)."""
-        m = self.ambient_dim
         cols = np.asarray(cols, dtype=float)
-        y = (self.frame.T @ cols.reshape(2 * m, -1)).reshape(m, 2, -1)
-        parts = [np.einsum("kij,kjn->kin", self._plane_blocks(kind, t), y)
-                 .reshape(2 * m, -1) for kind in ("flow_cos", "flow_sin")]
-        re, im = np.hsplit(self.frame @ np.hstack(parts), 2)
+        re, im = np.hsplit(self._apply_planes(("flow_cos", "flow_sin"), t, cols), 2)
         return (re + _times_i(im)).reshape(cols.shape)
+
+    def apply_j_real(self, cols: np.ndarray) -> np.ndarray:
+        """j_real @ cols without forming the operator, plane by plane as in
+        apply_flow_real."""
+        cols = np.asarray(cols, dtype=float)
+        return self._apply_planes(("J",), None, cols).reshape(cols.shape)
 
     # -- complex forms --
 
@@ -320,7 +331,7 @@ class ModularData:
         return self._apply(self.s_real.__matmul__, v)
 
     def apply_j(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(self.j_real.__matmul__, v)
+        return self._apply(self.apply_j_real, v)
 
     def apply_flow(self, t: float, v: np.ndarray) -> np.ndarray:
         return self._apply(lambda cols: self.apply_flow_real(t, cols), v)
@@ -355,26 +366,24 @@ def tomita_operators(subspace: StandardSubspace,
         raise StandardnessError("subspace is not standard", StandardnessReport(
             m, m, _principal_angles(sig, resid), angle_floor))
     healthy = resid_norm > 1e-7
-
-    frame = np.zeros((2 * m, 2 * m))
-    frame[:, 0::2] = bu
-    frame[:, 1::2][:, healthy] = resid[:, healthy] / resid_norm[healthy]
-    n_deg = int(np.sum(~healthy))
-    if n_deg:
-        # Partners for angle-degenerate planes: any orthonormal completion.
-        filled = np.hstack([bu, frame[:, 1::2][:, healthy]])
-        uu, ss, _ = svd(filled, full_matrices=True)
-        comp = uu[:, np.sum(ss > 0.5):]
-        frame[:, 1::2][:, ~healthy] = comp[:, :n_deg]
-    # Hygiene pass: QR orthonormalizes left to right, so order the healthy
-    # plane columns first and fold corrections into the degenerate tail.
-    cols = np.concatenate([np.flatnonzero(healthy), np.flatnonzero(~healthy)])
-    perm = np.empty(2 * m, dtype=int)
-    perm[0::2] = 2 * cols
-    perm[1::2] = 2 * cols + 1
-    q, r = np.linalg.qr(frame[:, perm])
-    signs = np.where(np.diag(r) >= 0.0, 1.0, -1.0)
-    frame[:, perm] = q * signs[None, :]
+    good, deg = np.flatnonzero(healthy), np.flatnonzero(~healthy)
+    # One complete QR orthonormalizes the healthy (b, perp) pairs in plane
+    # order, then the b's of angle-degenerate planes; as QR works left to
+    # right, rounding in the degenerate tail cannot leak into the healthy
+    # planes.  The trailing columns of Q complete the frame and become the
+    # degenerate partners (any orthonormal completion will do).
+    n_good = 2 * good.size
+    x = np.empty((2 * m, n_good + deg.size))
+    x[:, 0:n_good:2] = bu[:, good]
+    x[:, 1:n_good:2] = resid[:, good] / resid_norm[good]
+    x[:, n_good:] = bu[:, deg]
+    q, r = np.linalg.qr(x, mode="complete")
+    q[:, :x.shape[1]] *= np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+    frame = np.empty((2 * m, 2 * m))
+    frame[:, 2 * good] = q[:, 0:n_good:2]
+    frame[:, 2 * good + 1] = q[:, 1:n_good:2]
+    frame[:, 2 * deg] = q[:, n_good:x.shape[1]]
+    frame[:, 2 * deg + 1] = q[:, x.shape[1]:]
 
     sines = np.sqrt((1.0 - sig) * (1.0 + sig))
     if clip_angle is not None:
@@ -393,6 +402,26 @@ def symplectic_complement(subspace: StandardSubspace) -> StandardSubspace:
     rank = int(np.sum(s > RANK_TOL))
     comp = u[:, rank:]
     return StandardSubspace(m, _complexify_vectors(comp).T)
+
+
+def symplectic_complement_angle(k1: StandardSubspace, k2: StandardSubspace) -> float:
+    """Largest principal angle between K1' and K2, computed from the two
+    orthonormal bases without forming K1'.
+
+    K1' = (iK1)^perp, so the part of a unit vector of K2 outside K1' is
+    its projection onto iK1: the sines of the angles between K2 and K1' are
+    the singular values mu of M = B1^T (i B2), padded with zeros to dim K2.
+    There are q = min(2m - dim K1, dim K2) principal angles, those with
+    the q smallest sines; the largest angle is arcsin of the q-th smallest
+    mu (arcsin of ||M||_2 for equal dimensions).  Raises ValueError when K1
+    spans R^{2m}, so that K1' = 0 and no angle is defined."""
+    d1, d2 = k1.real_dim, k2.real_dim
+    q = min(2 * k1.ambient_dim - d1, d2)
+    if q == 0:
+        raise ValueError("the symplectic complement is the zero subspace")
+    mu = np.zeros(d2)
+    mu[d2 - min(d1, d2):] = svd(k1.basis.T @ _times_i(k2.basis), compute_uv=False)[::-1]
+    return float(np.arcsin(min(mu[q - 1], 1.0)))
 
 
 def modular_flow(subspace: StandardSubspace, t: float,

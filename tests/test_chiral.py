@@ -325,6 +325,31 @@ def test_duality_defect_lattice_symmetries(models):
         assert abs(base - ch.duality_defect(model, I.complement())) < 1e-10
 
 
+def test_duality_defect_matches_complement_svd(models):
+    # the angle read from the interval bases equals the one measured
+    # against K(I)' built by the full SVD of symplectic_complement
+    def reference(model, interval):
+        k_in = ch.interval_subspace(model, interval)
+        k_out = ch.interval_subspace(model, interval.complement())
+        return md.subspace_angle(md.symplectic_complement(k_in), k_out)
+
+    I = ch.half_circle()
+    for L in (64, 128, 256, 512):
+        model = models.get(L) or ch.build_model(L)
+        shift = 2 * np.pi * (L // 8) / L
+        for arc in (I, ch.CircleInterval(I.a + shift, I.b + shift), I.complement()):
+            assert abs(ch.duality_defect(model, arc) - reference(model, arc)) < 1e-12
+    # endpoints off the sites: dim K(I') differs from 2m - dim K(I), so the
+    # angle is the q-th smallest sine, q = min(2m - dim K(I), dim K(I'))
+    model = models[64]
+    for arc in (ch.CircleInterval(0.1, np.pi + 0.3), ch.CircleInterval(0.3, 1.0)):
+        for interval in (arc, arc.complement()):
+            k_in = ch.interval_subspace(model, interval)
+            k_out = ch.interval_subspace(model, interval.complement())
+            assert k_out.real_dim != 2 * model.m - k_in.real_dim
+            assert abs(ch.duality_defect(model, interval) - reference(model, interval)) < 1e-12
+
+
 def test_duality_angle_ladder_recorded(models):
     """The worst principal angle is pinned to boundary site pairs whose
     symplectic pairing is scale invariant; the measured ladder increases,
@@ -381,7 +406,7 @@ def test_lattice_values_invariant_under_generator_mixing(models, monkeypatch):
     def values(model):
         rep = ch.bw_defect(model, I, [0.0, 0.1, 0.25])
         return np.concatenate([[ch.pct_geometry_defect(model, I, probe),
-                                ch.duality_defect(model, I), rep.duality_angle],
+                                ch.duality_defect(model, I)],
                                rep.defects, list(rep.weight_diagnostics.values())])
 
     base = {L: values(models[L]) for L in LADDER}

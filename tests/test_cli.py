@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import confmod.chiral as ch
+import confmod.modular as md
 from confmod import cli
 
 
@@ -93,7 +94,21 @@ def test_main_exit_codes(tmp_path):
     out = tmp_path / "never.json"
     assert cli.main(["--suite", "bw", "--sizes", "", "--out", str(out)]) == 2
     assert cli.main(["--suite", "group", "--d", "", "--out", str(out)]) == 2
-    assert not out.exists()
+    # malformed outside input is a configuration error too, never a
+    # traceback, and writes no report
+    for argv in (["--seed", "-1"], ["--tol", "group_identity=abc"],
+                 ["--tol", "group_identity=nan"], ["--tol", "group_identity=inf"],
+                 ["--tol", "group_identity=1,2"], ["--d", "x"], ["--sizes", "x"]):
+        assert cli.main(["--suite", "group", "--d", "2", "--out", str(out)] + argv) == 2, argv
+    csv = tmp_path / "never.csv"
+    for argv in (["--point", "0,a"], ["--point", "0"],
+                 ["--point", "0,1", "--t-grid=0,1"], ["--point", "0,1", "--t-grid=0,1,x"],
+                 ["--point", "0,1", "--t-grid=0,1,-2"], ["--point", "0,1", "--t-grid=0,nan,3"]):
+        assert cli.main(["--trajectory", "wedge", "--csv", str(csv)] + argv) == 2, argv
+    assert not out.exists() and not csv.exists()
+    for bad in (dict(seed=-1), dict(tolerances={"group_identity": float("nan")})):
+        with pytest.raises(cli.ConfigurationError):
+            cli.SuiteConfig(suite="group", **bad).validate()
 
 
 def test_ladder_suites_build_each_model_once(monkeypatch):
@@ -104,6 +119,21 @@ def test_ladder_suites_build_each_model_once(monkeypatch):
         built.clear()
         cli.SUITE_RUNNERS[suite](cli.SuiteConfig(sizes=(64, 128, 256)))
         assert sorted(built) == [64, 128, 256], suite
+
+
+def test_ladder_suites_factor_each_interval_once(monkeypatch):
+    # bw and pct factor the half circle once per size; duality reads its
+    # angle from the interval bases and factors nothing
+    calls = []
+    for name in ("tomita_operators", "symplectic_complement"):
+        def counted(*args, _name=name, _fn=getattr(md, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(md, name, counted)
+    for suite, n in (("bw", 3), ("duality", 0), ("pct", 3)):
+        calls.clear()
+        cli.SUITE_RUNNERS[suite](cli.SuiteConfig(sizes=(64, 128, 256)))
+        assert calls == ["tomita_operators"] * n, suite
 
 
 def test_trajectory_export(tmp_path):

@@ -202,6 +202,21 @@ def test_plane_flow_matches_dense_flow():
                                    rtol=0, atol=1e-13)
 
 
+def test_plane_conjugation_matches_dense_conjugation():
+    # apply_j_real works plane by plane and equals the assembled operator
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        m = int(rng.integers(1, 9))
+        dat = md.tomita_operators(md.random_standard_subspace(m, rng))
+        X = rng.normal(size=(2 * m, 3))
+        np.testing.assert_allclose(dat.apply_j_real(X), dat.j_real @ X, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(dat.apply_j_real(X[:, 0]), dat.j_real @ X[:, 0],
+                                   rtol=0, atol=1e-13)
+        v = X[:m, 0] + 1j * X[m:, 0]
+        np.testing.assert_allclose(dat.apply_j(v), dat.j_matrix @ v.conj(),
+                                   rtol=0, atol=1e-13)
+
+
 def test_kms_symmetry():
     # <Delta^{1/2} x, Delta^{1/2} y> = <S y, S x> on K + iK
     rng = np.random.default_rng(4)
@@ -255,6 +270,106 @@ def test_complement_definition():
     for v in Kp.generators:
         for k in K.generators:
             assert abs(np.imag(np.vdot(v, k))) < 1e-10
+
+
+def test_complement_angle_matches_complement_svd():
+    # the angle read from the two bases equals the one measured against the
+    # complement that symplectic_complement builds by a full SVD
+    rng = np.random.default_rng(15)
+    for _ in range(60):
+        m = int(rng.integers(1, 9))
+        k1, k2 = (md.random_standard_subspace(m, rng) for _ in range(2))
+        ref = md.subspace_angle(md.symplectic_complement(k1), k2)
+        assert md.symplectic_complement_angle(k1, k2) == pytest.approx(ref, abs=1e-12)
+        # equal dimensions: arcsin of the norm of B1^T (i B2)
+        norm = np.linalg.norm(k1.basis.T @ md._times_i(k2.basis), 2)
+        assert md.symplectic_complement_angle(k1, k2) == pytest.approx(np.arcsin(norm),
+                                                                        abs=1e-12)
+    # spans of other real dimensions: the q-th smallest singular value,
+    # q = min(2m - dim K1, dim K2)
+    for _ in range(60):
+        m = int(rng.integers(2, 9))
+        d1, d2 = rng.integers(1, 2 * m, size=2)
+        k1, k2 = (md.StandardSubspace(m, rng.normal(size=(d, m)) + 1j * rng.normal(size=(d, m)))
+                  for d in (d1, d2))
+        assert (k1.real_dim, k2.real_dim) == (d1, d2)
+        ref = md.subspace_angle(md.symplectic_complement(k1), k2)
+        assert md.symplectic_complement_angle(k1, k2) == pytest.approx(ref, abs=1e-12)
+    # a span of all of C^m has the zero complement: no angle, as no complement
+    full = md.StandardSubspace(3, rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3)))
+    for fn in (md.symplectic_complement, lambda k: md.symplectic_complement_angle(k, k2)):
+        with pytest.raises(ValueError):
+            fn(full)
+
+
+# --- modular frame ------------------------------------------------------------------------
+
+def _svd_completion_frame(K):
+    """Reference frame built the earlier way: the partners of degenerate
+    planes from a full SVD of the healthy columns, then a QR over all 2m
+    columns with the healthy pairs first and the degenerate pairs after."""
+    m = K.ambient_dim
+    _, bu, resid = md._principal_planes(K.basis)
+    resid_norm = np.linalg.norm(resid, axis=0)
+    healthy = resid_norm > 1e-7
+    frame = np.zeros((2 * m, 2 * m))
+    frame[:, 0::2] = bu
+    frame[:, 1::2][:, healthy] = resid[:, healthy] / resid_norm[healthy]
+    n_deg = int(np.sum(~healthy))
+    if n_deg:
+        uu, ss, _ = np.linalg.svd(np.hstack([bu, frame[:, 1::2][:, healthy]]))
+        frame[:, 1::2][:, ~healthy] = uu[:, np.sum(ss > 0.5):][:, :n_deg]
+    cols = np.concatenate([np.flatnonzero(healthy), np.flatnonzero(~healthy)])
+    perm = np.stack([2 * cols, 2 * cols + 1], axis=1).ravel()
+    q, r = np.linalg.qr(frame[:, perm])
+    frame[:, perm] = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+    return frame
+
+
+def _frame_subjects():
+    """(subspace, modular data): lattice half circles, whose clipped planes
+    need partners, a nearly degenerate pair and random standard subspaces."""
+    for L in (64, 256):
+        K = ch.interval_subspace(ch.build_model(L), ch.half_circle())
+        yield K, md.tomita_operators(K, clip_angle=ch.LATTICE_CLIP_ANGLE)
+    K = md.StandardSubspace(2, [[1.0, 0.0], [1j * (1 + 1e-9), 1e-9]])
+    yield K, md.tomita_operators(K, clip_angle=1e-7)
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        K = md.random_standard_subspace(int(rng.integers(1, 9)), rng)
+        yield K, md.tomita_operators(K)
+
+
+def test_frame_orthogonal_and_planes_invariant():
+    rng = np.random.default_rng(17)
+    for K, dat in _frame_subjects():
+        F = dat.frame
+        n = F.shape[0]
+        assert np.max(np.abs(F.T @ F - np.eye(n))) < 1e-14
+        # in frame coordinates every operator is block diagonal, one 2x2
+        # block per principal plane
+        off = np.kron(np.eye(n // 2), np.ones((2, 2))) == 0
+        t = rng.uniform(-1.0, 1.0)
+        ops = [dat.j_real, dat.s_real] + [dat._assemble(dat._plane_blocks(kind, t))
+                                          for kind in ("flow_cos", "flow_sin")]
+        for op in ops:
+            leak = np.max(np.abs((F.T @ op @ F)[off]), initial=0.0)
+            assert leak / max(1.0, np.max(np.abs(op))) < 1e-14
+        if dat.sines.min() > 1e-3:
+            # the planes are those of the Tomita operator solved densely
+            S = brute_force_tomita(K)[0]
+            leak = np.max(np.abs((F.T @ S @ F)[off]), initial=0.0)
+            assert leak / max(1.0, np.max(np.abs(S))) < 1e-12
+
+
+def test_frame_window_matches_svd_completion():
+    # the one-QR completion changes only the partners of degenerate planes
+    for K, dat in _frame_subjects():
+        window = np.repeat(np.arcsin(dat.sines) > ch.RESOLVABLE_WINDOW, 2)
+        if K.ambient_dim > 2:
+            assert window.any()
+        ref = _svd_completion_frame(K)
+        np.testing.assert_allclose(dat.frame[:, window], ref[:, window], rtol=0, atol=1e-13)
 
 
 # --- subspace angles --------------------------------------------------------------------
