@@ -71,21 +71,28 @@ RESOLVABLE_WINDOW = 1e-3
 
 @dataclass(frozen=True)
 class LatticeModel:
-    """Circle lattice with complex structure and energy form."""
+    """Circle lattice with complex structure and energy form.  Its one stored
+    identification of site functions with C^m is coord_map_real."""
 
     L: int
     thetas: np.ndarray
-    coord_map: np.ndarray          # site functions -> C^m, complex m x L
-    coord_map_real: np.ndarray     # real encoding of coord_map, 2m x L
-    coord_pinv: np.ndarray         # right inverse of coord_map_real, L x 2m
+    coord_map_real: np.ndarray     # site functions -> [Re z; Im z], 2m x L
 
     @property
     def m(self) -> int:
         return self.L // 2 - 1
 
     @property
-    def energy_weights(self) -> np.ndarray:
-        return np.arange(1, self.m + 1, dtype=float)
+    def coord_map(self) -> np.ndarray:
+        """Site functions -> C^m, complex m x L."""
+        return self.coord_map_real[:self.m] + 1j * self.coord_map_real[self.m:]
+
+    @property
+    def coord_pinv(self) -> np.ndarray:
+        """Right inverse of coord_map_real, L x 2m: the rows of that map are
+        orthogonal with squared norms k/L, so this is its scaled transpose."""
+        k = np.arange(1, self.m + 1)
+        return self.coord_map_real.T * (self.L / np.concatenate([k, k]))
 
     @property
     def hilbert(self) -> np.ndarray:
@@ -121,11 +128,7 @@ def build_model(L: int) -> LatticeModel:
     k = np.arange(1, m + 1)
     phases = np.exp(2j * np.pi * np.outer(k, np.arange(L)) / L)
     coord_map = np.sqrt(2.0 * k)[:, None] * phases / L
-    coord_map_real = np.vstack([coord_map.real, coord_map.imag])
-    # The rows of coord_map_real are orthogonal with squared norms k/L, so
-    # the pseudo-inverse is the transpose with columns scaled by L/k.
-    coord_pinv = coord_map_real.T * (L / np.concatenate([k, k]))
-    return LatticeModel(L, thetas, coord_map, coord_map_real, coord_pinv)
+    return LatticeModel(L, thetas, np.vstack([coord_map.real, coord_map.imag]))
 
 
 @dataclass(frozen=True)
@@ -172,8 +175,8 @@ def interval_subspace(model: LatticeModel, interval: CircleInterval) -> md.Stand
         raise ValueError("interval contains no lattice sites")
     if sites.size == model.L:
         raise ValueError("interval complement contains no lattice sites")
-    gens = model.coord_map[:, sites].T
-    return md.StandardSubspace(model.m, gens)
+    cols = model.coord_map_real[:, sites]
+    return md.StandardSubspace(model.m, (cols[:model.m] + 1j * cols[model.m:]).T)
 
 
 def interval_tomita(model: LatticeModel, interval: CircleInterval) -> md.ModularData:
@@ -184,17 +187,16 @@ def interval_tomita(model: LatticeModel, interval: CircleInterval) -> md.Modular
                                clip_angle=LATTICE_CLIP_ANGLE)
 
 
-def _window_frame(data: md.ModularData, window: float = RESOLVABLE_WINDOW) -> np.ndarray:
+def _window_frame(data: md.ModularData) -> np.ndarray:
     """Orthonormal frame columns (real encoding) of the modular planes whose
-    principal angle exceeds the window."""
-    return data.frame[:, np.repeat(np.arcsin(data.sines) > window, 2)]
+    principal angle exceeds RESOLVABLE_WINDOW."""
+    return data.frame[:, np.repeat(np.arcsin(data.sines) > RESOLVABLE_WINDOW, 2)]
 
 
-def resolvable_projector(data: md.ModularData,
-                         window: float = RESOLVABLE_WINDOW) -> np.ndarray:
+def resolvable_projector(data: md.ModularData) -> np.ndarray:
     """Orthogonal projector (real encoding) onto the modular planes whose
-    principal angle exceeds the window."""
-    frame = _window_frame(data, window)
+    principal angle exceeds RESOLVABLE_WINDOW, the window of every check."""
+    frame = _window_frame(data)
     return frame @ frame.T
 
 
@@ -379,18 +381,17 @@ def _encoded_family(model: LatticeModel, family, frame=None) -> np.ndarray:
     return cols / norms
 
 
-def bw_defect(model: LatticeModel, interval: CircleInterval,
-              t_grid, test_family=None,
-              window: float = RESOLVABLE_WINDOW) -> BWReport:
-    """Relative defect || (Delta^{it} - U_geo(t)) v || / || v || over the test
-    family, plus the group-law residual z(s+t) v - z(s) z(t) v of
-    z(t) = Delta^{it} U_geo(-t).
+def bw_defect(model: LatticeModel, interval: CircleInterval, t_grid) -> BWReport:
+    """Relative defect || (Delta^{it} - U_geo(t)) v || / || v || over the
+    interval's default_test_family, plus the group-law residual
+    z(s+t) v - z(s) z(t) v of z(t) = Delta^{it} U_geo(-t).
 
-    The family is compared through its component in the resolvable modular
-    window: the interior content of lattice intervals occupies modular
-    eigenvalues far beyond double precision, and no flow comparison there
-    is meaningful at machine precision (the raw-family defect saturates
-    near 1 at every size; measured against 60-digit arithmetic).
+    The family is compared through its component in the modular window
+    above RESOLVABLE_WINDOW: the interior content of lattice intervals
+    occupies modular eigenvalues far beyond double precision, and no flow
+    comparison there is meaningful at machine precision (the raw-family
+    defect saturates near 1 at every size; measured against 60-digit
+    arithmetic).
 
     Every operator is applied to the k family columns as a chain of
     matrix-vector products: Delta^{it} plane by plane in the modular frame
@@ -401,10 +402,8 @@ def bw_defect(model: LatticeModel, interval: CircleInterval,
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size and (np.min(t_grid) < -0.5 or np.max(t_grid) > 0.5):
         raise ValueError("t grid must stay within [-0.5, 0.5]")
-    if test_family is None:
-        test_family = default_test_family(model, interval)
     dat = interval_tomita(model, interval)
-    fam = _encoded_family(model, test_family, _window_frame(dat, window))
+    fam = _encoded_family(model, default_test_family(model, interval), _window_frame(dat))
 
     def geo(t, cols, weight=0.0):
         return _pull_back(model, cols, *_flow_sites(model, interval, t, weight))

@@ -56,8 +56,12 @@ class SuiteConfig:
             raise ConfigurationError("dimensions and lattice sizes must not be empty")
         if any(d < 2 for d in self.dims):
             raise ConfigurationError("suite dimensions must satisfy d >= 2")
+        if len(set(self.dims)) != len(self.dims):
+            raise ConfigurationError("suite dimensions must be distinct")
         if any(L < 16 or (L & (L - 1)) for L in self.sizes):
             raise ConfigurationError("lattice sizes must be powers of two, >= 16")
+        if any(a >= b for a, b in zip(self.sizes, self.sizes[1:])):
+            raise ConfigurationError("lattice sizes must be strictly increasing")
         if self.seed < 0:
             raise ConfigurationError("the seed must be a non-negative integer")
         eps = np.finfo(float).eps
@@ -326,9 +330,9 @@ def run_pct_suite(config: SuiteConfig) -> list:
     dat = ch.interval_tomita(model, interval)
     angles.append(ch._pct_defect(model, interval, probe, dat))
     _ladder(checks, "pct-angle", config.sizes, angles)
+    J = dat.j_real
     _check(checks, "pct-conjugation-involution", "pct-conjugation-involution",
-           np.max(np.abs(dat.j_real @ dat.j_real - np.eye(2 * model.m))),
-           config.tol("modular_residual"))
+           np.max(np.abs(J @ J - np.eye(2 * model.m))), config.tol("modular_residual"))
     return checks
 
 

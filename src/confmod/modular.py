@@ -25,7 +25,7 @@ some angles approach zero; only S and Delta themselves grow like 1/theta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import subspace_angles, svd
@@ -176,25 +176,27 @@ def is_standard(subspace: StandardSubspace,
     return report.standard, report
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModularData:
     """Tomita operators of a standard subspace.
 
     frame: orthogonal 2m x 2m matrix whose column pairs (2k, 2k+1) span the
     S-invariant principal planes; sigmas/sines hold cos/sin of the principal
-    angle of each plane.  The complex matrices are assembled on demand.
+    angle of each plane.  These four fields are the whole record: nothing
+    is cached, and every dense operator is assembled again on each access,
+    so a caller that needs one twice binds it once.
 
-    To act on a few vectors, apply_flow_real, apply_j_real and their
-    complex forms use the plane blocks directly, frame (blocks (frame^T
-    cols)), in O(m^2 k) for k columns; flow_real(t) and j_real assemble the
-    same blocks into the dense 2m x 2m operator at O(m^3).
+    To act on a few vectors, apply_flow_real, apply_j_real, apply_s and the
+    other complex forms use the plane blocks directly, frame (blocks
+    (frame^T cols)), in O(m^2 k) for k columns; s_real, delta_real, j_real
+    and flow_real(t) assemble the same blocks into the dense 2m x 2m
+    operator at O(m^3).
     """
 
     ambient_dim: int
     frame: np.ndarray
     sigmas: np.ndarray
     sines: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def _assemble(self, blocks: np.ndarray) -> np.ndarray:
         """frame @ blockdiag(blocks) @ frame^T."""
@@ -242,24 +244,19 @@ class ModularData:
         """log lambda_k = 2 log((1+cos)/sin) per principal plane."""
         return 2.0 * np.log((1.0 + self.sigmas) / self.sines)
 
-    def _real(self, kind: str) -> np.ndarray:
-        if kind not in self._cache:
-            self._cache[kind] = self._assemble(self._plane_blocks(kind))
-        return self._cache[kind]
-
     # -- real-encoded operators (act on [Re v; Im v]) --
 
     @property
     def s_real(self) -> np.ndarray:
-        return self._real("S")
+        return self._assemble(self._plane_blocks("S"))
 
     @property
     def delta_real(self) -> np.ndarray:
-        return self._real("delta")
+        return self._assemble(self._plane_blocks("delta"))
 
     @property
     def j_real(self) -> np.ndarray:
-        return self._real("J")
+        return self._assemble(self._plane_blocks("J"))
 
     def flow_real(self, t: float) -> np.ndarray:
         """Real encoding of Delta^{it}."""
@@ -294,14 +291,14 @@ class ModularData:
         return self._apply_planes(("J",), None, cols).reshape(cols.shape)
 
     # -- complex forms --
+    # For antilinear S and J, M with S v = M conj(v) encodes as
+    # s_real @ diag(1, -1); its first m columns, the only ones
+    # _complexify_operator reads, are those of s_real.
 
     @property
     def s_matrix(self) -> np.ndarray:
         """Complex matrix M with S v = M conj(v)."""
-        m = self.ambient_dim
-        conj = np.eye(2 * m)
-        conj[m:, m:] = -np.eye(m)
-        return _complexify_operator(self.s_real @ conj)
+        return _complexify_operator(self.s_real)
 
     @property
     def delta(self) -> np.ndarray:
@@ -310,10 +307,7 @@ class ModularData:
     @property
     def j_matrix(self) -> np.ndarray:
         """Unitary U with J v = U conj(v)."""
-        m = self.ambient_dim
-        conj = np.eye(2 * m)
-        conj[m:, m:] = -np.eye(m)
-        return _complexify_operator(self.j_real @ conj)
+        return _complexify_operator(self.j_real)
 
     def flow(self, t: float) -> np.ndarray:
         """Delta^{it} as a complex unitary matrix."""
@@ -328,7 +322,7 @@ class ModularData:
         return out.ravel() if v.ndim == 1 else out
 
     def apply_s(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(self.s_real.__matmul__, v)
+        return self._apply(lambda cols: self._apply_planes(("S",), None, cols), v)
 
     def apply_j(self, v: np.ndarray) -> np.ndarray:
         return self._apply(self.apply_j_real, v)
@@ -424,10 +418,9 @@ def symplectic_complement_angle(k1: StandardSubspace, k2: StandardSubspace) -> f
     return float(np.arcsin(min(mu[q - 1], 1.0)))
 
 
-def modular_flow(subspace: StandardSubspace, t: float,
-                 angle_floor: float = DEFAULT_ANGLE_FLOOR) -> np.ndarray:
+def modular_flow(subspace: StandardSubspace, t: float) -> np.ndarray:
     """Delta^{it} of the subspace as a complex unitary matrix."""
-    return tomita_operators(subspace, angle_floor).flow(t)
+    return tomita_operators(subspace).flow(t)
 
 
 def subspace_angle(k1: StandardSubspace, k2: StandardSubspace) -> float:

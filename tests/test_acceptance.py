@@ -147,7 +147,8 @@ def test_criterion_8_conjugation_involution(suite_runs):
     # L=128 is checked here
     model = ch.build_model(128)
     dat = ch.interval_tomita(model, ch.half_circle())
-    worst = float(np.max(np.abs(dat.j_real @ dat.j_real - np.eye(2 * model.m))))
+    J = dat.j_real
+    worst = float(np.max(np.abs(J @ J - np.eye(2 * model.m))))
     ok = verdict(suite_runs, "8b", "modular conjugation squares to one")
     assert report("criterion 8b at L=128", worst < 1e-6, f"residual {worst:.1e} < 1e-6") and ok
 

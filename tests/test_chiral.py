@@ -21,9 +21,17 @@ def test_build_model_validation():
 
 
 def test_coord_pinv_closed_form(models):
-    # coord_pinv is the transpose scaled by L/k: it equals the SVD
-    # pseudo-inverse and is a right inverse of the real coordinate map
+    # coord_map is z_k(u) = sqrt(2k) c_{-k}(u), coord_map_real its real and
+    # imaginary stack, and coord_pinv the transpose scaled by L/k: it equals
+    # the SVD pseudo-inverse and is a right inverse of the real coordinate map
     for L, model in models.items():
+        # phases reduced mod L exactly; build_model's unreduced phases round
+        # at ~eps * pi L
+        k = np.arange(1, model.m + 1)[:, None]
+        closed = np.sqrt(2.0 * k) * np.exp(2j * np.pi * (k * np.arange(L) % L) / L) / L
+        np.testing.assert_allclose(model.coord_map, closed, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(model.coord_map_real,
+                                      np.vstack([model.coord_map.real, model.coord_map.imag]))
         tr = model.coord_map_real
         np.testing.assert_allclose(model.coord_pinv, np.linalg.pinv(tr), rtol=0, atol=1e-12)
         np.testing.assert_allclose(tr @ model.coord_pinv, np.eye(2 * model.m),
@@ -369,7 +377,8 @@ def test_pct_defect_and_conjugation(models):
         val = ch.pct_geometry_defect(model, I, probe)
         assert val == pytest.approx(calibration.PCT_DEFECTS[L], abs=1e-9)
         dat = ch.interval_tomita(model, I)
-        assert np.max(np.abs(dat.j_real @ dat.j_real - np.eye(2 * model.m))) < 1e-6
+        J = dat.j_real
+        assert np.max(np.abs(J @ J - np.eye(2 * model.m))) < 1e-6
 
 
 def test_reflection_matches_dense_pullback(models):

@@ -94,6 +94,10 @@ def test_main_exit_codes(tmp_path):
     out = tmp_path / "never.json"
     assert cli.main(["--suite", "bw", "--sizes", "", "--out", str(out)]) == 2
     assert cli.main(["--suite", "group", "--d", "", "--out", str(out)]) == 2
+    # so are ladders that do not strictly increase and repeated dimensions
+    assert cli.main(["--suite", "duality", "--sizes", "128,64", "--out", str(out)]) == 2
+    assert cli.main(["--suite", "bw", "--sizes", "64,64", "--out", str(out)]) == 2
+    assert cli.main(["--suite", "group", "--d", "2,2", "--out", str(out)]) == 2
     # malformed outside input is a configuration error too, never a
     # traceback, and writes no report
     for argv in (["--seed", "-1"], ["--tol", "group_identity=abc"],

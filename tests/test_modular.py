@@ -203,18 +203,24 @@ def test_plane_flow_matches_dense_flow():
 
 
 def test_plane_conjugation_matches_dense_conjugation():
-    # apply_j_real works plane by plane and equals the assembled operator
+    # apply_j_real and apply_s work plane by plane and equal the assembled
+    # operators
     rng = np.random.default_rng(16)
     for _ in range(20):
         m = int(rng.integers(1, 9))
         dat = md.tomita_operators(md.random_standard_subspace(m, rng))
         X = rng.normal(size=(2 * m, 3))
-        np.testing.assert_allclose(dat.apply_j_real(X), dat.j_real @ X, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(dat.apply_j_real(X[:, 0]), dat.j_real @ X[:, 0],
+        J = dat.j_real
+        np.testing.assert_allclose(dat.apply_j_real(X), J @ X, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(dat.apply_j_real(X[:, 0]), J @ X[:, 0],
                                    rtol=0, atol=1e-13)
         v = X[:m, 0] + 1j * X[m:, 0]
         np.testing.assert_allclose(dat.apply_j(v), dat.j_matrix @ v.conj(),
                                    rtol=0, atol=1e-13)
+        # S grows like 1/sin, so compare relative to its largest entry
+        S = dat.s_matrix
+        np.testing.assert_allclose(dat.apply_s(v), S @ v.conj(),
+                                   rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(S))))
 
 
 def test_kms_symmetry():
@@ -412,4 +418,5 @@ def test_clip_policy_keeps_flows_orthogonal():
     dat = md.tomita_operators(K, clip_angle=1e-7)
     u = dat.flow_real(0.7)
     assert np.max(np.abs(u.T @ u - np.eye(4))) < 1e-10
-    assert np.max(np.abs(dat.j_real @ dat.j_real - np.eye(4))) < 1e-10
+    J = dat.j_real
+    assert np.max(np.abs(J @ J - np.eye(4))) < 1e-10
