@@ -52,7 +52,6 @@ __all__ = [
     "default_test_family",
     "reflect_interval",
     "circle_reflection",
-    "resolvable_projector",
     "LATTICE_CLIP_ANGLE",
     "RESOLVABLE_WINDOW",
 ]
@@ -157,9 +156,6 @@ class CircleInterval:
         inside = (rel > 1e-12) & (rel < self.arc_length - 1e-12)
         return np.nonzero(inside)[0]
 
-    def midpoint(self) -> float:
-        return (self.a + self.arc_length / 2.0) % (2.0 * np.pi)
-
 
 def half_circle() -> CircleInterval:
     """Upper half circle.  Its endpoints sit on lattice sites, which strict
@@ -188,16 +184,9 @@ def interval_tomita(model: LatticeModel, interval: CircleInterval) -> md.Modular
 
 
 def _window_frame(data: md.ModularData) -> np.ndarray:
-    """Orthonormal frame columns (real encoding) of the modular planes whose
-    principal angle exceeds RESOLVABLE_WINDOW."""
+    """Orthonormal frame (real encoding) of the modular planes with principal
+    angle above RESOLVABLE_WINDOW; frame @ frame.T projects onto them."""
     return data.frame[:, np.repeat(np.arcsin(data.sines) > RESOLVABLE_WINDOW, 2)]
-
-
-def resolvable_projector(data: md.ModularData) -> np.ndarray:
-    """Orthogonal projector (real encoding) onto the modular planes whose
-    principal angle exceeds RESOLVABLE_WINDOW, the window of every check."""
-    frame = _window_frame(data)
-    return frame @ frame.T
 
 
 # --- Moebius flow of an interval ---------------------------------------------
@@ -361,17 +350,13 @@ class BWReport:
     z_residuals: np.ndarray        # group-law residual of z(t), per (s,t) pair
     weight_diagnostics: dict
 
-    def max_defect(self) -> float:
-        return float(np.max(self.defects)) if self.defects.size else 0.0
-
     def max_z_residual(self) -> float:
         return float(np.max(self.z_residuals)) if self.z_residuals.size else 0.0
 
 
 def _encoded_family(model: LatticeModel, family, frame=None) -> np.ndarray:
     """Unit-normalised encoded family, projected by frame @ frame^T when an
-    orthonormal frame is given (an orthogonal projector P serves as its own
-    frame, P P^T = P)."""
+    orthonormal frame is given."""
     cols = np.stack([model.coord_map_real @ f for f in family], axis=1)
     if frame is not None:
         cols = frame @ (frame.T @ cols)
@@ -497,16 +482,11 @@ def symplectic_locality(model: LatticeModel, region: CircleInterval,
     return float(np.linalg.norm(k1.basis.T @ md._times_i(k2.basis), 2))
 
 
-def energy_trace(beta: float, n_max: int | None = None,
-                 model: LatticeModel | None = None) -> float:
+def energy_trace(beta: float, n_max: int) -> float:
     """One-particle partition sum sum_{n=1}^{N} e^{-beta n} over the
-    conformal-energy modes (unit multiplicity per retained |n|); N is the
-    model's mode count when a model is given."""
+    conformal-energy modes (unit multiplicity per retained |n|), N = n_max;
+    a lattice model's mode count is model.m."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if model is not None:
-        n_max = model.m
-    if n_max is None:
-        raise ValueError("need either n_max or a model")
     n = np.arange(1, n_max + 1)
     return float(np.sum(np.exp(-beta * n)))

@@ -253,7 +253,7 @@ def run_modular_suite(config: SuiteConfig) -> list:
         worst["involution"] = max(worst["involution"],
                                   np.max(np.abs(S @ S - eye)) / max(1.0, np.max(np.abs(S)) ** 2),
                                   np.max(np.abs(J @ J - eye)))
-        dinv = np.linalg.inv(D)
+        dinv = S @ S.T      # Delta^{-1} exactly: Delta = S^T S and S^2 = 1
         worst["conjugation"] = max(worst["conjugation"],
                                    np.max(np.abs(J @ D @ J - dinv)) / max(1.0, np.max(np.abs(dinv))))
         for g in K.generators:
@@ -264,8 +264,7 @@ def run_modular_suite(config: SuiteConfig) -> list:
             worst["flow"] = max(worst["flow"], md.subspace_angle(
                 K, md.StandardSubspace(m, md._complexify_vectors(fk).T)))
         jk = md.StandardSubspace(m, md._complexify_vectors(J @ K.basis).T)
-        worst["complement"] = max(worst["complement"],
-                                  md.subspace_angle(jk, md.symplectic_complement(K)))
+        worst["complement"] = max(worst["complement"], md.symplectic_complement_angle(K, jk))
         sq = dat._assemble(dat._plane_blocks("delta_sqrt"))
         x, y = rng.normal(size=2 * m), rng.normal(size=2 * m)
         cplx = md._complexify_vectors

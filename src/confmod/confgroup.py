@@ -32,7 +32,6 @@ __all__ = [
     "embed",
     "project",
     "act",
-    "make_element",
     "translation",
     "boost",
     "rotation",
@@ -149,15 +148,6 @@ class LieGenerator:
 
     def exp(self, t: float = 1.0) -> GroupElement:
         return GroupElement(expm(t * self.matrix))
-
-    def __rmul__(self, c: float) -> "LieGenerator":
-        return LieGenerator(c * self.matrix)
-
-    def __add__(self, other: "LieGenerator") -> "LieGenerator":
-        return LieGenerator(self.matrix + other.matrix)
-
-    def __sub__(self, other: "LieGenerator") -> "LieGenerator":
-        return LieGenerator(self.matrix - other.matrix)
 
 
 def embed(x) -> Ray:
@@ -289,26 +279,6 @@ def space_reflection(d: int, axis: int) -> GroupElement:
     diag = np.ones(d + 2)
     diag[axis] = -1.0
     return GroupElement(np.diag(diag))
-
-
-def make_element(d: int, kind: str, *params) -> GroupElement:
-    """Dispatch constructor: kind in {'translation', 'boost', 'rotation',
-    'dilation', 'special', 'ray_inversion', 'R', 'P'}."""
-    table = {
-        "translation": translation,
-        "boost": boost,
-        "rotation": rotation,
-        "dilation": dilation,
-        "special": special,
-        "ray_inversion": ray_inversion,
-        "R": axis_inversion,
-        "P": space_reflection,
-    }
-    try:
-        ctor = table[kind]
-    except KeyError:
-        raise ValueError(f"unknown element kind {kind!r}") from None
-    return ctor(d, *params)
 
 
 # --- generators --------------------------------------------------------------

@@ -42,9 +42,6 @@ class CanonicalFlow:
     def matrix(self, t: float) -> cg.GroupElement:
         return self.generator.exp(t)
 
-    def __call__(self, t: float, x):
-        return self.closed_form(t, np.asarray(x, dtype=float))
-
 
 def wedge_flow(d: int) -> CanonicalFlow:
     """Boost flow of the standard wedge, rapidity 2 pi t."""

@@ -31,9 +31,9 @@ __all__ = [
     "TimelikeComplementOfDoubleCone",
     "unit_double_cone",
     "standard_wedge",
-    "region_contains",
     "spacelike_complement",
     "timelike_complement",
+    "SAMPLING_BOX",
     "sample_region",
 ]
 
@@ -211,9 +211,6 @@ class Region:
             raise ValueError(f"expected a point of dimension {self.dim}")
         return bool(self._member(x))
 
-    def is_bounded(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class DoubleCone(Region):
@@ -237,9 +234,6 @@ class DoubleCone(Region):
 
     def _member(self, X):
         return _future_timelike(X - self.tip_past) & _future_timelike(self.tip_future - X)
-
-    def is_bounded(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -358,10 +352,6 @@ def standard_wedge(d: int) -> Wedge:
     return Wedge(d)
 
 
-def region_contains(region: Region, x) -> bool:
-    return region.contains(x)
-
-
 def _opposite_wedge_map(d: int) -> PoincareMap:
     # Sign flip of (x0, x1) maps W1 onto the opposite wedge {x1 < -|x0|}.
     L = np.eye(d)
@@ -411,29 +401,32 @@ def transform_region(g: PoincareMap, region: Region) -> Region:
     return TransformedRegion(g, region)
 
 
-def _bounding_box(region: Region, box: float) -> tuple[np.ndarray, np.ndarray]:
+# sample_region clips every region but a double cone to |x_i| <= SAMPLING_BOX.
+SAMPLING_BOX = 10.0
+
+
+def _bounding_box(region: Region) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(region, DoubleCone):
         v0 = region.tip_future[0] - region.tip_past[0]
         lo = region.tip_past + np.concatenate([[0.0], -v0 * np.ones(region.dim - 1)])
         hi = region.tip_past + v0 * np.ones(region.dim)
         return lo, hi
-    d = region.dim
-    return -box * np.ones(d), box * np.ones(d)
+    return np.full(region.dim, -SAMPLING_BOX), np.full(region.dim, SAMPLING_BOX)
 
 
-def sample_region(region: Region, n: int, seed: int, box: float = 10.0,
+def sample_region(region: Region, n: int, seed: int,
                   max_tries: int = 10_000_000) -> np.ndarray:
     """n points drawn uniformly from the region by rejection sampling,
     deterministic for a fixed seed.
 
-    Bounded regions use their own enclosing box; unbounded ones are clipped
-    to |x_i| <= box.  Raises if the acceptance rate is too low to fill the
-    request within max_tries draws.
+    A double cone uses its own enclosing box; every other region is clipped
+    to the cube |x_i| <= SAMPLING_BOX.  Raises if the acceptance rate is too
+    low to fill the request within max_tries draws.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     rng = np.random.default_rng(seed)
-    lo, hi = _bounding_box(region, box)
+    lo, hi = _bounding_box(region)
     out = np.empty((n, region.dim))
     got = 0
     tried = 0

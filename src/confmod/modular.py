@@ -35,11 +35,9 @@ __all__ = [
     "StandardnessReport",
     "StandardSubspace",
     "ModularData",
-    "is_standard",
     "tomita_operators",
     "symplectic_complement",
     "symplectic_complement_angle",
-    "modular_flow",
     "subspace_angle",
     "random_standard_subspace",
     "DEFAULT_ANGLE_FLOOR",
@@ -163,17 +161,11 @@ class StandardSubspace:
         return self.basis.shape[1]
 
     def standardness(self, angle_floor: float = DEFAULT_ANGLE_FLOOR) -> StandardnessReport:
+        """Test K cap iK = 0 and K + iK = C^m (the report's .standard), with
+        the principal-angle spectrum between K and iK as the condition."""
         sig, _, resid = _principal_planes(self.basis)
         return StandardnessReport(self.ambient_dim, self.real_dim,
                                   _principal_angles(sig, resid), angle_floor)
-
-
-def is_standard(subspace: StandardSubspace,
-                angle_floor: float = DEFAULT_ANGLE_FLOOR) -> tuple[bool, StandardnessReport]:
-    """Evaluate K cap iK = 0 and K + iK = C^m, with the principal-angle
-    spectrum between K and iK as the condition report."""
-    report = subspace.standardness(angle_floor)
-    return report.standard, report
 
 
 @dataclass(frozen=True)
@@ -418,11 +410,6 @@ def symplectic_complement_angle(k1: StandardSubspace, k2: StandardSubspace) -> f
     return float(np.arcsin(min(mu[q - 1], 1.0)))
 
 
-def modular_flow(subspace: StandardSubspace, t: float) -> np.ndarray:
-    """Delta^{it} of the subspace as a complex unitary matrix."""
-    return tomita_operators(subspace).flow(t)
-
-
 def subspace_angle(k1: StandardSubspace, k2: StandardSubspace) -> float:
     """Largest principal angle between the two real-linear subspaces."""
     angles = subspace_angles(k1.basis, k2.basis)
@@ -436,7 +423,6 @@ def random_standard_subspace(m: int, rng: np.random.Generator,
     for _ in range(256):
         gens = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         k = StandardSubspace(m, gens)
-        ok, _ = is_standard(k, angle_floor)
-        if ok:
+        if k.standardness(angle_floor).standard:
             return k
     raise RuntimeError("failed to draw a standard subspace")

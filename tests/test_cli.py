@@ -127,17 +127,26 @@ def test_ladder_suites_build_each_model_once(monkeypatch):
 
 def test_ladder_suites_factor_each_interval_once(monkeypatch):
     # bw and pct factor the half circle once per size; duality reads its
-    # angle from the interval bases and factors nothing
+    # angle from the interval bases and factors nothing; the modular suite
+    # factors each of its 100 random subspaces once and measures J K = K'
+    # from the two bases, never forming K'
     calls = []
     for name in ("tomita_operators", "symplectic_complement"):
         def counted(*args, _name=name, _fn=getattr(md, name), **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(md, name, counted)
-    for suite, n in (("bw", 3), ("duality", 0), ("pct", 3)):
+    for suite, n in (("bw", 3), ("duality", 0), ("pct", 3), ("modular", 100)):
         calls.clear()
         cli.SUITE_RUNNERS[suite](cli.SuiteConfig(sizes=(64, 128, 256)))
         assert calls == ["tomita_operators"] * n, suite
+
+
+def test_modular_suite_passes_at_ill_conditioned_seed():
+    # seed 306 draws a subspace with cond(Delta) ~ 2.5e12; the reference
+    # Delta^{-1} = S S^T is exact there, where a numerical inverse is not
+    report = cli.run(cli.SuiteConfig(suite="modular", seed=306))
+    assert not report.failed(), [c for c in report.checks if c["status"] == "fail"]
 
 
 def test_trajectory_export(tmp_path):

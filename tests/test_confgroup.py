@@ -116,15 +116,11 @@ def test_boost_at_large_rapidity(d):
         cg.boost(d, d, 1.0)
 
 
-def test_make_element_dispatch():
-    g = cg.make_element(4, "dilation", 2.0)
+def test_dilation_scales_and_rejects_negative_factor():
+    g = cg.dilation(4, 2.0)
     np.testing.assert_allclose(cg.act(g, [1, 1, 0, 0]), [2, 2, 0, 0], atol=1e-12)
     with pytest.raises(ValueError):
-        cg.make_element(4, "frobnicate")
-    with pytest.raises(ValueError):
-        cg.make_element(4, "dilation", -1.0)
-    with pytest.raises(ValueError):
-        cg.make_element(4, "boost", 5, 1.0)
+        cg.dilation(4, -1.0)
 
 
 def test_translation_acts_globally():
