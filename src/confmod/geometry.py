@@ -431,11 +431,11 @@ def sample_region(region: Region, n: int, seed: int,
     got = 0
     tried = 0
     while got < n:
-        chunk = max(256, 2 * (n - got))
-        if tried + chunk > max_tries:
+        if tried >= max_tries:
             raise RuntimeError(
-                f"rejection sampling exhausted {max_tries} draws "
+                f"rejection sampling exhausted {tried} draws "
                 f"({got}/{n} accepted); region may not meet the sampling box")
+        chunk = min(max(256, 2 * (n - got)), max_tries - tried)
         pts = rng.uniform(lo, hi, size=(chunk, region.dim))
         tried += chunk
         for p in pts:

@@ -303,7 +303,7 @@ def test_bw_defect_matches_dense_reference(models):
     # the matrix-vector chains of bw_defect reproduce the dense operators
     I = ch.half_circle()
     grid = np.array([0.0, 0.1, 0.25])
-    for L in (64, 128):
+    for L in LADDER:
         rep = ch.bw_defect(models[L], I, grid)
         defects, weights, z = _dense_bw_reference(models[L], I, grid)
         np.testing.assert_allclose(rep.defects, defects, rtol=0, atol=1e-12)
@@ -311,6 +311,41 @@ def test_bw_defect_matches_dense_reference(models):
                                    weights, rtol=0, atol=1e-12)
         assert rep.z_residuals.shape == z.shape == (4,)
         np.testing.assert_allclose(rep.z_residuals, z, rtol=0, atol=1e-12)
+
+
+def test_bw_defect_groups_its_applications(models, monkeypatch):
+    # one synthesis matrix per distinct set of flow sites and per outer
+    # z(s), and one modular flow per time and column stage: 15 syntheses and
+    # 14 flows when every application is made on its own
+    calls = {"synthesis": 0, "flow": 0}
+    synthesis, flow = ch._mode_synthesis, md.ModularData.apply_flow_real
+
+    def counted_synthesis(model, angles):
+        calls["synthesis"] += 1
+        return synthesis(model, angles)
+
+    def counted_flow(self, t, cols):
+        calls["flow"] += 1
+        return flow(self, t, cols)
+
+    monkeypatch.setattr(ch, "_mode_synthesis", counted_synthesis)
+    monkeypatch.setattr(md.ModularData, "apply_flow_real", counted_flow)
+    ch.bw_defect(models[64], ch.half_circle(), [0.0, 0.1, 0.25])
+    assert calls["synthesis"] <= 10 and calls["flow"] <= 10
+
+
+@pytest.mark.parametrize("L", (256, 1024, 2048))
+def test_mode_synthesis_matches_long_double_reference(L):
+    # e^{i k phi} from the two exponential tables against k phi formed
+    # exactly in long double and reduced mod 2 pi; rounding k phi in double
+    # precision alone costs up to ~k phi eps, hence the bound 2 pi L eps
+    model = ch.build_model(L)
+    phi = ch.mobius_point_flow(ch.half_circle(), -0.25, model.thetas)
+    two_pi = 2 * np.arccos(np.longdouble(-1))
+    phase = np.fmod(np.outer(phi.astype(np.longdouble), np.arange(1, model.m + 1)), two_pi)
+    exact = np.cos(phase).astype(float) + 1j * np.sin(phase).astype(float)
+    err = np.max(np.abs(ch._mode_synthesis(model, phi) - exact))
+    assert err <= 2 * np.pi * L * np.finfo(float).eps
 
 
 def test_weight_diagnostics_reported(models):

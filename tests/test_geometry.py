@@ -160,6 +160,35 @@ def test_sample_region_reports_exhaustion():
         sample_region(far, 5, seed=1, max_tries=50_000)
 
 
+def test_sample_region_spends_exactly_max_tries(monkeypatch):
+    # A cap below one chunk still draws: the first accepted of 100 draws.
+    o = unit_double_cone(2)
+    draws = np.random.default_rng(0).uniform([-1.0, -2.0], [1.0, 2.0], size=(100, 2))
+    np.testing.assert_array_equal(sample_region(o, 1, seed=0, max_tries=100),
+                                  draws[o.contains_many(draws)][:1])
+    # The last chunk is cut to the draws left under the cap: 600 draws of
+    # this cone (acceptance 0.45 in the box) give fewer than 300 points,
+    # the 100 after them fill the request.
+    cone = FutureCone(np.array([-4.0, 0.0]))
+    rng = np.random.default_rng(5)
+    first, last = rng.uniform(-10.0, 10.0, size=(600, 2)), rng.uniform(-10.0, 10.0, size=(100, 2))
+    kept = np.vstack([first[cone.contains_many(first)], last[cone.contains_many(last)]])
+    assert len(kept) - cone.contains_many(last).sum() < 300 <= len(kept)
+    np.testing.assert_array_equal(sample_region(cone, 300, seed=5, max_tries=700), kept[:300])
+    # It gives up after exactly max_tries draws and reports them.
+    calls = []
+    contains = FutureCone.contains
+
+    def counted(self, x):
+        calls.append(x)
+        return contains(self, x)
+
+    monkeypatch.setattr(FutureCone, "contains", counted)
+    with pytest.raises(RuntimeError, match=rf"exhausted 700 draws \({len(kept)}/400 accepted\)"):
+        sample_region(cone, 400, seed=5, max_tries=700)
+    assert len(calls) == 700
+
+
 @pytest.mark.parametrize("d", DIMS)
 def test_poincare_covariance_of_membership(d):
     rng = np.random.default_rng(12)
