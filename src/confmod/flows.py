@@ -10,6 +10,7 @@ and the closed-form point map; conjugation transports all three coherently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,9 +60,9 @@ def wedge_flow(d: int) -> CanonicalFlow:
                          closed_form)
 
 
-def _mobius_pm(t: float, v: float):
-    """((1+v) - e^{-2 pi t}(1-v)) / ((1+v) + e^{-2 pi t}(1-v)); None at the pole."""
-    e = np.exp(-2 * np.pi * t)
+def _mobius_pm(e: float, v: float):
+    """((1+v) - e (1-v)) / ((1+v) + e (1-v)) with e = e^{-2 pi t}; None at the
+    pole."""
     den = (1.0 + v) + e * (1.0 - v)
     if abs(den) < cg.INFINITY_TOL * max(1.0, abs(v)):
         return None
@@ -80,17 +81,21 @@ def doublecone_flow(d: int) -> CanonicalFlow:
         raise ValueError("the double-cone flow needs d >= 2")
 
     def closed_form(t, x):
-        r = float(np.linalg.norm(x[1:]))
-        a = _mobius_pm(t, x[0] + r)
-        b = _mobius_pm(t, x[0] - r)
+        # Python floats throughout; the norm is np.linalg.norm's sqrt(v . v)
+        # and e numpy's exp, which keep the images bitwise: the map amplifies
+        # an ulp of either to ~4e-14.  np.exp gives inf where math.exp raises.
+        x = np.asarray(x, dtype=float)
+        v = x[1:]
+        r = math.sqrt(v.dot(v))
+        e = float(np.exp(-2 * np.pi * t))
+        x0 = float(x[0])
+        a = _mobius_pm(e, x0 + r)
+        b = _mobius_pm(e, x0 - r)
         if a is None or b is None:
             return None
-        y = np.empty_like(np.asarray(x, dtype=float))
+        y = np.empty(x.shape)
         y[0] = (a + b) / 2.0
-        if r > 0:
-            y[1:] = ((a - b) / (2.0 * r)) * x[1:]
-        else:
-            y[1:] = 0.0
+        y[1:] = ((a - b) / (2.0 * r)) * v if r > 0 else 0.0
         return y
 
     e0 = np.zeros(d)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul, sub
 
 import numpy as np
 
@@ -44,21 +45,26 @@ def minkowski_norm(x) -> float:
     return float(x[0] ** 2 - np.dot(x[1:], x[1:]))
 
 
-# X.T[0] is the time coordinate of a point X of shape (d,), as a scalar, or
-# the time column of an (n, d) array: the region predicates below take
-# either, and scalar arithmetic keeps the one-point case cheap.
+def _minkowski(c):
+    """c[0]^2 - c[1]^2 - ... - c[d-1]^2 on a sequence of coordinates, time
+    first: the floats of one point or the columns of an (n, d) array."""
+    v = c[1:]
+    return c[0] * c[0] - sum(map(mul, v, v))
+
+
+def _future_timelike(c):
+    """Whether the coordinates c lie in the open forward light cone."""
+    return (_minkowski(c) > 0.0) & (c[0] > 0.0)
+
+
+def _minus(c, a):
+    """Coordinates of c - a, each a sequence of coordinates."""
+    return list(map(sub, c, a))
+
 
 def minkowski_norms(X: np.ndarray) -> np.ndarray:
     """minkowski_norm of a point, or of each row of an (n, d) array."""
-    t = X.T[0]
-    S = X[..., 1:]
-    return t * t - (S * S).sum(axis=-1)
-
-
-def _future_timelike(V: np.ndarray) -> np.ndarray:
-    """Whether V, a point or each row of an (n, d) array, lies in the open
-    forward light cone."""
-    return (minkowski_norms(V) > 0.0) & (V.T[0] > 0.0)
+    return _minkowski(X.T)
 
 
 class CausalRelation(Enum):
@@ -187,15 +193,16 @@ class PoincareMap:
 class Region:
     """Open subregion of d-dimensional Minkowski space with decidable membership.
 
-    Each region defines one predicate, _member(X), on a point of shape (d,)
-    or on the rows of an (n, d) array; contains and contains_many check the
-    shape and call it.  The point form keeps the per-point cost of contains
-    low for callers that test one point at a time.
+    Each region defines one predicate, _member(c), on a sequence of
+    coordinates: contains passes the floats of one point (x.tolist()),
+    contains_many the columns of an (n, d) array (X.T), after checking the
+    shape.  The same arithmetic then runs on floats for a point, a few
+    microseconds per test, and on arrays for rows.
     """
 
     dim: int
 
-    def _member(self, X: np.ndarray):
+    def _member(self, c):
         raise NotImplementedError
 
     def contains_many(self, X) -> np.ndarray:
@@ -203,13 +210,13 @@ class Region:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"expected an (n, {self.dim}) array of points")
-        return self._member(X)
+        return self._member(X.T)
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected a point of dimension {self.dim}")
-        return bool(self._member(x))
+        return bool(self._member(x.tolist()))
 
 
 @dataclass(frozen=True)
@@ -227,13 +234,15 @@ class DoubleCone(Region):
         object.__setattr__(self, "tip_future", b)
         if causal_relation(a, b) is not CausalRelation.TIMELIKE_FUTURE:
             raise ValueError("tip_future must be timelike future of tip_past")
+        object.__setattr__(self, "_tips", (a.tolist(), b.tolist()))
 
     @property
     def dim(self) -> int:
         return self.tip_past.shape[0]
 
-    def _member(self, X):
-        return _future_timelike(X - self.tip_past) & _future_timelike(self.tip_future - X)
+    def _member(self, c):
+        past, future = self._tips
+        return _future_timelike(_minus(c, past)) & _future_timelike(_minus(future, c))
 
 
 @dataclass(frozen=True)
@@ -248,17 +257,19 @@ class Wedge(Region):
             raise ValueError("wedges need at least one space dimension beyond x1")
         if self.poincare is not None and self.poincare.dim != self.d:
             raise ValueError("Poincare map dimension mismatch")
-        object.__setattr__(self, "_inverse",
-                           None if self.poincare is None else self.poincare.inverse())
+        # The first two rows of the inverse map, as ([L_i0, ..., L_i(d-1)], a_i).
+        inv = None if self.poincare is None else self.poincare.inverse()
+        object.__setattr__(self, "_inverse_rows", None if inv is None else list(
+            zip(inv.lorentz[:2].tolist(), inv.translation[:2].tolist())))
 
     @property
     def dim(self) -> int:
         return self.d
 
-    def _member(self, X):
-        if self._inverse is not None:
-            X = self._inverse.act_array(X)[0]
-        return X.T[1] > np.abs(X.T[0])
+    def _member(self, c):
+        if self._inverse_rows is not None:
+            c = [sum(map(mul, row, c)) + a for row, a in self._inverse_rows]
+        return c[1] > abs(c[0])
 
 
 @dataclass(frozen=True)
@@ -269,13 +280,14 @@ class FutureCone(Region):
 
     def __post_init__(self):
         object.__setattr__(self, "apex", np.asarray(self.apex, dtype=float))
+        object.__setattr__(self, "_apex", self.apex.tolist())
 
     @property
     def dim(self) -> int:
         return self.apex.shape[0]
 
-    def _member(self, X):
-        return _future_timelike(X - self.apex)
+    def _member(self, c):
+        return _future_timelike(_minus(c, self._apex))
 
 
 @dataclass(frozen=True)
@@ -299,12 +311,12 @@ class TransformedRegion(Region):
     def dim(self) -> int:
         return self.base.dim
 
-    def _member(self, X):
-        if X.ndim == 1:
-            y = self._inverse.act(X)
-            return y is not None and self.base._member(y)
-        Y, regular = self._inverse.act_array(X)
-        return regular & self.base._member(Y)
+    def _member(self, c):
+        if isinstance(c, list):
+            y = self._inverse.act(c)
+            return y is not None and self.base._member(y.tolist())
+        Y, regular = self._inverse.act_array(c.T)
+        return regular & self.base._member(Y.T)
 
 
 @dataclass(frozen=True)
@@ -318,9 +330,9 @@ class SpacelikeComplementOfDoubleCone(Region):
     def dim(self) -> int:
         return self.base.dim
 
-    def _member(self, X):
-        return ((minkowski_norms(X - self.base.tip_past) < 0.0)
-                & (minkowski_norms(X - self.base.tip_future) < 0.0))
+    def _member(self, c):
+        past, future = self.base._tips
+        return (_minkowski(_minus(c, past)) < 0.0) & (_minkowski(_minus(c, future)) < 0.0)
 
 
 @dataclass(frozen=True)
@@ -334,9 +346,9 @@ class TimelikeComplementOfDoubleCone(Region):
     def dim(self) -> int:
         return self.base.dim
 
-    def _member(self, X):
-        return (_future_timelike(X - self.base.tip_future)
-                | _future_timelike(self.base.tip_past - X))
+    def _member(self, c):
+        past, future = self.base._tips
+        return _future_timelike(_minus(c, future)) | _future_timelike(_minus(past, c))
 
 
 def unit_double_cone(d: int) -> DoubleCone:

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import confmod.confgroup as cg
-from confmod.geometry import (CausalRelation, DoubleCone, FutureCone,
-                              PoincareMap, TransformedRegion, Wedge,
+from confmod.geometry import (SAMPLING_BOX, CausalRelation, DoubleCone, FutureCone,
+                              PoincareMap, Region, TransformedRegion, Wedge,
                               causal_relation, minkowski_norm, sample_region,
                               spacelike_complement, standard_wedge,
                               timelike_complement, transform_region,
@@ -381,3 +383,86 @@ def test_sample_region_matches_reference_rejection(kind, box, d):
             pts = rng.uniform(lo, hi, size=(max(256, 2 * (n - len(kept))), d))
             kept.extend(pts[margin(pts, d) > 0])
         np.testing.assert_array_equal(sample_region(make(d), n, seed), np.array(kept[:n]))
+
+
+# sha256 of sample_region(region, 100, seed=10).tobytes() per region kind and
+# dimension, recorded with the array-valued predicates that preceded the
+# coordinate-sequence ones: a predicate that decides one draw differently, or
+# a sampler that draws in another order, changes a digest.
+SAMPLE_DIGESTS = {
+    ("double_cone", 2): "edf2ad3cad075839d2a62287117bda8c758812e566ab2bfeca01a06f0ccdc897",
+    ("double_cone", 3): "78ff2de88451f949e6bd22c7042de804ff5fc94be831976ac19a47c15c719c09",
+    ("double_cone", 4): "965eb7767fcfb80efe19b08071c97c287a63bf0b9bb59db402556e4f90ad1b02",
+    ("wedge", 2): "996a6010a4bfe9d75773f6439e3797bfe2eeb4c0912746e298e6637bd84a7e06",
+    ("wedge", 3): "fbc009483c42ca942d232f8ac688537789a6c25c7e2240952b53711ad1eb47dd",
+    ("wedge", 4): "90d363e4c8147497d0894377b6962043d4ed65eca0666c197e6892cde5147bea",
+    ("boosted_wedge", 2): "a734df4be413ac79532693ade14ac406368763c13f6e4360760b45e3882dd92b",
+    ("boosted_wedge", 3): "62b352cf4c0a807e5f469405de43b15a9f9bf3fe7be86b58608c54b61e74a01a",
+    ("boosted_wedge", 4): "76ee5a64ba2f567c8f6e613a4f466d78fc388f65a8dfd02119dc595a447c64cb",
+    ("future_cone", 2): "88f718b73d99549d8b140db16619df23f647c7f21db7262812f1a84cc1be5397",
+    ("future_cone", 3): "d34a66f6edef13cb6b4b5132c7753a27a4305dff3b4487a5c9616f7fe0f482d5",
+    ("future_cone", 4): "caa301b5b56daefe3e3f008a4595eeb20b4d57ba28e78900c2a0a982d70341db",
+    ("spacelike_complement", 2): "46f71b4c1be73fc4d12ea0dc45f18256ebfdec28706706a89c6a6f8211e0fd01",
+    ("spacelike_complement", 3): "69bdddb45fcb97b18a6df9965a9b7b1fffdd1d373b746661ef2082c2e6746b50",
+    ("spacelike_complement", 4): "cb5bf23cd8a979fc526481be284bd375928376e795ed0169d6b4f85c30e246bd",
+    ("timelike_complement", 2): "c17218d4e660d6e9fb4ba264d824486d977baf21f743b5573420b21e45ee93f1",
+    ("timelike_complement", 3): "7c421514525d212c71d5c4429426ce4a6343c2d001c901a4c1fae98b5e55f247",
+    ("timelike_complement", 4): "46ce0c70175f5f8e818c39b5ebaac18b9ac30346a28f104f1ab87176924a1405",
+    ("conformal_image", 2): "a31201d765f73e74b3f15335ac41c3e6a6524e7824bfc02a8ba3f079d606f93e",
+}
+
+
+def test_sample_region_digests():
+    digests = {(kind, d): hashlib.sha256(
+        sample_region(REGION_CASES[kind][1](d), 100, seed=10).tobytes()).hexdigest()
+        for kind, d in SAMPLE_DIGESTS}
+    assert digests == SAMPLE_DIGESTS
+
+
+def _draws_to_fill(region, n, seed, lo, hi):
+    """Draws the chunk rule makes before the n-th accepted point: chunks of
+    max(256, 2 * missing) uniform draws, stopping at the n-th member."""
+    rng = np.random.default_rng(seed)
+    got = drawn = 0
+    while True:
+        pts = rng.uniform(lo, hi, size=(max(256, 2 * (n - got)), region.dim))
+        hits = np.flatnonzero(region.contains_many(pts))
+        if got + len(hits) >= n:
+            return drawn + int(hits[n - got - 1]) + 1
+        got += len(hits)
+        drawn += len(pts)
+
+
+def test_sample_region_calls_contains_once_per_draw(monkeypatch):
+    d = 3
+    box = np.full(d, SAMPLING_BOX)
+    cone_lo, cone_hi = np.r_[-1.0, -2.0 * np.ones(d - 1)], np.r_[1.0, 2.0 * np.ones(d - 1)]
+    cases = [(unit_double_cone(d), cone_lo, cone_hi), (standard_wedge(d), -box, box),
+             (timelike_complement(unit_double_cone(d)), -box, box)]
+    expected = [_draws_to_fill(region, 700, 6, lo, hi) for region, lo, hi in cases]
+    calls = []
+    contains = Region.contains
+
+    def counted(self, x):
+        calls.append(x)
+        return contains(self, x)
+
+    monkeypatch.setattr(Region, "contains", counted)
+    for (region, _, _), draws in zip(cases, expected):
+        calls.clear()
+        sample_region(region, 700, seed=6)
+        assert len(calls) == draws
+    monkeypatch.undo()
+    # A point is tested the same way as a list, a tuple or a 1-D array, and
+    # as a row of contains_many, with NaN and infinite coordinates included
+    # (on arrays, inf - inf and inf * 0 warn).
+    special = [np.nan, np.inf, -np.inf, 0.0, 0.5, -2.0]
+    rng = np.random.default_rng(21)
+    X = np.vstack([rng.choice(special, size=(200, d)), rng.uniform(-3.0, 3.0, size=(50, d))])
+    for case in REGION_CASES.values():
+        region = case[1](d)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            mask = region.contains_many(X)
+            for x, m in zip(X, mask):
+                assert (region.contains(list(x)) == region.contains(tuple(x))
+                        == region.contains(x) == m)
