@@ -62,6 +62,9 @@ class SuiteConfig:
             raise ConfigurationError("lattice sizes must be powers of two, >= 16")
         if any(a >= b for a, b in zip(self.sizes, self.sizes[1:])):
             raise ConfigurationError("lattice sizes must be strictly increasing")
+        if self.suite in ("all", "pct") and self.sizes[0] < 32:
+            # at L = 16 the pct probe's test bumps fall between lattice sites
+            raise ConfigurationError("the pct suite needs lattice sizes >= 32")
         if self.seed < 0:
             raise ConfigurationError("the seed must be a non-negative integer")
         eps = np.finfo(float).eps
@@ -467,6 +470,8 @@ def main(argv=None) -> int:
             point = _parse_numbers(args.point, float, "--point")
             if len(point) < 2:
                 raise ConfigurationError("--point needs at least two coordinates")
+            if not np.all(np.isfinite(point)):
+                raise ConfigurationError("--point coordinates must be finite")
             grid = _parse_t_grid(args.t_grid)
             export_trajectory(args.trajectory, len(point), point, grid, args.csv)
             return 0

@@ -141,6 +141,8 @@ class PoincareMap:
         d = a.shape[0]
         if L.shape != (d, d):
             raise ValueError("Lorentz block and translation dimension mismatch")
+        if not (np.isfinite(L).all() and np.isfinite(a).all()):
+            raise ValueError("Lorentz block and translation entries must be finite")
         eta = np.diag(_metric_signs(d))
         if np.max(np.abs(L.T @ eta @ L - eta)) > 1e-9:
             raise ValueError("matrix does not preserve the Minkowski form")

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import subspace_angles, svd
+from numpy.linalg import svd
 
 __all__ = [
     "StandardnessError",
@@ -39,6 +39,7 @@ __all__ = [
     "symplectic_complement",
     "symplectic_complement_angle",
     "subspace_angle",
+    "subspace_angles",
     "random_standard_subspace",
     "DEFAULT_ANGLE_FLOOR",
 ]
@@ -133,12 +134,6 @@ def _principal_planes(b: np.ndarray):
     return sig, bu, (c @ vt.T)[:, order] - bu * sig[None, :]
 
 
-def _principal_angles(sig: np.ndarray, resid: np.ndarray) -> np.ndarray:
-    """Angles between K and iK, descending.  The sines are the singular values
-    of the residuals, which resolves right angles and angles below 1e-8."""
-    return np.arctan2(svd(resid, compute_uv=False), sig)
-
-
 class StandardSubspace:
     """Real-linear span of complex generator vectors in C^m."""
 
@@ -149,6 +144,8 @@ class StandardSubspace:
             raise ValueError("generator length must equal the ambient dimension")
         if gens.shape[0] == 0:
             raise ValueError("need at least one generator")
+        if not np.isfinite(gens).all():
+            raise ValueError("generator entries must be finite")
         norms = np.linalg.norm(gens, axis=1)
         if np.any(norms == 0.0):
             raise ValueError("zero vector among generators")
@@ -163,9 +160,8 @@ class StandardSubspace:
     def standardness(self, angle_floor: float = DEFAULT_ANGLE_FLOOR) -> StandardnessReport:
         """Test K cap iK = 0 and K + iK = C^m (the report's .standard), with
         the principal-angle spectrum between K and iK as the condition."""
-        sig, _, resid = _principal_planes(self.basis)
-        return StandardnessReport(self.ambient_dim, self.real_dim,
-                                  _principal_angles(sig, resid), angle_floor)
+        return StandardnessReport(self.ambient_dim, self.real_dim, subspace_angles(
+            self.basis, _times_i(self.basis)), angle_floor)
 
 
 @dataclass(frozen=True)
@@ -346,11 +342,9 @@ def tomita_operators(subspace: StandardSubspace,
     # sin(theta_k), accurate for small angles where the cosine rounds to 1.
     # The SVD mixes planes whose cosines round alike (angles below ~1e-7),
     # which can only raise the smallest residual norm, so the test is exact
-    # for floors above that regime.  A failure reports the angles of
-    # standardness(), computed from the same residuals.
+    # for floors above that regime.  A failure reports standardness().
     if clip_angle is None and np.min(np.arctan2(resid_norm, sig)) <= angle_floor:
-        raise StandardnessError("subspace is not standard", StandardnessReport(
-            m, m, _principal_angles(sig, resid), angle_floor))
+        raise StandardnessError("subspace is not standard", subspace.standardness(angle_floor))
     healthy = resid_norm > 1e-7
     good, deg = np.flatnonzero(healthy), np.flatnonzero(~healthy)
     # One complete QR orthonormalizes the healthy (b, perp) pairs in plane
@@ -408,6 +402,19 @@ def symplectic_complement_angle(k1: StandardSubspace, k2: StandardSubspace) -> f
     mu = np.zeros(d2)
     mu[d2 - min(d1, d2):] = svd(k1.basis.T @ _times_i(k2.basis), compute_uv=False)[::-1]
     return float(np.arcsin(min(mu[q - 1], 1.0)))
+
+
+def subspace_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Principal angles between the spans of two orthonormal column sets,
+    descending: arctan2 of the sines, the singular values of the smaller
+    span's residual off the larger, against the cosines, those of a^T b
+    (Bjorck-Golub 1973, Knyazev-Argentati 2002).  Each is accurate where
+    the other rounds to 1, so small and right angles alike are resolved."""
+    if a.shape[1] < b.shape[1]:
+        a, b = b, a
+    sines = svd(b - a @ (a.T @ b), compute_uv=False)
+    cosines = svd(a.T @ b, compute_uv=False)
+    return np.arctan2(sines, cosines[::-1])
 
 
 def subspace_angle(k1: StandardSubspace, k2: StandardSubspace) -> float:

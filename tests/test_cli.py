@@ -104,15 +104,23 @@ def test_main_exit_codes(tmp_path):
                  ["--tol", "group_identity=nan"], ["--tol", "group_identity=inf"],
                  ["--tol", "group_identity=1,2"], ["--d", "x"], ["--sizes", "x"]):
         assert cli.main(["--suite", "group", "--d", "2", "--out", str(out)] + argv) == 2, argv
+    # the pct probe family vanishes below L = 32, so such a ladder is
+    # rejected before any suite runs
+    for argv in (["--suite", "pct", "--sizes", "16"], ["--suite", "all", "--sizes", "16,64"]):
+        assert cli.main(argv + ["--out", str(out)]) == 2, argv
     csv = tmp_path / "never.csv"
     for argv in (["--point", "0,a"], ["--point", "0"],
                  ["--point", "0,1", "--t-grid=0,1"], ["--point", "0,1", "--t-grid=0,1,x"],
-                 ["--point", "0,1", "--t-grid=0,1,-2"], ["--point", "0,1", "--t-grid=0,nan,3"]):
+                 ["--point", "0,1", "--t-grid=0,1,-2"], ["--point", "0,1", "--t-grid=0,nan,3"],
+                 ["--point", "nan,0.5"], ["--point", "0,-inf"]):
         assert cli.main(["--trajectory", "wedge", "--csv", str(csv)] + argv) == 2, argv
+    assert cli.main(["--trajectory", "doublecone", "--point", "inf,0", "--csv", str(csv)]) == 2
     assert not out.exists() and not csv.exists()
-    for bad in (dict(seed=-1), dict(tolerances={"group_identity": float("nan")})):
+    for bad in (dict(suite="group", seed=-1),
+                dict(suite="group", tolerances={"group_identity": float("nan")}),
+                dict(suite="pct", sizes=(16, 32)), dict(suite="all", sizes=(16,))):
         with pytest.raises(cli.ConfigurationError):
-            cli.SuiteConfig(suite="group", **bad).validate()
+            cli.SuiteConfig(**bad).validate()
 
 
 def test_ladder_suites_build_each_model_once(monkeypatch):

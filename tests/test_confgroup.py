@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import confmod.confgroup as cg
-from confmod.geometry import minkowski_norm, sample_region, spacelike_complement, standard_wedge, unit_double_cone
+from confmod.flows import doublecone_flow
+from confmod.geometry import PoincareMap, minkowski_norm, sample_region, spacelike_complement, standard_wedge, unit_double_cone
 
 DIMS = (2, 3, 4)
 
@@ -283,6 +284,45 @@ def test_conformal_energy_period(d):
     ident = cg.GroupElement(np.eye(d + 2))
     assert cg.distance_mod_sign(k.exp(2 * np.pi), ident) < 1e-8
     assert cg.distance_mod_sign(k.exp(0.0), ident) < 1e-14
+
+
+def _generators(d):
+    return {"boost": cg.boost_generator(d, 1), "double-cone": doublecone_flow(d).generator,
+            "dilation": cg.dilation_generator(d),
+            "translation": cg.translation_generator(d, [1.0, 0.5, -0.3, 0.2][:d]),
+            "conformal-energy": cg.conformal_energy(d)}
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_lie_exponential_against_mpmath(d):
+    # the exponential against mpmath's at 40 digits, relative to the largest
+    # entry; scipy.linalg.expm is itself 1.2e-12 off on the double-cone
+    # generator at t = 1.3, so it cannot serve as the reference
+    mp = pytest.importorskip("mpmath").mp
+    for name, gen in _generators(d).items():
+        for t in np.linspace(-2.0, 2.0, 11):
+            with mp.workdps(40):
+                ref = np.array(mp.expm(mp.matrix((t * gen.matrix).tolist())).tolist(), dtype=float)
+            err = np.max(np.abs(gen.exp(t).matrix - ref)) / np.max(np.abs(ref))
+            assert err < 1e-14, (name, t, err)
+
+
+@pytest.mark.parametrize("build", (
+    lambda: cg.GroupElement(np.full((4, 4), np.nan)),
+    lambda: cg.GroupElement(np.diag([np.inf, 1.0, 1.0, 1.0])),
+    lambda: cg.LieGenerator(np.full((4, 4), np.nan)),
+    lambda: cg.LieGenerator(np.diag([0.0, 0.0, 0.0, -np.inf])),
+    lambda: cg.translation(2, [np.nan, 0.0]),
+    lambda: cg.dilation_generator(2).exp(np.nan),
+    lambda: PoincareMap(np.full((2, 2), np.nan), np.zeros(2)),
+    lambda: PoincareMap(np.diag([np.inf, 1.0]), np.zeros(2)),
+    lambda: PoincareMap(np.eye(2), [np.nan, 0.0]),
+    lambda: PoincareMap(np.eye(2), [0.0, -np.inf]),
+), ids=("group-nan", "group-inf", "lie-nan", "lie-inf", "translation-nan", "exp-nan",
+        "lorentz-nan", "lorentz-inf", "shift-nan", "shift-inf"))
+def test_non_finite_matrices_rejected(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_conformal_energy_block_structure():

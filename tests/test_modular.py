@@ -52,7 +52,7 @@ def _principal_angles(K):
 
 
 def test_tomita_report_matches_standardness():
-    # tomita_operators and standardness read the angles from the same SVD; an
+    # a failing tomita_operators reports the angles of standardness(); an
     # exact right angle, which every odd m has, is resolved to 1e-14
     rng = np.random.default_rng(12)
     for _ in range(40):
@@ -80,6 +80,14 @@ def test_tomita_report_on_lattice_half_circle():
 def test_zero_generator_rejected():
     with pytest.raises(ValueError):
         md.StandardSubspace(2, [[0.0, 0.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("gens", ([[np.nan, 0.0]], [[np.inf, 1.0]], [[1.0, 1j * np.inf]]))
+def test_non_finite_generator_rejected(gens):
+    # numpy's svd does not check finiteness: an infinite generator would
+    # otherwise give an empty basis
+    with pytest.raises(ValueError):
+        md.StandardSubspace(2, gens)
 
 
 def test_tomita_rejects_non_standard():
@@ -397,6 +405,45 @@ def test_subspace_angle_perturbation_first_order():
         angle = md.subspace_angle(K, Kp)
         assert angle < 20 * eps
         assert angle > 0
+
+
+def _mp_subspace_angles(a, b):
+    """Principal angles between the spans of the columns of a and b at 40
+    digits: both sets orthonormalized by QR, angles from the cosines."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(40):
+        qa, _ = mp.qr(mp.matrix(a.tolist()), mode="skinny")
+        qb, _ = mp.qr(mp.matrix(b.tolist()), mode="skinny")
+        cosines = mp.svd_r(qa.T * qb, compute_uv=False)
+        return sorted((float(mp.acos(min(c, 1))) for c in cosines), reverse=True)
+
+
+def _orthonormal(x):
+    return np.linalg.qr(x)[0]
+
+
+def test_subspace_angles_against_mpmath():
+    # unequal dimensions either way round, and a pair at angles near 1e-7,
+    # where cosines alone lose half the digits
+    rng = np.random.default_rng(21)
+    pairs = [(_orthonormal(rng.normal(size=(9, p))), _orthonormal(rng.normal(size=(9, q))))
+             for p, q in ((4, 2), (2, 5), (3, 6), (5, 3))]
+    a = _orthonormal(rng.normal(size=(9, 4)))
+    pairs.append((a, _orthonormal(a[:, :3] + 1e-7 * rng.normal(size=(9, 3)))))
+    for a, b in pairs:
+        np.testing.assert_allclose(md.subspace_angles(a, b), _mp_subspace_angles(a, b),
+                                   rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("m", (1, 3, 5, 7))
+def test_subspace_angles_right_angle_of_odd_m(m):
+    # B^T (iB) is antisymmetric, so for odd m one principal angle between K
+    # and iK is exactly pi/2
+    b = md.random_standard_subspace(m, np.random.default_rng(m)).basis
+    angles = md.subspace_angles(b, md._times_i(b))
+    np.testing.assert_allclose(angles, _mp_subspace_angles(b, md._times_i(b)),
+                               rtol=0, atol=1e-14)
+    assert abs(angles[0] - np.pi / 2) <= 1e-14
 
 
 # --- clip policy ---------------------------------------------------------------------------
