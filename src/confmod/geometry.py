@@ -434,8 +434,10 @@ def sample_region(region: Region, n: int, seed: int,
     deterministic for a fixed seed.
 
     A double cone uses its own enclosing box; every other region is clipped
-    to the cube |x_i| <= SAMPLING_BOX.  Raises if the acceptance rate is too
-    low to fill the request within max_tries draws.
+    to the cube |x_i| <= SAMPLING_BOX.  Each chunk of draws is decided by
+    one contains_many call, and the accepted points are kept in draw order.
+    Raises if the acceptance rate is too low to fill the request within
+    max_tries draws.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -452,10 +454,7 @@ def sample_region(region: Region, n: int, seed: int,
         chunk = min(max(256, 2 * (n - got)), max_tries - tried)
         pts = rng.uniform(lo, hi, size=(chunk, region.dim))
         tried += chunk
-        for p in pts:
-            if region.contains(p):
-                out[got] = p
-                got += 1
-                if got == n:
-                    break
+        kept = pts[region.contains_many(pts)][:n - got]
+        out[got:got + len(kept)] = kept
+        got += len(kept)
     return out

@@ -178,17 +178,17 @@ def test_sample_region_spends_exactly_max_tries(monkeypatch):
     assert len(kept) - cone.contains_many(last).sum() < 300 <= len(kept)
     np.testing.assert_array_equal(sample_region(cone, 300, seed=5, max_tries=700), kept[:300])
     # It gives up after exactly max_tries draws and reports them.
-    calls = []
-    contains = FutureCone.contains
+    rows = []
+    contains_many = FutureCone.contains_many
 
-    def counted(self, x):
-        calls.append(x)
-        return contains(self, x)
+    def counted(self, X):
+        rows.append(len(X))
+        return contains_many(self, X)
 
-    monkeypatch.setattr(FutureCone, "contains", counted)
+    monkeypatch.setattr(FutureCone, "contains_many", counted)
     with pytest.raises(RuntimeError, match=rf"exhausted 700 draws \({len(kept)}/400 accepted\)"):
         sample_region(cone, 400, seed=5, max_tries=700)
-    assert len(calls) == 700
+    assert sum(rows) == 700
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -364,25 +364,66 @@ def test_contains_many_rejects_wrong_shapes():
 
 # --- rejection sampling semantics ---------------------------------------------------
 
-@pytest.mark.parametrize("d", DIMS)
-@pytest.mark.parametrize("kind,box", [("double_cone", None), ("wedge", 10.0),
-                                      ("future_cone", 10.0)])
+def _per_draw_sample(region, n, seed, lo, hi, max_tries):
+    """Rejection sampling one region.contains call per draw: the same
+    generator and chunks of min(max(256, 2 * missing), draws left) uniform
+    draws from [lo, hi], stopping at the n-th member."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((n, region.dim))
+    got = tried = 0
+    while got < n:
+        if tried >= max_tries:
+            raise RuntimeError(f"rejection sampling exhausted {tried} draws "
+                               f"({got}/{n} accepted)")
+        chunk = min(max(256, 2 * (n - got)), max_tries - tried)
+        pts = rng.uniform(lo, hi, size=(chunk, region.dim))
+        tried += chunk
+        for p in pts:
+            if region.contains(p):
+                out[got] = p
+                got += 1
+                if got == n:
+                    break
+    return out
+
+
+def _outcome(sampler, *args):
+    """The sampled bytes, or the exhaustion report up to its hint."""
+    try:
+        return sampler(*args).tobytes()
+    except RuntimeError as err:
+        return str(err).split(";")[0]
+
+
+# box None: a double cone's own box, 10.0: the cube |x_i| <= 10.
+SAMPLER_PARAMS = [(kind, None if kind.endswith("double_cone") else SAMPLING_BOX, d)
+                  for kind, d in REGION_PARAMS]
+
+
+@pytest.mark.parametrize("kind,box,d", SAMPLER_PARAMS)
 def test_sample_region_matches_reference_rejection(kind, box, d):
-    # Same generator, chunks of max(256, 2 * missing) uniform draws from the
-    # sampling box, the closed-form predicate, the first n accepted points
-    # kept in draw order.
+    # sample_region keeps the points, in draw order, that the per-draw loop
+    # keeps, and gives up after the same draws: at 25,000 if the region is
+    # too thin to fill n (the Poincare image of the unit double cone fills
+    # 1 point, not 300), and at 700 = 600 + 100, where the cap cuts the
+    # second chunk of a 300-point request.
     _, make, margin, _ = REGION_CASES[kind]
-    if box is None:        # the unit double cone's own box
-        lo, hi = np.r_[-1.0, -2.0 * np.ones(d - 1)], np.r_[1.0, 2.0 * np.ones(d - 1)]
+    region = make(d)
+    if box is None:
+        a = region.tip_past
+        v0 = region.tip_future[0] - a[0]
+        lo, hi = a - v0 * np.r_[0.0, np.ones(d - 1)], a + v0
     else:
         lo, hi = -box * np.ones(d), box * np.ones(d)
-    for n, seed in ((1, 3), (300, 4), (1000, 5)):
-        rng = np.random.default_rng(seed)
-        kept = []
-        while len(kept) < n:
-            pts = rng.uniform(lo, hi, size=(max(256, 2 * (n - len(kept))), d))
-            kept.extend(pts[margin(pts, d) > 0])
-        np.testing.assert_array_equal(sample_region(make(d), n, seed), np.array(kept[:n]))
+    filled = 0
+    for n, seed, max_tries in ((1, 3, 25_000), (300, 4, 25_000), (300, 5, 700)):
+        expected = _outcome(_per_draw_sample, region, n, seed, lo, hi, max_tries)
+        assert _outcome(sample_region, region, n, seed, max_tries) == expected
+        if isinstance(expected, bytes):
+            filled += 1
+            assert np.all(margin(np.frombuffer(expected).reshape(n, d), d) > 0)
+    # In d = 1 every pair of distinct points is timelike: nothing is spacelike.
+    assert (filled == 0) == (kind == "spacelike_complement" and d == 1)
 
 
 # sha256 of sample_region(region, 100, seed=10).tobytes() per region kind and
@@ -409,6 +450,8 @@ SAMPLE_DIGESTS = {
     ("timelike_complement", 3): "7c421514525d212c71d5c4429426ce4a6343c2d001c901a4c1fae98b5e55f247",
     ("timelike_complement", 4): "46ce0c70175f5f8e818c39b5ebaac18b9ac30346a28f104f1ab87176924a1405",
     ("conformal_image", 2): "a31201d765f73e74b3f15335ac41c3e6a6524e7824bfc02a8ba3f079d606f93e",
+    ("conformal_image", 3): "bbe319654320cce1082e8f236556d3c7664c8166f5215b568319e84703b16f04",
+    ("conformal_image", 4): "9f6b52927afc27f0be2651185e1b97cbc17f124590d41340bb3761c396932d61",
 }
 
 
@@ -419,39 +462,44 @@ def test_sample_region_digests():
     assert digests == SAMPLE_DIGESTS
 
 
-def _draws_to_fill(region, n, seed, lo, hi):
-    """Draws the chunk rule makes before the n-th accepted point: chunks of
-    max(256, 2 * missing) uniform draws, stopping at the n-th member."""
+def _chunks_to_fill(region, n, seed, lo, hi):
+    """The chunks the sampler draws to fill n points: max(256, 2 * missing)
+    uniform draws each, until n members are found."""
     rng = np.random.default_rng(seed)
-    got = drawn = 0
-    while True:
-        pts = rng.uniform(lo, hi, size=(max(256, 2 * (n - got)), region.dim))
-        hits = np.flatnonzero(region.contains_many(pts))
-        if got + len(hits) >= n:
-            return drawn + int(hits[n - got - 1]) + 1
-        got += len(hits)
-        drawn += len(pts)
+    chunks, got = [], 0
+    while got < n:
+        chunks.append(rng.uniform(lo, hi, size=(max(256, 2 * (n - got)), region.dim)))
+        got += int(region.contains_many(chunks[-1]).sum())
+    return chunks
 
 
-def test_sample_region_calls_contains_once_per_draw(monkeypatch):
+def test_sample_region_calls_contains_many_once_per_chunk(monkeypatch):
     d = 3
     box = np.full(d, SAMPLING_BOX)
     cone_lo, cone_hi = np.r_[-1.0, -2.0 * np.ones(d - 1)], np.r_[1.0, 2.0 * np.ones(d - 1)]
     cases = [(unit_double_cone(d), cone_lo, cone_hi), (standard_wedge(d), -box, box),
              (timelike_complement(unit_double_cone(d)), -box, box)]
-    expected = [_draws_to_fill(region, 700, 6, lo, hi) for region, lo, hi in cases]
-    calls = []
-    contains = Region.contains
+    expected = [_chunks_to_fill(region, 700, 6, lo, hi) for region, lo, hi in cases]
+    calls, points = [], []
+    contains, contains_many = Region.contains, Region.contains_many
 
-    def counted(self, x):
-        calls.append(x)
+    def counted(self, X):
+        calls.append(np.array(X))
+        return contains_many(self, X)
+
+    def counted_point(self, x):
+        points.append(x)
         return contains(self, x)
 
-    monkeypatch.setattr(Region, "contains", counted)
-    for (region, _, _), draws in zip(cases, expected):
+    monkeypatch.setattr(Region, "contains_many", counted)
+    monkeypatch.setattr(Region, "contains", counted_point)
+    for (region, _, _), chunks in zip(cases, expected):
         calls.clear()
         sample_region(region, 700, seed=6)
-        assert len(calls) == draws
+        assert len(calls) == len(chunks) > 1
+        for X, chunk in zip(calls, chunks):
+            np.testing.assert_array_equal(X, chunk)
+    assert not points
     monkeypatch.undo()
     # A point is tested the same way as a list, a tuple or a 1-D array, and
     # as a row of contains_many, with NaN and infinite coordinates included
