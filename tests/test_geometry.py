@@ -407,12 +407,15 @@ def test_sample_region_matches_reference_rejection(kind, box, d):
     # too thin to fill n (the Poincare image of the unit double cone fills
     # 1 point, not 300), and at 700 = 600 + 100, where the cap cuts the
     # second chunk of a 300-point request.
-    _, make, margin, _ = REGION_CASES[kind]
+    _, make, margin, exact = REGION_CASES[kind]
     region = make(d)
-    if box is None:
-        a = region.tip_past
-        v0 = region.tip_future[0] - a[0]
-        lo, hi = a - v0 * np.r_[0.0, np.ones(d - 1)], a + v0
+    # A double cone's box spans its time extent and twice its radius in
+    # space: [-1, 1] x [-2, 2]^(d-1) for the unit double cone.
+    half = np.r_[1.0, 2.0 * np.ones(d - 1)]
+    if kind == "double_cone":
+        lo, hi = -half, half
+    elif box is None:
+        lo, hi = CENTER[:d] - RADIUS * half, CENTER[:d] + RADIUS * half
     else:
         lo, hi = -box * np.ones(d), box * np.ones(d)
     filled = 0
@@ -424,6 +427,18 @@ def test_sample_region_matches_reference_rejection(kind, box, d):
             assert np.all(margin(np.frombuffer(expected).reshape(n, d), d) > 0)
     # In d = 1 every pair of distinct points is timelike: nothing is spacelike.
     assert (filled == 0) == (kind == "spacelike_complement" and d == 1)
+    if not exact or filled == 0:
+        return
+    # Independently of the region's predicate: the closed-form margin decides
+    # each draw of the same chunks, and the first n members in draw order are
+    # the samples.
+    for n, seed in ((1, 3), (300, 4), (1000, 5)):
+        rng = np.random.default_rng(seed)
+        kept = []
+        while len(kept) < n:
+            pts = rng.uniform(lo, hi, size=(max(256, 2 * (n - len(kept))), d))
+            kept.extend(pts[margin(pts, d) > 0])
+        np.testing.assert_array_equal(sample_region(region, n, seed), np.array(kept[:n]))
 
 
 # sha256 of sample_region(region, 100, seed=10).tobytes() per region kind and
