@@ -36,9 +36,6 @@ SLACK = 1.2
 BW_CEILINGS = {64: 0.5799059096219454, 128: 0.4744817327449268,
                256: 0.3647821774145955}
 
-Z_RESIDUALS = {64: 0.675946771925708, 128: 0.6523885157892492,
-               256: 0.37308628947639716}
-
 DUALITY_ANGLES = {64: 0.7591292422188732, 128: 0.8400307787955423,
                   256: 0.9065360877169156}
 

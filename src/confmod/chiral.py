@@ -93,19 +93,6 @@ class LatticeModel:
         k = np.arange(1, self.m + 1)
         return self.coord_map_real.T * (self.L / np.concatenate([k, k]))
 
-    @property
-    def hilbert(self) -> np.ndarray:
-        """The complex structure, multiplier -i sign n, as a real L x L matrix."""
-        mult = np.zeros(self.L, dtype=complex)
-        mult[1:self.m + 1] = -1j
-        mult[self.L - self.m:] = 1j
-        F = np.fft.fft(np.eye(self.L), axis=0)
-        return np.real(np.fft.ifft(mult[:, None] * F, axis=0))
-
-    @property
-    def mode_projector(self) -> np.ndarray:
-        return self.coord_pinv @ self.coord_map_real
-
     def coords(self, u: np.ndarray) -> np.ndarray:
         """Complex coordinates of a real site function."""
         return self.coord_map @ np.asarray(u, dtype=float)
@@ -248,12 +235,6 @@ def reflect_interval(interval: CircleInterval, probe: CircleInterval) -> CircleI
                           float(circle_reflection(interval, probe.a)))
 
 
-def _mode_analysis(model: LatticeModel) -> np.ndarray:
-    """Complex m x L matrix of the positive retained-mode coefficients."""
-    k = np.arange(1, model.m + 1)
-    return np.exp(-2j * np.pi * np.outer(k, np.arange(model.L)) / model.L) / model.L
-
-
 def _mode_synthesis(model: LatticeModel, angles: np.ndarray) -> np.ndarray:
     """Complex matrix e^{i k phi_j}, k = 1..m, evaluating the positive
     retained modes at angles; twice the real part of its product with the
@@ -271,11 +252,6 @@ def _mode_synthesis(model: LatticeModel, angles: np.ndarray) -> np.ndarray:
     return (high[:, :, None] * low[:, None, :]).reshape(len(angles), -1)[:, :m]
 
 
-def _synthesis(model: LatticeModel, angles: np.ndarray) -> np.ndarray:
-    """Real matrix evaluating the retained-mode interpolation at angles."""
-    return 2.0 * np.real(_mode_synthesis(model, angles) @ _mode_analysis(model))
-
-
 def _pull_back(model: LatticeModel, cols: np.ndarray, angles: np.ndarray,
                rows=(None,)) -> np.ndarray:
     """Retained-mode pull-back of encoded columns: each column's field is
@@ -285,9 +261,10 @@ def _pull_back(model: LatticeModel, cols: np.ndarray, angles: np.ndarray,
     all from one synthesis matrix and one product with the columns.
 
     The positive-mode coefficients of an encoded column [x; y] are
-    (x - i y) / sqrt(2k), and coord_map_real of a field equals that of its
-    retained part, so each block is coord_map_real @ diag(rows) @
-    _synthesis(model, angles) @ coord_pinv @ cols."""
+    (x - i y) / sqrt(2k), and the field at the angles is twice the real
+    part of their _mode_synthesis; coord_map_real of a field equals that of
+    its retained part, so no projection onto the retained modes is
+    needed."""
     m = model.m
     coeffs = (cols[:m] - 1j * cols[m:]) / np.sqrt(2.0 * np.arange(1, m + 1))[:, None]
     fields = 2.0 * np.real(_mode_synthesis(model, angles) @ coeffs)
@@ -317,13 +294,11 @@ def mobius_flow_unitary(model: LatticeModel, interval: CircleInterval,
     is the plain pull-back (weight 0, the invariance of the Dirichlet
     form); the suite reports exponents 1/2 and 1 as diagnostics.
 
-    This is the dense form of the pull-back bw_defect applies to encoded
-    columns (_pull_back at the same _flow_sites); it costs O(L^3)."""
-    phi, (rows,) = _flow_sites(model, interval, t, (weight,))
-    pullback = _synthesis(model, phi)
-    if rows is not None:
-        pullback = rows[:, None] * pullback
-    return model.mode_projector @ pullback
+    It is the pull-back that bw_defect applies to encoded columns, taken
+    of the encodings of all site indicators and mapped back to site
+    functions by coord_pinv; it costs O(L^3)."""
+    return model.coord_pinv @ _pull_back(model, model.coord_map_real,
+                                         *_flow_sites(model, interval, t, (weight,)))
 
 
 # --- defect reports -----------------------------------------------------------

@@ -251,7 +251,8 @@ def run_modular_suite(config: SuiteConfig) -> list:
         m = int(rng.integers(1, 9))
         K = md.random_standard_subspace(m, rng)
         dat = md.tomita_operators(K)
-        S, D, J = dat.s_real, dat.delta_real, dat.j_real
+        S, D, J, sq = np.hsplit(md.dense(lambda cols: dat.apply_planes(
+            ("S", "delta", "J", "delta_sqrt"), None, cols), 2 * m), 4)
         eye = np.eye(2 * m)
         worst["involution"] = max(worst["involution"],
                                   np.max(np.abs(S @ S - eye)) / max(1.0, np.max(np.abs(S)) ** 2),
@@ -262,20 +263,26 @@ def run_modular_suite(config: SuiteConfig) -> list:
         for g in K.generators:
             worst["fix"] = max(worst["fix"],
                                np.linalg.norm(dat.apply_s(g) - g) / np.linalg.norm(g))
+        # Delta^{it} is orthogonal, so the largest angle between K and its
+        # image is arcsin of the norm of the image's residual off K
         for t in (0.3, 1.0, 2.7):
-            fk = dat.flow_real(t) @ K.basis
-            worst["flow"] = max(worst["flow"], md.subspace_angle(
-                K, md.StandardSubspace(m, md._complexify_vectors(fk).T)))
+            fk = dat.apply_flow_real(t, K.basis)
+            resid = np.linalg.norm(fk - K.basis @ (K.basis.T @ fk), 2)
+            worst["flow"] = max(worst["flow"], float(np.arcsin(min(resid, 1.0))))
         jk = md.StandardSubspace(m, md._complexify_vectors(J @ K.basis).T)
         worst["complement"] = max(worst["complement"], md.symplectic_complement_angle(K, jk))
-        sq = dat._assemble(dat._plane_blocks("delta_sqrt"))
         x, y = rng.normal(size=2 * m), rng.normal(size=2 * m)
         cplx = md._complexify_vectors
         lhs = np.vdot(cplx(sq @ x), cplx(sq @ y))
         rhs = np.vdot(cplx(S @ y), cplx(S @ x))
         worst["kms"] = max(worst["kms"], abs(lhs - rhs) / max(1.0, abs(lhs)))
+
+        def flow(t):
+            """Delta^{it} as a complex m x m matrix: the first m columns of
+            its real encoding, the images of the real unit vectors."""
+            return cplx(md.dense(lambda cols: dat.apply_flow_real(t, cols), 2 * m)[:, :m])
         worst["cocycle"] = max(worst["cocycle"], np.max(np.abs(
-            dat.flow(0.4) @ dat.flow(0.9) - dat.flow(1.3))))
+            flow(0.4) @ flow(0.9) - flow(1.3))))
     _check(checks, "tomita-involutions", "tomita-involutions", worst["involution"], tol)
     _check(checks, "modular-conjugation-inverts", "modular-conjugation-inverts",
            worst["conjugation"], tol)
@@ -332,7 +339,7 @@ def run_pct_suite(config: SuiteConfig) -> list:
     dat = ch.interval_tomita(model, interval)
     angles.append(ch._pct_defect(model, interval, probe, dat))
     _ladder(checks, "pct-angle", config.sizes, angles)
-    J = dat.j_real
+    J = md.dense(dat.apply_j_real, 2 * model.m)
     _check(checks, "pct-conjugation-involution", "pct-conjugation-involution",
            np.max(np.abs(J @ J - np.eye(2 * model.m))), config.tol("modular_residual"))
     return checks

@@ -3,8 +3,8 @@
 A real-linear subspace K of C^m is standard when K and iK meet only at 0 and
 span C^m over the reals; equivalently dim_R K = m and the smallest principal
 angle between K and iK is positive.  The closed antilinear involution fixing
-K pointwise and negating iK factors as S = J Delta^{1/2}; this module builds
-S, Delta and J and the unitary flow Delta^{it}.
+K pointwise and negating iK factors as S = J Delta^{1/2}; this module
+applies S, Delta and J and the unitary flow Delta^{it}.
 
 Construction.  Everything is computed in the real encoding v = [Re v; Im v]
 of C^m, where multiplication by i is the orthogonal matrix J_STD and the
@@ -35,6 +35,7 @@ __all__ = [
     "StandardnessReport",
     "StandardSubspace",
     "ModularData",
+    "dense",
     "tomita_operators",
     "symplectic_complement",
     "symplectic_complement_angle",
@@ -78,17 +79,10 @@ class StandardnessError(ValueError):
         self.report = report
 
 
-def _std_i(m: int) -> np.ndarray:
-    j = np.zeros((2 * m, 2 * m))
-    j[:m, m:] = -np.eye(m)
-    j[m:, :m] = np.eye(m)
-    return j
-
-
 def _times_i(cols: np.ndarray) -> np.ndarray:
-    """Multiplication by i in the real encoding, _std_i(m) @ cols as a
-    block swap [-Im; Re].  The result is C-ordered, the layout of the
-    matrix product, so later products with it round identically."""
+    """Multiplication by i in the real encoding, J_STD @ cols as a block
+    swap [-Im; Re].  The result is C-ordered, the layout of the matrix
+    product, so later products with it round identically."""
     m = cols.shape[0] // 2
     out = np.empty(cols.shape)
     out[:m] = -cols[m:]
@@ -105,12 +99,6 @@ def _realify(vectors: np.ndarray) -> np.ndarray:
 def _complexify_vectors(cols: np.ndarray) -> np.ndarray:
     m = cols.shape[0] // 2
     return cols[:m] + 1j * cols[m:]
-
-
-def _complexify_operator(a: np.ndarray) -> np.ndarray:
-    """Real 2m x 2m matrix commuting with J_STD -> complex m x m matrix."""
-    m = a.shape[0] // 2
-    return a[:m, :m] + 1j * a[m:, :m]
 
 
 def _orthonormal_columns(cols: np.ndarray) -> np.ndarray:
@@ -170,29 +158,22 @@ class ModularData:
 
     frame: orthogonal 2m x 2m matrix whose column pairs (2k, 2k+1) span the
     S-invariant principal planes; sigmas/sines hold cos/sin of the principal
-    angle of each plane.  These four fields are the whole record: nothing
-    is cached, and every dense operator is assembled again on each access,
-    so a caller that needs one twice binds it once.
+    angle of each plane.  These four fields are the whole record; nothing
+    is cached.
 
-    To act on a few vectors, apply_flow_real, apply_j_real, apply_s and the
-    other complex forms use the plane blocks directly, frame (blocks
-    (frame^T cols)), in O(m^2 k) for k columns; s_real, delta_real, j_real
-    and flow_real(t) assemble the same blocks into the dense 2m x 2m
-    operator at O(m^3).
+    Each operator has one form, its application to real-encoded columns
+    plane by plane, frame (blocks (frame^T cols)), in O(m^2 k) for k
+    columns: apply_planes for any kinds of plane block side by side,
+    apply_flow_real and apply_j_real, and apply_s, apply_j and apply_flow
+    on complex vectors.  A caller that needs the 2m x 2m matrix applies the
+    operator to the identity, dense(apply, 2m).  flow_real(t) is that
+    matrix for Delta^{it}, kept as a name the benchmark tracer wraps.
     """
 
     ambient_dim: int
     frame: np.ndarray
     sigmas: np.ndarray
     sines: np.ndarray
-
-    def _assemble(self, blocks: np.ndarray) -> np.ndarray:
-        """frame @ blockdiag(blocks) @ frame^T."""
-        m = self.ambient_dim
-        # Apply each 2x2 block to its column pair in one batched product.
-        paired = self.frame.reshape(2 * m, m, 2)
-        mixed = np.einsum("nkj,kji->nki", paired, blocks)
-        return mixed.reshape(2 * m, 2 * m) @ self.frame.T
 
     def _plane_blocks(self, kind: str, t: float | None = None) -> np.ndarray:
         c, s = self.sigmas, self.sines
@@ -234,27 +215,11 @@ class ModularData:
 
     # -- real-encoded operators (act on [Re v; Im v]) --
 
-    @property
-    def s_real(self) -> np.ndarray:
-        return self._assemble(self._plane_blocks("S"))
-
-    @property
-    def delta_real(self) -> np.ndarray:
-        return self._assemble(self._plane_blocks("delta"))
-
-    @property
-    def j_real(self) -> np.ndarray:
-        return self._assemble(self._plane_blocks("J"))
-
-    def flow_real(self, t: float) -> np.ndarray:
-        """Real encoding of Delta^{it}."""
-        re = self._assemble(self._plane_blocks("flow_cos", t))
-        im = self._assemble(self._plane_blocks("flow_sin", t))
-        return re + _times_i(im)
-
-    def _apply_planes(self, kinds, t: float | None, cols: np.ndarray) -> np.ndarray:
+    def apply_planes(self, kinds, t: float | None, cols: np.ndarray) -> np.ndarray:
         """frame (blocks (frame^T cols)) for each kind of plane block, side
-        by side: O(m^2 k) for k columns, no 2m x 2m operator formed."""
+        by side: O(m^2 k) for k columns, no 2m x 2m operator formed.  The
+        kinds are "S", "delta", "delta_sqrt" and "J", and "flow_cos" and
+        "flow_sin" at time t."""
         m = self.ambient_dim
         y = (self.frame.T @ cols.reshape(2 * m, -1)).reshape(m, 2, -1)
         parts = [np.einsum("kij,kjn->kin", self._plane_blocks(kind, t), y)
@@ -262,46 +227,26 @@ class ModularData:
         return self.frame @ np.hstack(parts)
 
     def apply_flow_real(self, t: float, cols: np.ndarray) -> np.ndarray:
-        """flow_real(t) @ cols without forming the operator.
+        """Delta^{it} of real-encoded columns.
 
         The columns are taken into frame coordinates y = frame^T cols, each
         principal plane gets cos(t log lambda) y and sin(t log lambda) G y,
         and both parts are mapped back as frame (cos part) + i frame (sin
         part)."""
         cols = np.asarray(cols, dtype=float)
-        re, im = np.hsplit(self._apply_planes(("flow_cos", "flow_sin"), t, cols), 2)
+        re, im = np.hsplit(self.apply_planes(("flow_cos", "flow_sin"), t, cols), 2)
         return (re + _times_i(im)).reshape(cols.shape)
 
     def apply_j_real(self, cols: np.ndarray) -> np.ndarray:
-        """j_real @ cols without forming the operator, plane by plane as in
-        apply_flow_real."""
+        """J of real-encoded columns, plane by plane as in apply_flow_real."""
         cols = np.asarray(cols, dtype=float)
-        return self._apply_planes(("J",), None, cols).reshape(cols.shape)
+        return self.apply_planes(("J",), None, cols).reshape(cols.shape)
 
-    # -- complex forms --
-    # For antilinear S and J, M with S v = M conj(v) encodes as
-    # s_real @ diag(1, -1); its first m columns, the only ones
-    # _complexify_operator reads, are those of s_real.
+    def flow_real(self, t: float) -> np.ndarray:
+        """Real encoding of Delta^{it} as a 2m x 2m matrix."""
+        return dense(lambda cols: self.apply_flow_real(t, cols), 2 * self.ambient_dim)
 
-    @property
-    def s_matrix(self) -> np.ndarray:
-        """Complex matrix M with S v = M conj(v)."""
-        return _complexify_operator(self.s_real)
-
-    @property
-    def delta(self) -> np.ndarray:
-        return _complexify_operator(self.delta_real)
-
-    @property
-    def j_matrix(self) -> np.ndarray:
-        """Unitary U with J v = U conj(v)."""
-        return _complexify_operator(self.j_real)
-
-    def flow(self, t: float) -> np.ndarray:
-        """Delta^{it} as a complex unitary matrix."""
-        return _complexify_operator(self.flow_real(t))
-
-    # -- vector application --
+    # -- complex vectors --
 
     def _apply(self, real_map, v: np.ndarray) -> np.ndarray:
         """Complex vectors through a map of real-encoded columns."""
@@ -310,13 +255,19 @@ class ModularData:
         return out.ravel() if v.ndim == 1 else out
 
     def apply_s(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(lambda cols: self._apply_planes(("S",), None, cols), v)
+        return self._apply(lambda cols: self.apply_planes(("S",), None, cols), v)
 
     def apply_j(self, v: np.ndarray) -> np.ndarray:
         return self._apply(self.apply_j_real, v)
 
     def apply_flow(self, t: float, v: np.ndarray) -> np.ndarray:
         return self._apply(lambda cols: self.apply_flow_real(t, cols), v)
+
+
+def dense(apply, n: int) -> np.ndarray:
+    """The n x n matrix of a linear map given by its application to
+    columns: the map applied to the identity."""
+    return apply(np.eye(n))
 
 
 def tomita_operators(subspace: StandardSubspace,

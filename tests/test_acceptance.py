@@ -22,6 +22,7 @@ import pytest
 
 import confmod.chiral as ch
 import confmod.confgroup as cg
+import confmod.modular as md
 from confmod import cli
 from confmod.geometry import sample_region, spacelike_complement, standard_wedge, unit_double_cone
 
@@ -147,7 +148,7 @@ def test_criterion_8_conjugation_involution(suite_runs):
     # L=128 is checked here
     model = ch.build_model(128)
     dat = ch.interval_tomita(model, ch.half_circle())
-    J = dat.j_real
+    J = md.dense(dat.apply_j_real, 2 * model.m)
     worst = float(np.max(np.abs(J @ J - np.eye(2 * model.m))))
     ok = verdict(suite_runs, "8b", "modular conjugation squares to one")
     assert report("criterion 8b at L=128", worst < 1e-6, f"residual {worst:.1e} < 1e-6") and ok

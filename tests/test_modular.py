@@ -3,12 +3,30 @@ import pytest
 from scipy.linalg import svdvals
 
 import confmod.chiral as ch
+import confmod.cli as cli
 import confmod.modular as md
+import dense_reference as dr
 
 
 def realify(vectors):
     v = np.atleast_2d(np.asarray(vectors, dtype=complex))
     return np.vstack([v.real, v.imag])
+
+
+def operator(dat, kind, t=None):
+    """Real 2m x 2m matrix of one kind of plane block, from its application."""
+    return md.dense(lambda cols: dat.apply_planes((kind,), t, cols), 2 * dat.ambient_dim)
+
+
+def flow_real(dat, t):
+    """Real encoding of Delta^{it}, from its application."""
+    return md.dense(lambda cols: dat.apply_flow_real(t, cols), 2 * dat.ambient_dim)
+
+
+def flow(dat, t):
+    """Delta^{it} as a complex m x m matrix: the images of the real unit
+    vectors, the first m columns of its real encoding."""
+    return md._complexify_vectors(flow_real(dat, t)[:, :dat.ambient_dim])
 
 
 # --- standardness ---------------------------------------------------------------
@@ -45,7 +63,7 @@ def _principal_angles(K):
     """Independent oracle for the angles between K and iK, descending:
     sines of the part of iK orthogonal to K below pi/4, cosines above."""
     b = K.basis
-    c = md._std_i(K.ambient_dim) @ b
+    c = dr.std_i(K.ambient_dim) @ b
     small = np.arcsin(np.clip(svdvals(c - b @ (b.T @ c)), 0.0, 1.0))
     large = np.arccos(np.clip(svdvals(b.T @ c)[::-1], -1.0, 1.0))
     return np.where(small < np.pi / 4, small, large)
@@ -101,17 +119,17 @@ def test_tomita_rejects_non_standard():
 
 def test_real_axes_modular_data():
     dat = md.tomita_operators(md.StandardSubspace(3, np.eye(3)))
-    np.testing.assert_allclose(dat.delta, np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(dat.j_matrix, np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(dat.s_matrix, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(dr.delta(dat), np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(dr.j_matrix(dat), np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(dr.s_matrix(dat), np.eye(3), atol=1e-12)
 
 
 def test_phase_line_modular_data():
     phi = 0.7
     dat = md.tomita_operators(md.StandardSubspace(1, [[np.exp(1j * phi)]]))
-    np.testing.assert_allclose(dat.delta, [[1.0]], atol=1e-12)
-    np.testing.assert_allclose(dat.s_matrix, [[np.exp(2j * phi)]], atol=1e-12)
-    np.testing.assert_allclose(dat.j_matrix, [[np.exp(2j * phi)]], atol=1e-12)
+    np.testing.assert_allclose(dr.delta(dat), [[1.0]], atol=1e-12)
+    np.testing.assert_allclose(dr.s_matrix(dat), [[np.exp(2j * phi)]], atol=1e-12)
+    np.testing.assert_allclose(dr.j_matrix(dat), [[np.exp(2j * phi)]], atol=1e-12)
 
 
 def brute_force_tomita(K):
@@ -119,7 +137,7 @@ def brute_force_tomita(K):
     eigendecomposition of S^T S."""
     m = K.ambient_dim
     B = K.basis
-    C = md._std_i(m) @ B
+    C = dr.std_i(m) @ B
     M = np.hstack([B, C])
     S = M @ np.diag(np.concatenate([np.ones(m), -np.ones(m)])) @ np.linalg.inv(M)
     D = S.T @ S
@@ -130,11 +148,11 @@ def test_two_dim_example_against_brute_force():
     K = md.StandardSubspace(2, [[1.0, 0.0], [0.5j, 1.0]])
     dat = md.tomita_operators(K)
     S_bf, D_bf = brute_force_tomita(K)
-    np.testing.assert_allclose(dat.s_real, S_bf, atol=1e-10)
-    np.testing.assert_allclose(dat.delta_real, D_bf, atol=1e-10)
+    np.testing.assert_allclose(operator(dat, "S"), S_bf, atol=1e-10)
+    np.testing.assert_allclose(operator(dat, "delta"), D_bf, atol=1e-10)
     # frozen spectrum of the dense oracle: (3 -+ sqrt 5)/2, each twice in the
     # real encoding
-    ev = np.linalg.eigvalsh(dat.delta)
+    ev = np.linalg.eigvalsh(dr.delta(dat))
     np.testing.assert_allclose(ev, [(3 - np.sqrt(5)) / 2, (3 + np.sqrt(5)) / 2],
                                rtol=1e-12)
     # S fixes the generators and squares to one
@@ -152,8 +170,8 @@ def test_random_subspaces_against_brute_force():
         dat = md.tomita_operators(K)
         S_bf, D_bf = brute_force_tomita(K)
         scale = max(1.0, np.max(np.abs(S_bf)))
-        assert np.max(np.abs(dat.s_real - S_bf)) / scale < 1e-8
-        assert np.max(np.abs(dat.delta_real - D_bf)) / max(1.0, np.max(np.abs(D_bf))) < 1e-8
+        assert np.max(np.abs(operator(dat, "S") - S_bf)) / scale < 1e-8
+        assert np.max(np.abs(operator(dat, "delta") - D_bf)) / max(1.0, np.max(np.abs(D_bf))) < 1e-8
 
 
 # --- invariants over random standard subspaces --------------------------------------
@@ -164,7 +182,7 @@ def test_modular_invariants_battery():
         m = int(rng.integers(1, 9))
         K = md.random_standard_subspace(m, rng)
         dat = md.tomita_operators(K)
-        S, D, J = dat.s_real, dat.delta_real, dat.j_real
+        S, D, J = (operator(dat, kind) for kind in ("S", "delta", "J"))
         eye = np.eye(2 * m)
         assert np.max(np.abs(S @ S - eye)) / max(1.0, np.max(np.abs(S)) ** 2) < 1e-6
         assert np.max(np.abs(J @ J - eye)) < 1e-6
@@ -173,7 +191,7 @@ def test_modular_invariants_battery():
         for g in K.generators:
             assert np.linalg.norm(dat.apply_s(g) - g) / np.linalg.norm(g) < 1e-7
         # polar relation S = J Delta^{1/2}
-        sqrt = dat._assemble(dat._plane_blocks("delta_sqrt"))
+        sqrt = operator(dat, "delta_sqrt")
         assert np.max(np.abs(J @ sqrt - S)) / max(1.0, np.max(np.abs(S))) < 1e-8
 
 
@@ -184,13 +202,45 @@ def test_flow_preserves_subspace_and_group_law():
         K = md.random_standard_subspace(m, rng)
         dat = md.tomita_operators(K)
         for t in (0.3, 1.0, 2.7):
-            fk = dat.flow_real(t) @ K.basis
+            fk = dat.apply_flow_real(t, K.basis)
             moved = md.StandardSubspace(m, md._complexify_vectors(fk).T)
             assert md.subspace_angle(K, moved) < 1e-6
-        assert np.max(np.abs(dat.flow(0.0) - np.eye(m))) < 1e-12
-        assert np.max(np.abs(dat.flow(0.4) @ dat.flow(0.9) - dat.flow(1.3))) < 1e-8
-        u = dat.flow(1.7)
+        assert np.max(np.abs(flow(dat, 0.0) - np.eye(m))) < 1e-12
+        assert np.max(np.abs(flow(dat, 0.4) @ flow(dat, 0.9) - flow(dat, 1.3))) < 1e-8
+        u = flow(dat, 1.7)
         assert np.max(np.abs(u @ u.conj().T - np.eye(m))) < 1e-10
+
+
+def _modular_suite_subspaces(seed):
+    """The 100 subspaces of the CLI modular suite at seed, drawn from its
+    generator stream in the suite's order (each round then draws the two
+    KMS test vectors)."""
+    rng = cli._suite_rng(cli.SuiteConfig(seed=seed), "modular")
+    for _ in range(100):
+        m = int(rng.integers(1, 9))
+        K = md.random_standard_subspace(m, rng)
+        rng.normal(size=2 * m), rng.normal(size=2 * m)
+        yield K
+
+
+@pytest.mark.parametrize("seed", (42, 306))
+def test_flow_angle_matches_subspace_angle(seed):
+    # Delta^{it} is orthogonal, so arcsin || (1 - B B^T) Delta^{it} B ||_2,
+    # the modular suite's angle, is the largest principal angle between K
+    # and a second subspace spanned by the flowed basis
+    worst = 0.0
+    for K in _modular_suite_subspaces(seed):
+        dat = md.tomita_operators(K)
+        for t in (0.3, 1.0, 2.7):
+            fk = dat.apply_flow_real(t, K.basis)
+            resid = np.linalg.norm(fk - K.basis @ (K.basis.T @ fk), 2)
+            angle = float(np.arcsin(min(resid, 1.0)))
+            ref = md.subspace_angle(K, md.StandardSubspace(K.ambient_dim,
+                                                           md._complexify_vectors(fk).T))
+            assert angle == pytest.approx(ref, rel=0, abs=1e-13)
+            worst = max(worst, angle)
+    checks = {c["name"]: c["value"] for c in cli.run_modular_suite(cli.SuiteConfig(seed=seed))}
+    assert checks["modular-flow-preserves-subspace"] == worst
 
 
 def test_plane_flow_matches_dense_flow():
@@ -201,12 +251,12 @@ def test_plane_flow_matches_dense_flow():
         dat = md.tomita_operators(md.random_standard_subspace(m, rng))
         X = rng.normal(size=(2 * m, 3))
         for t in (-0.7, 0.0, 0.25, 2.7):
-            np.testing.assert_allclose(dat.apply_flow_real(t, X), dat.flow_real(t) @ X,
+            np.testing.assert_allclose(dat.apply_flow_real(t, X), dr.flow_real(dat, t) @ X,
                                        rtol=0, atol=1e-13)
             np.testing.assert_allclose(dat.apply_flow_real(t, X[:, 0]),
-                                       dat.flow_real(t) @ X[:, 0], rtol=0, atol=1e-13)
+                                       dr.flow_real(dat, t) @ X[:, 0], rtol=0, atol=1e-13)
         v = X[:m, 0] + 1j * X[m:, 0]
-        np.testing.assert_allclose(dat.apply_flow(0.4, v), dat.flow(0.4) @ v,
+        np.testing.assert_allclose(dat.apply_flow(0.4, v), dr.flow(dat, 0.4) @ v,
                                    rtol=0, atol=1e-13)
 
 
@@ -218,15 +268,15 @@ def test_plane_conjugation_matches_dense_conjugation():
         m = int(rng.integers(1, 9))
         dat = md.tomita_operators(md.random_standard_subspace(m, rng))
         X = rng.normal(size=(2 * m, 3))
-        J = dat.j_real
+        J = dr.j_real(dat)
         np.testing.assert_allclose(dat.apply_j_real(X), J @ X, rtol=0, atol=1e-13)
         np.testing.assert_allclose(dat.apply_j_real(X[:, 0]), J @ X[:, 0],
                                    rtol=0, atol=1e-13)
         v = X[:m, 0] + 1j * X[m:, 0]
-        np.testing.assert_allclose(dat.apply_j(v), dat.j_matrix @ v.conj(),
+        np.testing.assert_allclose(dat.apply_j(v), dr.j_matrix(dat) @ v.conj(),
                                    rtol=0, atol=1e-13)
         # S grows like 1/sin, so compare relative to its largest entry
-        S = dat.s_matrix
+        S = dr.s_matrix(dat)
         np.testing.assert_allclose(dat.apply_s(v), S @ v.conj(),
                                    rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(S))))
 
@@ -238,8 +288,7 @@ def test_kms_symmetry():
         m = int(rng.integers(1, 9))
         K = md.random_standard_subspace(m, rng)
         dat = md.tomita_operators(K)
-        sqrt = dat._assemble(dat._plane_blocks("delta_sqrt"))
-        S = dat.s_real
+        sqrt, S = operator(dat, "delta_sqrt"), operator(dat, "S")
         for _ in range(5):
             x, y = rng.normal(size=2 * m), rng.normal(size=2 * m)
             cx = md._complexify_vectors
@@ -272,7 +321,7 @@ def test_conjugation_maps_onto_complement():
         m = int(rng.integers(1, 7))
         K = md.random_standard_subspace(m, rng)
         dat = md.tomita_operators(K)
-        jk = md.StandardSubspace(m, md._complexify_vectors(dat.j_real @ K.basis).T)
+        jk = md.StandardSubspace(m, md._complexify_vectors(dat.apply_j_real(K.basis)).T)
         assert md.subspace_angle(jk, md.symplectic_complement(K)) < 1e-6
 
 
@@ -364,8 +413,7 @@ def test_frame_orthogonal_and_planes_invariant():
         # block per principal plane
         off = np.kron(np.eye(n // 2), np.ones((2, 2))) == 0
         t = rng.uniform(-1.0, 1.0)
-        ops = [dat.j_real, dat.s_real] + [dat._assemble(dat._plane_blocks(kind, t))
-                                          for kind in ("flow_cos", "flow_sin")]
+        ops = [operator(dat, kind, t) for kind in ("J", "S", "flow_cos", "flow_sin")]
         for op in ops:
             leak = np.max(np.abs((F.T @ op @ F)[off]), initial=0.0)
             assert leak / max(1.0, np.max(np.abs(op))) < 1e-14
@@ -456,7 +504,7 @@ def test_clip_policy_keeps_flows_orthogonal():
     with pytest.raises(md.StandardnessError):
         md.tomita_operators(K)          # below the default angle floor
     dat = md.tomita_operators(K, clip_angle=1e-7)
-    u = dat.flow_real(0.7)
+    u = flow_real(dat, 0.7)
     assert np.max(np.abs(u.T @ u - np.eye(4))) < 1e-10
-    J = dat.j_real
+    J = md.dense(dat.apply_j_real, 4)
     assert np.max(np.abs(J @ J - np.eye(4))) < 1e-10
