@@ -180,19 +180,28 @@ def _window_frame(data: md.ModularData) -> np.ndarray:
 
 def _interval_chart(interval: CircleInterval):
     """Homogeneous chart w = sin((theta-a)/2) / sin((b-theta)/2), positive
-    exactly on the interval, 0 at a and infinity at b."""
+    exactly on the interval, 0 at a and infinity at b: num_den(s, c) is its
+    numerator and denominator at s, c = sin, cos(theta/2), lift(num, den, e)
+    a multiple of the sine and cosine of half the angle of chart e num / den.
+    Both are linear, so they map theta-derivatives too: (c/2, -s/2) for (s, c)."""
     ca, sa = np.cos(interval.a / 2.0), np.sin(interval.a / 2.0)
     cb, sb = np.cos(interval.b / 2.0), np.sin(interval.b / 2.0)
 
-    def num_den(theta):
-        sh, ch = np.sin(theta / 2.0), np.cos(theta / 2.0)
-        return ca * sh - sa * ch, sb * ch - cb * sh
+    def num_den(s, c):
+        return ca * s - sa * c, sb * c - cb * s
 
-    def inverse(num, den):
-        return (2.0 * np.arctan2(sb * num + sa * den, ca * den + cb * num)) \
-            % (2.0 * np.pi)
+    def lift(num, den, e=1.0):
+        return sb * e * num + sa * den, ca * den + cb * e * num
 
-    return num_den, inverse
+    return num_den, lift
+
+
+def _chart_scaled(interval: CircleInterval, scale: float, theta):
+    """The angles whose chart is scale times the chart of theta."""
+    num_den, lift = _interval_chart(interval)
+    theta = np.asarray(theta, dtype=float)
+    n, d = num_den(np.sin(theta / 2.0), np.cos(theta / 2.0))
+    return (2.0 * np.arctan2(*lift(scale * n, d))) % (2.0 * np.pi)
 
 
 def mobius_point_flow(interval: CircleInterval, t: float, theta):
@@ -201,31 +210,25 @@ def mobius_point_flow(interval: CircleInterval, t: float, theta):
     toward the endpoint a for t > 0.  The orientation is fixed so that the
     modular flow Delta^{it} of the interval subspace tracks the flow at the
     same parameter t."""
-    num_den, inverse = _interval_chart(interval)
-    n, d = num_den(np.asarray(theta, dtype=float))
-    return inverse(np.exp(-2.0 * np.pi * t) * n, d)
+    return _chart_scaled(interval, np.exp(-2.0 * np.pi * t), theta)
 
 
 def mobius_point_flow_deriv(interval: CircleInterval, t: float, theta):
-    """d/dtheta of the flow map, from the homogeneous chart."""
+    """d/dtheta of the flow map: the derivative of 2 arctan2(y, x), with
+    (y, x) the chart's lift of the flowed point."""
+    num_den, lift = _interval_chart(interval)
     theta = np.asarray(theta, dtype=float)
-    ca, sa = np.cos(interval.a / 2.0), np.sin(interval.a / 2.0)
-    cb, sb = np.cos(interval.b / 2.0), np.sin(interval.b / 2.0)
-    sh, ch = np.sin(theta / 2.0), np.cos(theta / 2.0)
+    s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
     e = np.exp(-2.0 * np.pi * t)
-    n, d = ca * sh - sa * ch, sb * ch - cb * sh
-    dn, dd = 0.5 * (ca * ch + sa * sh), -0.5 * (sb * sh + cb * ch)
-    N, D = sb * e * n + sa * d, ca * d + cb * e * n
-    dN, dD = sb * e * dn + sa * dd, ca * dd + cb * e * dn
-    return 2.0 * (dN * D - N * dD) / (N ** 2 + D ** 2)
+    y, x = lift(*num_den(s, c), e)
+    dy, dx = lift(*num_den(0.5 * c, -0.5 * s), e)
+    return 2.0 * (dy * x - y * dx) / (y ** 2 + x ** 2)
 
 
 def circle_reflection(interval: CircleInterval, theta):
     """Reflection of the circle fixing the interval's endpoints (chart
     negation); swaps the interval with its complement."""
-    num_den, inverse = _interval_chart(interval)
-    n, d = num_den(np.asarray(theta, dtype=float))
-    return inverse(-n, d)
+    return _chart_scaled(interval, -1.0, theta)
 
 
 def reflect_interval(interval: CircleInterval, probe: CircleInterval) -> CircleInterval:
@@ -292,7 +295,8 @@ def mobius_flow_unitary(model: LatticeModel, interval: CircleInterval,
     evaluated by retained-mode interpolation and projected back onto the
     retained modes.  For the |n|-weighted energy form the isometric action
     is the plain pull-back (weight 0, the invariance of the Dirichlet
-    form); the suite reports exponents 1/2 and 1 as diagnostics.
+    form); exponents 1/2 and 1 are diagnostics, read only by
+    BWReport.weight_diagnostics.
 
     It is the pull-back that bw_defect applies to encoded columns, taken
     of the encodings of all site indicators and mapped back to site

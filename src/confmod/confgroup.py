@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (PoincareMap, _boost_matrix, _metric_signs, _rotation_matrix,
+from .geometry import (PoincareMap, _boost_matrix, _metric_signs, _rotation_matrix, _signs,
                        minkowski_norm)
 
 __all__ = [
@@ -55,12 +55,14 @@ INFINITY_TOL = 1e-10
 FORM_TOL = 1e-10
 
 
+def _form_signs(d: int) -> np.ndarray:
+    """Diagonal of Q = diag(eta, -1, +1): +1 at indices 0 and d+1, -1 at 1..d."""
+    return _signs(d + 2, slice(1, d + 1))
+
+
 def quadratic_form(d: int) -> np.ndarray:
-    """Diagonal matrix of Q on R^{d+2}: +1 at indices 0 and d+1, -1 at 1..d."""
-    q = -np.ones(d + 2)
-    q[0] = 1.0
-    q[d + 1] = 1.0
-    return np.diag(q)
+    """Diagonal matrix of Q on R^{d+2}."""
+    return np.diag(_form_signs(d))
 
 
 @dataclass(frozen=True)
@@ -71,11 +73,13 @@ class Ray:
 
     def __post_init__(self):
         v = np.asarray(self.xi, dtype=float)
+        if not np.isfinite(v).all():
+            raise ValueError("ray vector entries must be finite")
         norm = np.linalg.norm(v)
         if norm == 0.0:
             raise ValueError("ray vector must be nonzero")
         v = v / norm
-        if abs(v @ quadratic_form(v.shape[0] - 2) @ v) > 1e-12:
+        if abs(np.dot(_form_signs(v.shape[0] - 2) * v, v)) > 1e-12:
             raise ValueError("vector is not isotropic for the (d,2) form")
         object.__setattr__(self, "xi", v)
 
@@ -99,14 +103,14 @@ class GroupElement:
         d = m.shape[0] - 2
         if m.shape != (d + 2, d + 2) or d < 1:
             raise ValueError("matrix must be square of size d+2 with d >= 1")
-        q = quadratic_form(d)
+        q = _form_signs(d)
         # Rounding in g^T Q g scales with the squared entry magnitude, so the
         # acceptance threshold must scale the same way for large parameters.
-        amax = np.max(np.abs(m))
+        amax = np.abs(m).max()
         if not amax < np.inf:
             raise ValueError("matrix entries must be finite")
         tol = FORM_TOL * max(1.0, amax ** 2)
-        if np.max(np.abs(m.T @ q @ m - q)) > tol:
+        if np.abs((m.T * q) @ m - np.diag(q)).max() > tol:
             raise ValueError("matrix does not preserve the (d,2) form")
 
     @property
@@ -117,8 +121,8 @@ class GroupElement:
         return GroupElement(self.matrix @ other.matrix)
 
     def inverse(self) -> "GroupElement":
-        q = quadratic_form(self.dim)
-        return GroupElement(q @ self.matrix.T @ q)
+        q = _form_signs(self.dim)
+        return GroupElement(np.outer(q, q) * self.matrix.T)
 
     def act(self, x):
         """Conformal action on a point; None where the action is singular."""
@@ -138,13 +142,12 @@ class LieGenerator:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", m)
-        d = m.shape[0] - 2
-        q = quadratic_form(d)
-        amax = np.max(np.abs(m))
+        q = _form_signs(m.shape[0] - 2)
+        amax = np.abs(m).max()
         if not amax < np.inf:
             raise ValueError("matrix entries must be finite")
         tol = FORM_TOL * max(1.0, amax)
-        if np.max(np.abs(m.T @ q + q @ m)) > tol:
+        if np.abs(m.T * q + q[:, None] * m).max() > tol:
             raise ValueError("matrix is not in the (d,2) Lie algebra")
 
     @property
@@ -170,16 +173,14 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def embed(x) -> Ray:
     """Ray of a finite point."""
-    x = np.asarray(x, dtype=float)
-    s = minkowski_norm(x)
-    return Ray(np.concatenate([x, [(1.0 + s) / 2.0, (1.0 - s) / 2.0]]))
+    return Ray(embed_raw(x)[0])
 
 
 def embed_raw(X: np.ndarray) -> np.ndarray:
     """Unnormalized ray vectors for an (n, d) array of points."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    s = X[:, 0] ** 2 - np.sum(X[:, 1:] ** 2, axis=1)
-    return np.hstack([X, (1.0 + s[:, None]) / 2.0, (1.0 - s[:, None]) / 2.0])
+    s = minkowski_norm(X)[:, None]
+    return np.hstack([X, (1.0 + s) / 2.0, (1.0 - s) / 2.0])
 
 
 def project(ray: Ray):
@@ -191,13 +192,14 @@ def project(ray: Ray):
 
 
 def act(g: GroupElement, x):
-    """project(g . embed(x)); None exactly when the image ray is at infinity."""
+    """project(g . embed(x)); None exactly where act_array marks the point
+    singular: the image ray at infinity, or not finite."""
     x = np.asarray(x, dtype=float)
     s = minkowski_norm(x)
     v = g.matrix @ np.concatenate([x, [(1.0 + s) / 2.0, (1.0 - s) / 2.0]])
     v = v / np.linalg.norm(v)
     denom = v[-2] + v[-1]
-    if abs(denom) < INFINITY_TOL:
+    if not abs(denom) >= INFINITY_TOL:
         return None
     return v[:-2] / denom
 
@@ -222,19 +224,12 @@ def translation(d: int, a) -> GroupElement:
     a = np.asarray(a, dtype=float)
     if a.shape != (d,):
         raise ValueError("translation vector must have length d")
-    eta = _metric_signs(d)
-    a2 = float(np.dot(eta * a, a))
-    m = np.eye(d + 2)
-    # xi_mu' = xi_mu + a_mu (xi_d + xi_{d+1})
-    m[:d, d] = a
-    m[:d, d + 1] = a
-    # xi_d' = xi_d + <a, xi> + (a^2/2)(xi_d + xi_{d+1}); xi_{d+1}' mirrors it.
-    m[d, :d] = eta * a
-    m[d, d] = 1.0 + a2 / 2.0
-    m[d, d + 1] = a2 / 2.0
-    m[d + 1, :d] = -eta * a
-    m[d + 1, d] = -a2 / 2.0
-    m[d + 1, d + 1] = 1.0 - a2 / 2.0
+    # exp(A) = I + A + A^2/2 for the nilpotent generator A; A^2/2 is
+    # (a^2/2) [[1, 1], [-1, -1]] on the (xi_d, xi_{d+1}) block
+    gen, a2 = _translation_generator(d, a)
+    m = np.eye(d + 2) + gen
+    m[d, d:] += a2 / 2.0
+    m[d + 1, d:] -= a2 / 2.0
     return GroupElement(m)
 
 
@@ -268,10 +263,14 @@ def dilation(d: int, lam: float) -> GroupElement:
     return GroupElement(m)
 
 
+def _reflection(d: int, minus) -> GroupElement:
+    """The sign flip of the ray coordinates at the indices minus."""
+    return GroupElement(np.diag(_signs(d + 2, minus)))
+
+
 def ray_inversion(d: int) -> GroupElement:
     """x -> -x / x^2: sign flip of the Minkowski block and of xi_{d+1}."""
-    diag = np.concatenate([-np.ones(d), [1.0, -1.0]])
-    return GroupElement(np.diag(diag))
+    return _reflection(d, [*range(d), d + 1])
 
 
 def special(d: int, a) -> GroupElement:
@@ -285,31 +284,31 @@ def axis_inversion(d: int, axis: int) -> GroupElement:
     space axis spared."""
     if not 1 <= axis <= d - 1:
         raise ValueError("axis out of range")
-    diag = np.concatenate([-np.ones(d), [1.0, -1.0]])
-    diag[axis] = 1.0
-    return GroupElement(np.diag(diag))
+    return _reflection(d, [i for i in range(d) if i != axis] + [d + 1])
 
 
 def space_reflection(d: int, axis: int) -> GroupElement:
     """Sign flip of one space coordinate."""
     if not 1 <= axis <= d - 1:
         raise ValueError("axis out of range")
-    diag = np.ones(d + 2)
-    diag[axis] = -1.0
-    return GroupElement(np.diag(diag))
+    return _reflection(d, axis)
 
 
 # --- generators --------------------------------------------------------------
 
-def translation_generator(d: int, a) -> LieGenerator:
-    a = np.asarray(a, dtype=float)
-    eta = _metric_signs(d)
+def _translation_generator(d: int, a: np.ndarray) -> tuple[np.ndarray, float]:
+    """(A, a^2): xi_mu' = a_mu (xi_d + xi_{d+1}), xi_d' = -xi_{d+1}' = <a, xi>."""
+    eta_a = _metric_signs(d) * a
     m = np.zeros((d + 2, d + 2))
     m[:d, d] = a
     m[:d, d + 1] = a
-    m[d, :d] = eta * a
-    m[d + 1, :d] = -eta * a
-    return LieGenerator(m)
+    m[d, :d] = eta_a
+    m[d + 1, :d] = -eta_a
+    return m, float(np.dot(eta_a, a))
+
+
+def translation_generator(d: int, a) -> LieGenerator:
+    return LieGenerator(_translation_generator(d, np.asarray(a, dtype=float))[0])
 
 
 def boost_generator(d: int, axis: int, rate: float = 1.0) -> LieGenerator:
@@ -355,8 +354,8 @@ def in_identity_component(g: GroupElement) -> bool:
     determinant flips sign when d is odd.
     """
     d = g.dim
-    pos = [0, d + 1]
-    neg = list(range(1, d + 1))
+    q = _form_signs(d)
+    pos, neg = np.flatnonzero(q > 0), np.flatnonzero(q < 0)
     det_pos = np.linalg.det(g.matrix[np.ix_(pos, pos)])
     det_neg = np.linalg.det(g.matrix[np.ix_(neg, neg)])
     if det_pos <= 0:

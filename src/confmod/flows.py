@@ -136,9 +136,7 @@ def conjugate_flow(g: cg.GroupElement, flow: CanonicalFlow) -> CanonicalFlow:
 
 def time_reflection(d: int) -> cg.GroupElement:
     """Sign flip of the time coordinate, as a ray-action matrix."""
-    diag = np.ones(d + 2)
-    diag[0] = -1.0
-    return cg.GroupElement(np.diag(diag))
+    return cg._reflection(d, 0)
 
 
 def wedge_to_doublecone(d: int) -> cg.GroupElement:
@@ -167,12 +165,5 @@ def pct_ingredients(d: int) -> tuple[cg.GroupElement, cg.GroupElement, cg.GroupE
     in the identity component depends on the parity of d."""
     if d < 2:
         raise ValueError("needs d >= 2")
-    beta = np.ones(d + 2)
-    beta[:d] = -1.0
-    r1 = np.ones(d + 2)
-    r1[0] = -1.0
-    r1[1] = -1.0
-    sw1 = np.ones(d + 2)
-    sw1[2:d] = -1.0
-    return (cg.GroupElement(np.diag(beta)), cg.GroupElement(np.diag(r1)),
-            cg.GroupElement(np.diag(sw1)))
+    return (cg._reflection(d, slice(0, d)), cg._reflection(d, [0, 1]),
+            cg._reflection(d, slice(2, d)))

@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "CausalRelation",
     "minkowski_norm",
-    "minkowski_norms",
     "causal_relation",
     "PoincareMap",
     "Region",
@@ -39,10 +38,11 @@ __all__ = [
 ]
 
 
-def minkowski_norm(x) -> float:
-    """x0^2 - x1^2 - ... - x_{d-1}^2."""
+def minkowski_norm(x):
+    """x0^2 - x1^2 - ... - x_{d-1}^2 of a point (a float), or of each row of
+    an (n, d) array, summed in coordinate order (_minkowski)."""
     x = np.asarray(x, dtype=float)
-    return float(x[0] ** 2 - np.dot(x[1:], x[1:]))
+    return _minkowski(x.T if x.ndim > 1 else x.tolist())
 
 
 def _minkowski(c):
@@ -60,11 +60,6 @@ def _future_timelike(c):
 def _minus(c, a):
     """Coordinates of c - a, each a sequence of coordinates."""
     return list(map(sub, c, a))
-
-
-def minkowski_norms(X: np.ndarray) -> np.ndarray:
-    """minkowski_norm of a point, or of each row of an (n, d) array."""
-    return _minkowski(X.T)
 
 
 class CausalRelation(Enum):
@@ -92,11 +87,17 @@ def causal_relation(x, y) -> CausalRelation:
     return CausalRelation.LIGHTLIKE
 
 
+def _signs(n: int, minus) -> np.ndarray:
+    """n ones with -1 at the indices minus: the diagonal of the Minkowski
+    metric, of the (d,2) form of confgroup and of every coordinate reflection."""
+    s = np.ones(n)
+    s[minus] = -1.0
+    return s
+
+
 def _metric_signs(d: int) -> np.ndarray:
     """Minkowski metric signs (+1, -1, ..., -1) on the first d coordinates."""
-    s = -np.ones(d)
-    s[0] = 1.0
-    return s
+    return _signs(d, slice(1, None))
 
 
 def _boost_matrix(d: int, axis: int, rapidity: float) -> np.ndarray:
@@ -143,8 +144,8 @@ class PoincareMap:
             raise ValueError("Lorentz block and translation dimension mismatch")
         if not (np.isfinite(L).all() and np.isfinite(a).all()):
             raise ValueError("Lorentz block and translation entries must be finite")
-        eta = np.diag(_metric_signs(d))
-        if np.max(np.abs(L.T @ eta @ L - eta)) > 1e-9:
+        eta = _metric_signs(d)
+        if np.abs((L.T * eta) @ L - np.diag(eta)).max() > 1e-9:
             raise ValueError("matrix does not preserve the Minkowski form")
 
     @staticmethod
@@ -179,8 +180,10 @@ class PoincareMap:
         return X @ self.lorentz.T + self.translation, np.ones(X.shape[:-1], dtype=bool)
 
     def inverse(self) -> "PoincareMap":
-        eta = np.diag(_metric_signs(self.dim))
-        Linv = eta @ self.lorentz.T @ eta
+        # eta L^T eta, C-ordered like a matrix product: the matvec below
+        # rounds differently on an F-ordered Linv
+        eta = _metric_signs(self.dim)
+        Linv = np.outer(eta, eta) * self.lorentz.T
         return PoincareMap(Linv, -Linv @ self.translation)
 
     def compose(self, other: "PoincareMap") -> "PoincareMap":
@@ -281,8 +284,11 @@ class FutureCone(Region):
     apex: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "apex", np.asarray(self.apex, dtype=float))
-        object.__setattr__(self, "_apex", self.apex.tolist())
+        a = np.asarray(self.apex, dtype=float)
+        if a.ndim != 1 or not np.isfinite(a).all():
+            raise ValueError("the apex must be a finite point")
+        object.__setattr__(self, "apex", a)
+        object.__setattr__(self, "_apex", a.tolist())
 
     @property
     def dim(self) -> int:
@@ -368,10 +374,7 @@ def standard_wedge(d: int) -> Wedge:
 
 def _opposite_wedge_map(d: int) -> PoincareMap:
     # Sign flip of (x0, x1) maps W1 onto the opposite wedge {x1 < -|x0|}.
-    L = np.eye(d)
-    L[0, 0] = -1.0
-    L[1, 1] = -1.0
-    return PoincareMap(L, np.zeros(d))
+    return PoincareMap(np.diag(_signs(d, [0, 1])), np.zeros(d))
 
 
 def spacelike_complement(region: Region) -> Region:

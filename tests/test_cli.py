@@ -40,24 +40,28 @@ def test_bw_suite_deterministic_and_green():
     assert not r1.failed()
 
 
-def test_pct_suite_independent_of_blas_threads(tmp_path):
+@pytest.mark.parametrize("suite, tol", (("pct", 1e-9), ("group", 0.0), ("flows", 0.0),
+                                       ("modular", 0.0)),
+                         ids=("pct", "group", "flows", "modular"))
+def test_pct_suite_independent_of_blas_threads(tmp_path, suite, tol):
     # the reports promise identical values for identical configurations;
-    # the BLAS thread count must not leak into the pct checks
+    # the BLAS thread count must not leak into the checks: the group, flows
+    # and modular values are equal, the pct values within 1e-9
     src = str(Path(cli.__file__).resolve().parents[1])
     values = []
     for threads in ("1", "2"):
-        out = tmp_path / f"pct{threads}.json"
+        out = tmp_path / f"{suite}{threads}.json"
         path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(path))
-        subprocess.run([sys.executable, "-m", "confmod.cli", "--suite", "pct",
+        subprocess.run([sys.executable, "-m", "confmod.cli", "--suite", suite, "--seed", "306",
                         "--sizes", "64,128,256", "--out", str(out)],
                        env=env, capture_output=True, timeout=300)
         checks = json.loads(out.read_text())["checks"]
         values.append({c["name"]: c["value"] for c in checks})
     assert values[0].keys() == values[1].keys()
     for name, value in values[0].items():
-        assert values[1][name] == pytest.approx(value, rel=0, abs=1e-9), name
+        assert values[1][name] == pytest.approx(value, rel=0, abs=tol), name
 
 
 def test_unknown_suite_is_configuration_error(tmp_path):

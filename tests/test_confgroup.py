@@ -180,6 +180,28 @@ def test_act_singular_on_lightlike_for_inversion():
         assert cg.act(rho, x) is None
 
 
+@pytest.mark.parametrize("d", DIMS)
+def test_act_singular_exactly_where_act_array_is(d):
+    # per-point act returns None on exactly the rows act_array marks
+    # singular: the light cone through the pole a / a^2 of special(d, a)
+    # goes to infinity, and infinite or NaN coordinates have no image
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=d)
+    g = cg.special(d, a)
+    pole = a / minkowski_norm(a)
+    u = rng.normal(size=(20, d - 1))
+    null = np.hstack([np.ones((20, 1)), u / np.linalg.norm(u, axis=1, keepdims=True)])
+    X = np.vstack([rng.normal(size=(200, d)) * 3, pole[None],
+                   pole + rng.normal(size=(20, 1)) * null,
+                   np.diag(np.full(d, np.inf)), np.diag(np.full(d, -np.inf)),
+                   np.diag(np.full(d, np.nan))])
+    with np.errstate(invalid="ignore", over="ignore"):
+        _, ok = cg.act_array(g, X)
+        none = [cg.act(g, x) is None for x in X]
+    assert np.array_equal(none, ~ok)
+    assert ok[:200].all() and not ok[200:].any()
+
+
 def test_translations_never_singular():
     rng = np.random.default_rng(8)
     g = cg.translation(4, rng.normal(size=4))
@@ -318,8 +340,12 @@ def test_lie_exponential_against_mpmath(d):
     lambda: PoincareMap(np.diag([np.inf, 1.0]), np.zeros(2)),
     lambda: PoincareMap(np.eye(2), [np.nan, 0.0]),
     lambda: PoincareMap(np.eye(2), [0.0, -np.inf]),
+    lambda: cg.Ray(np.full(6, np.nan)),
+    lambda: cg.Ray([np.inf, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    lambda: cg.embed([np.nan, 0.0]),
 ), ids=("group-nan", "group-inf", "lie-nan", "lie-inf", "translation-nan", "exp-nan",
-        "lorentz-nan", "lorentz-inf", "shift-nan", "shift-inf"))
+        "lorentz-nan", "lorentz-inf", "shift-nan", "shift-inf", "ray-nan", "ray-inf",
+        "embed-nan"))
 def test_non_finite_matrices_rejected(build):
     with pytest.raises(ValueError):
         build()

@@ -244,6 +244,13 @@ def test_double_cone_tip_validation():
         DoubleCone(np.array([1.0, 0, 0]), np.array([-1.0, 0, 0]))  # past-directed
 
 
+@pytest.mark.parametrize("apex", ([np.nan, 0.0], [0.0, -np.inf], np.zeros((2, 2)), 0.0),
+                         ids=("nan", "inf", "matrix", "scalar"))
+def test_future_cone_apex_validation(apex):
+    with pytest.raises(ValueError):
+        FutureCone(apex)
+
+
 # --- batched membership against closed forms ------------------------------------
 
 def _spatial(X):
