@@ -16,12 +16,15 @@ since only the ray action matters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 
 import numpy as np
 
-from .geometry import (PoincareMap, _boost_matrix, _metric_signs, _rotation_matrix, _signs,
-                       minkowski_norm)
+from .geometry import (PoincareMap, _boost_matrix, _metric_signs, _minkowski, _on_columns,
+                       _point, _rotation_matrix, _signs, minkowski_norm)
 
 __all__ = [
     "quadratic_form",
@@ -128,9 +131,27 @@ class GroupElement:
         """Conformal action on a point; None where the action is singular."""
         return act(self, x)
 
-    def act_array(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Action on the rows of an (n, d) array: (images, regular-row mask)."""
-        return act_array(self, X)
+    @cached_property
+    def _rows(self):
+        # on first use: products are built by the thousand, few of them act
+        return self.matrix.tolist()
+
+    def _act_coords(self, c):
+        """(image coordinates, regular) on a sequence of coordinates, as
+        Region._member takes them.  The image ray of c, rows summed in
+        coordinate order, is normalised; c is regular where its xi_d +
+        xi_{d+1} is at least INFINITY_TOL in size, and has no image if not."""
+        v = _ray_coords(c)
+        w = [sum(map(mul, row, v)) for row in self._rows]
+        n2 = sum(map(mul, w, w))
+        # Both square roots round correctly; math.sqrt keeps a point on floats.
+        norm = math.sqrt(n2) if isinstance(n2, float) else np.sqrt(n2)
+        w = [wi / norm for wi in w]
+        denom = w[-2] + w[-1]
+        regular = abs(denom) >= INFINITY_TOL
+        # A singular denominator moves off zero, where a float would raise.
+        denom = denom + (abs(denom) < INFINITY_TOL)
+        return [wi / denom for wi in w[:-2]], regular
 
 
 @dataclass(frozen=True)
@@ -171,16 +192,15 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return e
 
 
+def _ray_coords(c):
+    """Unnormalised ray (c, (1 + c^2)/2, (1 - c^2)/2) of a sequence of coordinates."""
+    s = _minkowski(c)
+    return [*c, (1.0 + s) / 2.0, (1.0 - s) / 2.0]
+
+
 def embed(x) -> Ray:
     """Ray of a finite point."""
-    return Ray(embed_raw(x)[0])
-
-
-def embed_raw(X: np.ndarray) -> np.ndarray:
-    """Unnormalized ray vectors for an (n, d) array of points."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    s = minkowski_norm(X)[:, None]
-    return np.hstack([X, (1.0 + s) / 2.0, (1.0 - s) / 2.0])
+    return Ray(np.array(_ray_coords(np.asarray(x, dtype=float).tolist())))
 
 
 def project(ray: Ray):
@@ -192,30 +212,22 @@ def project(ray: Ray):
 
 
 def act(g: GroupElement, x):
-    """project(g . embed(x)); None exactly where act_array marks the point
-    singular: the image ray at infinity, or not finite."""
-    x = np.asarray(x, dtype=float)
-    s = minkowski_norm(x)
-    v = g.matrix @ np.concatenate([x, [(1.0 + s) / 2.0, (1.0 - s) / 2.0]])
-    v = v / np.linalg.norm(v)
-    denom = v[-2] + v[-1]
-    if not abs(denom) >= INFINITY_TOL:
-        return None
-    return v[:-2] / denom
+    """The image of a point, or None where it is singular: row i of
+    act_array(g, X) for x = X[i], bit for bit."""
+    y, regular = g._act_coords(_point(x, g.dim))
+    return np.array(y) if regular else None
 
 
 def act_array(g: GroupElement, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized action on an (n, d) array: (images, regular-point mask).
 
-    Rows whose image is at infinity carry NaNs and a False mask entry.
+    Rows whose image is at infinity or not finite carry NaNs and a False
+    mask entry; no row warns.
     """
-    V = embed_raw(X) @ g.matrix.T
-    V = V / np.linalg.norm(V, axis=1, keepdims=True)
-    denom = V[:, -2] + V[:, -1]
-    ok = np.abs(denom) >= INFINITY_TOL
-    out = np.full((V.shape[0], V.shape[1] - 2), np.nan)
-    out[ok] = V[ok, :-2] / denom[ok, None]
-    return out, ok
+    y, regular = _on_columns(g._act_coords, X, g.dim)
+    out = np.stack(y, axis=1)
+    out[~regular] = np.nan
+    return out, regular
 
 
 # --- element constructors ---------------------------------------------------
@@ -256,10 +268,8 @@ def dilation(d: int, lam: float) -> GroupElement:
         raise ValueError("dilation parameter must be positive")
     m = np.eye(d + 2)
     inv, lm = 1.0 / lam, lam
-    m[d, d] = (inv + lm) / 2.0
-    m[d, d + 1] = (inv - lm) / 2.0
-    m[d + 1, d] = (inv - lm) / 2.0
-    m[d + 1, d + 1] = (inv + lm) / 2.0
+    m[d, d] = m[d + 1, d + 1] = (inv + lm) / 2.0
+    m[d, d + 1] = m[d + 1, d] = (inv - lm) / 2.0
     return GroupElement(m)
 
 
@@ -335,9 +345,7 @@ def conformal_energy(d: int) -> LieGenerator:
     The sum rotates the (xi_0, xi_{d+1}) plane and vanishes on its orthogonal
     complement, so its one-parameter group is periodic.
     """
-    e0 = np.zeros(d)
-    e0[0] = 1.0
-    h = translation_generator(d, e0).matrix
+    h = translation_generator(d, np.eye(d)[0]).matrix
     rho = ray_inversion(d).matrix
     return LieGenerator(h + rho @ h @ rho)
 
@@ -358,9 +366,7 @@ def in_identity_component(g: GroupElement) -> bool:
     pos, neg = np.flatnonzero(q > 0), np.flatnonzero(q < 0)
     det_pos = np.linalg.det(g.matrix[np.ix_(pos, pos)])
     det_neg = np.linalg.det(g.matrix[np.ix_(neg, neg)])
-    if det_pos <= 0:
-        return False
-    return det_neg > 0 or d % 2 == 1
+    return det_pos > 0 and (det_neg > 0 or d % 2 == 1)
 
 
 def axis_inversion_subgroup(d: int, alpha: float, axis: int = 1) -> GroupElement:
@@ -385,10 +391,8 @@ def dilation_identity_defect(d: int, a: float, axis: int = 1) -> float:
     tau(a) R tau(1/a) R tau(a) R and the dilation by a^2."""
     if a == 0:
         raise ValueError("parameter must be nonzero")
-    ea = np.zeros(d)
-    ea[axis] = a
-    einv = np.zeros(d)
-    einv[axis] = 1.0 / a
+    ea, einv = np.zeros(d), np.zeros(d)
+    ea[axis], einv[axis] = a, 1.0 / a
     r = axis_inversion(d, axis)
     lhs = translation(d, ea) @ r @ translation(d, einv) @ r @ translation(d, ea) @ r
     rhs = dilation(d, a * a)
@@ -418,8 +422,7 @@ def _boost_to_unit_timelike(u: np.ndarray) -> PoincareMap:
         b2 = float(np.dot(beta, beta))
         L[0, 0] = gamma
         if b2 > 0:
-            L[0, 1:] = gamma * beta
-            L[1:, 0] = gamma * beta
+            L[0, 1:] = L[1:, 0] = gamma * beta
             L[1:, 1:] = np.eye(d - 1) + (gamma - 1.0) * np.outer(beta, beta) / b2
     return PoincareMap(L, np.zeros(d))
 

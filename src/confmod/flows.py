@@ -98,9 +98,7 @@ def doublecone_flow(d: int) -> CanonicalFlow:
         y[1:] = ((a - b) / (2.0 * r)) * v if r > 0 else 0.0
         return y
 
-    e0 = np.zeros(d)
-    e0[0] = 1.0
-    h = cg.translation_generator(d, e0).matrix
+    h = cg.translation_generator(d, np.eye(d)[0]).matrix
     rho = cg.ray_inversion(d).matrix
     gen = cg.LieGenerator(np.pi * (h - rho @ h @ rho))
     return CanonicalFlow(unit_double_cone(d), gen, closed_form)
@@ -151,9 +149,7 @@ def wedge_to_doublecone(d: int) -> cg.GroupElement:
     """
     if d < 2:
         raise ValueError("needs d >= 2")
-    e1 = np.zeros(d)
-    e1[1] = 1.0
-    tau = cg.translation(d, e1)
+    tau = cg.translation(d, np.eye(d)[1])
     cayley = tau @ cg.dilation(d, 2.0) @ cg.axis_inversion(d, 1) @ tau
     return cayley @ time_reflection(d)
 

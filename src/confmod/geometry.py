@@ -62,6 +62,23 @@ def _minus(c, a):
     return list(map(sub, c, a))
 
 
+def _point(x, d: int) -> list:
+    """The coordinates of a point of dimension d as Python floats."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (d,):
+        raise ValueError(f"expected a point of dimension {d}")
+    return x.tolist()
+
+
+def _on_columns(f, X, d: int):
+    """f on the columns of an (n, d) array of points, with no warning on inf or NaN."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError(f"expected an (n, {d}) array of points")
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        return f(X.T)
+
+
 class CausalRelation(Enum):
     SPACELIKE = "spacelike"
     LIGHTLIKE = "lightlike"
@@ -107,10 +124,8 @@ def _boost_matrix(d: int, axis: int, rapidity: float) -> np.ndarray:
         raise ValueError("boost axis out of range")
     L = np.eye(d)
     c, s = np.cosh(rapidity), np.sinh(rapidity)
-    L[0, 0] = c
-    L[0, axis] = -s
-    L[axis, 0] = -s
-    L[axis, axis] = c
+    L[0, 0] = L[axis, axis] = c
+    L[0, axis] = L[axis, 0] = -s
     return L
 
 
@@ -120,10 +135,8 @@ def _rotation_matrix(d: int, i: int, j: int, angle: float) -> np.ndarray:
         raise ValueError("rotation axes out of range")
     L = np.eye(d)
     c, s = np.cos(angle), np.sin(angle)
-    L[i, i] = c
-    L[i, j] = -s
-    L[j, i] = s
-    L[j, j] = c
+    L[i, i] = L[j, j] = c
+    L[i, j], L[j, i] = -s, s
     return L
 
 
@@ -147,6 +160,7 @@ class PoincareMap:
         eta = _metric_signs(d)
         if np.abs((L.T * eta) @ L - np.diag(eta)).max() > 1e-9:
             raise ValueError("matrix does not preserve the Minkowski form")
+        object.__setattr__(self, "_rows", list(zip(L.tolist(), a.tolist())))
 
     @staticmethod
     def identity(d: int) -> "PoincareMap":
@@ -171,13 +185,13 @@ class PoincareMap:
     def dim(self) -> int:
         return self.translation.shape[0]
 
-    def act(self, x):
-        return self.lorentz @ np.asarray(x, dtype=float) + self.translation
+    def _act_coords(self, c):
+        """(L c + a, True: regular everywhere) on a sequence of coordinates,
+        as Region._member takes them; rows sum in coordinate order."""
+        return [sum(map(mul, row, c)) + a for row, a in self._rows], True
 
-    def act_array(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(images of a point or of the rows of an (n, d) array, all-True
-        regular mask)."""
-        return X @ self.lorentz.T + self.translation, np.ones(X.shape[:-1], dtype=bool)
+    def act(self, x):
+        return np.array(self._act_coords(_point(x, self.dim))[0])
 
     def inverse(self) -> "PoincareMap":
         # eta L^T eta, C-ordered like a matrix product: the matvec below
@@ -202,7 +216,7 @@ class Region:
     coordinates: contains passes the floats of one point (x.tolist()),
     contains_many the columns of an (n, d) array (X.T), after checking the
     shape.  The same arithmetic then runs on floats for a point, a few
-    microseconds per test, and on arrays for rows.
+    microseconds per test, and on arrays for rows; neither warns on inf or NaN.
     """
 
     dim: int
@@ -212,16 +226,10 @@ class Region:
 
     def contains_many(self, X) -> np.ndarray:
         """Boolean membership mask over the rows of an (n, d) array."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise ValueError(f"expected an (n, {self.dim}) array of points")
-        return self._member(X.T)
+        return _on_columns(self._member, X, self.dim)
 
     def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected a point of dimension {self.dim}")
-        return bool(self._member(x.tolist()))
+        return bool(self._member(_point(x, self.dim)))
 
 
 @dataclass(frozen=True)
@@ -262,18 +270,16 @@ class Wedge(Region):
             raise ValueError("wedges need at least one space dimension beyond x1")
         if self.poincare is not None and self.poincare.dim != self.d:
             raise ValueError("Poincare map dimension mismatch")
-        # The first two rows of the inverse map, as ([L_i0, ..., L_i(d-1)], a_i).
-        inv = None if self.poincare is None else self.poincare.inverse()
-        object.__setattr__(self, "_inverse_rows", None if inv is None else list(
-            zip(inv.lorentz[:2].tolist(), inv.translation[:2].tolist())))
+        object.__setattr__(self, "_inverse",
+                           None if self.poincare is None else self.poincare.inverse())
 
     @property
     def dim(self) -> int:
         return self.d
 
     def _member(self, c):
-        if self._inverse_rows is not None:
-            c = [sum(map(mul, row, c)) + a for row, a in self._inverse_rows]
+        if self._inverse is not None:
+            c, _ = self._inverse._act_coords(c)
         return c[1] > abs(c[0])
 
 
@@ -303,10 +309,10 @@ class TransformedRegion(Region):
     """Image of a base region under an invertible point map.
 
     The map object must provide inverse(), whose result provides
-    act(x) -> point or None and act_array(X) -> (images, regular-row mask)
-    on an (n, d) array; both PoincareMap and the conformal group elements
-    qualify.  The inverse is formed once, here; points where it is singular
-    are non-members.
+    _act_coords(c) -> (image coordinates, regular) on a sequence of
+    coordinates, as _member takes them; both PoincareMap and the conformal
+    group elements qualify.  The inverse is formed once, here; points where
+    it is singular are non-members.
     """
 
     map: object
@@ -320,11 +326,8 @@ class TransformedRegion(Region):
         return self.base.dim
 
     def _member(self, c):
-        if isinstance(c, list):
-            y = self._inverse.act(c)
-            return y is not None and self.base._member(y.tolist())
-        Y, regular = self._inverse.act_array(c.T)
-        return regular & self.base._member(Y.T)
+        y, regular = self._inverse._act_coords(c)
+        return regular & self.base._member(y)
 
 
 @dataclass(frozen=True)
@@ -361,11 +364,9 @@ class TimelikeComplementOfDoubleCone(Region):
 
 def unit_double_cone(d: int) -> DoubleCone:
     """The double cone |x0| + |vec x| < 1, tips at -e0 and +e0."""
-    a = np.zeros(d)
-    a[0] = -1.0
-    b = np.zeros(d)
-    b[0] = 1.0
-    return DoubleCone(a, b)
+    past, future = np.zeros(d), np.zeros(d)
+    past[0], future[0] = -1.0, 1.0
+    return DoubleCone(past, future)
 
 
 def standard_wedge(d: int) -> Wedge:

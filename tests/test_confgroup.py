@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -184,10 +186,10 @@ def test_act_singular_on_lightlike_for_inversion():
 def test_act_singular_exactly_where_act_array_is(d):
     # per-point act returns None on exactly the rows act_array marks
     # singular: the light cone through the pole a / a^2 of special(d, a)
-    # goes to infinity, and infinite or NaN coordinates have no image
+    # goes to infinity, and infinite or NaN coordinates have no image.
+    # Elsewhere act(g, x) is row i of act_array(g, X), bit for bit.
     rng = np.random.default_rng(11)
     a = rng.normal(size=d)
-    g = cg.special(d, a)
     pole = a / minkowski_norm(a)
     u = rng.normal(size=(20, d - 1))
     null = np.hstack([np.ones((20, 1)), u / np.linalg.norm(u, axis=1, keepdims=True)])
@@ -195,11 +197,44 @@ def test_act_singular_exactly_where_act_array_is(d):
                    pole + rng.normal(size=(20, 1)) * null,
                    np.diag(np.full(d, np.inf)), np.diag(np.full(d, -np.inf)),
                    np.diag(np.full(d, np.nan))])
-    with np.errstate(invalid="ignore", over="ignore"):
-        _, ok = cg.act_array(g, X)
-        none = [cg.act(g, x) is None for x in X]
-    assert np.array_equal(none, ~ok)
-    assert ok[:200].all() and not ok[200:].any()
+    for g in (cg.special(d, a), cg.boost(d, 1, 0.7) @ cg.dilation(d, 1.3) @ cg.special(d, a)):
+        img, ok = cg.act_array(g, X)
+        points = [cg.act(g, x) for x in X]
+        assert np.array_equal([y is None for y in points], ~ok)
+        assert ok[:200].all() and not ok[200:].any()
+        assert np.isnan(img[~ok]).all()
+        assert all(np.array_equal(y.view(np.int64), row.view(np.int64))
+                   for y, row in zip(points, img) if y is not None)
+    # A Poincare map acts on a point as on a column of coordinates.
+    p = PoincareMap.from_boost(d, 1, 0.7).compose(PoincareMap.from_translation(a))
+    if d >= 3:
+        p = p.compose(PoincareMap.from_rotation(d, 1, 2, 0.4))
+    rows, regular = p._act_coords(X[:221].T)
+    assert regular is True
+    assert all(np.array_equal(p.act(x).view(np.int64), row.view(np.int64))
+               for x, row in zip(X[:221], np.stack(rows, axis=1)))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_non_finite_points_decided_without_warnings(d):
+    # Infinite and NaN coordinates give their usual verdict, no image and
+    # no membership, on points and on rows, with warnings raised as errors.
+    from confmod.geometry import TransformedRegion
+    g = cg.special(d, np.r_[0.1, 0.2, -0.3, 0.15][:d])
+    region = TransformedRegion(g, unit_double_cone(d))
+    X = np.vstack([np.diag(np.full(d, v)) for v in (np.inf, -np.inf, np.nan)]
+                  + [np.full((1, d), v) for v in (np.inf, -np.inf, np.nan)]
+                  + [np.r_[np.inf, np.full(d - 1, -np.inf)], np.zeros(d)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        img, ok = cg.act_array(g, X)
+        points = [cg.act(g, x) for x in X]
+        mask = region.contains_many(X)
+        member = [region.contains(x) for x in X]
+    assert ok[-1] and not ok[:-1].any() and np.isnan(img[:-1]).all()
+    assert [y is None for y in points] == list(~ok)
+    assert mask[-1] and not mask[:-1].any()
+    assert member == list(mask)
 
 
 def test_translations_never_singular():

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,15 @@ def _centered(d):
     return DoubleCone(c - RADIUS * np.eye(d)[0], c + RADIUS * np.eye(d)[0])
 
 
+def _boosted_wedge_margin(X, d):
+    """Light-cone coordinates of X pulled back by the boost map, the smaller
+    of x1 - x0 and x1 + x0 of the preimage: positive exactly in the image of
+    the standard wedge."""
+    U = X - SHIFT[:d]
+    return np.minimum(np.exp(-RAPIDITY) * U @ np.r_[-1.0, 1.0, np.zeros(d - 2)],
+                      np.exp(RAPIDITY) * U @ np.r_[1.0, 1.0, np.zeros(d - 2)])
+
+
 # kind: (minimum d, region(d), margin(X, d) > 0 exactly on members, whether
 # exact-boundary rows stay exact through the region's own arithmetic)
 REGION_CASES = {
@@ -309,9 +319,9 @@ REGION_CASES = {
     "centered_double_cone": (1, _centered, lambda X, d: RADIUS - np.abs(X[:, 0] - CENTER[0])
                              - _spatial(X - CENTER[:d]), True),
     "wedge": (2, standard_wedge, lambda X, d: X[:, 1] - np.abs(X[:, 0]), True),
-    "boosted_wedge": (2, lambda d: Wedge(d, _boost_map(d)), lambda X, d: np.minimum(
-        np.exp(-RAPIDITY) * (X - SHIFT[:d]) @ np.r_[-1.0, 1.0, np.zeros(d - 2)],
-        np.exp(RAPIDITY) * (X - SHIFT[:d]) @ np.r_[1.0, 1.0, np.zeros(d - 2)]), False),
+    "boosted_wedge": (2, lambda d: Wedge(d, _boost_map(d)), _boosted_wedge_margin, False),
+    "poincare_wedge": (2, lambda d: TransformedRegion(_boost_map(d), standard_wedge(d)),
+                       _boosted_wedge_margin, False),
     "future_cone": (1, lambda d: FutureCone(CENTER[:d]),
                     lambda X, d: X[:, 0] - CENTER[0] - _spatial(X - CENTER[:d]), True),
     "spacelike_complement": (1, lambda d: spacelike_complement(unit_double_cone(d)),
@@ -348,6 +358,21 @@ def test_contains_many_matches_closed_form_margins(kind, d):
     # In d = 1 every pair of distinct points is timelike: nothing is spacelike.
     assert mask.any() != (kind == "spacelike_complement" and d == 1)
     assert [region.contains(x) for x in X] == list(mask)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_poincare_image_of_wedge_matches_wedge(d):
+    # A wedge stores its Poincare map's inverse and pulls points back with
+    # the same action as the image of the standard wedge under that map.
+    rng = np.random.default_rng(19)
+    X = np.vstack([rng.uniform(-3.0, 3.0, size=(2000, d)), _boundary_rows(d),
+                   _boost_map(d).act(np.zeros(d)) + RADIUS * _boundary_rows(d)])
+    image = REGION_CASES["poincare_wedge"][1](d)
+    wedge = REGION_CASES["boosted_wedge"][1](d)
+    mask = image.contains_many(X)
+    assert np.array_equal(mask, wedge.contains_many(X))
+    assert mask.any() and not mask.all()
+    assert [image.contains(x) for x in X] == list(mask)
 
 
 def test_rows_mapped_to_infinity_are_not_members():
@@ -525,13 +550,14 @@ def test_sample_region_calls_contains_many_once_per_chunk(monkeypatch):
     monkeypatch.undo()
     # A point is tested the same way as a list, a tuple or a 1-D array, and
     # as a row of contains_many, with NaN and infinite coordinates included
-    # (on arrays, inf - inf and inf * 0 warn).
+    # and no warning on either.
     special = [np.nan, np.inf, -np.inf, 0.0, 0.5, -2.0]
     rng = np.random.default_rng(21)
     X = np.vstack([rng.choice(special, size=(200, d)), rng.uniform(-3.0, 3.0, size=(50, d))])
     for case in REGION_CASES.values():
         region = case[1](d)
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             mask = region.contains_many(X)
             for x, m in zip(X, mask):
                 assert (region.contains(list(x)) == region.contains(tuple(x))
