@@ -221,8 +221,8 @@ def run_flows_suite(config: SuiteConfig) -> list:
         for flow in (wf, df, cf):
             pts = sample_region(flow.region, 200, seed=config.seed + 1)
             for t in (-2.0, -1.0, -0.1, 0.1, 1.0, 2.0):
-                ys = [flow.closed_form(t, p) for p in pts]
-                if any(y is None for y in ys) or not flow.region.contains_many(np.array(ys)).all():
+                ys, regular = flow.rows(t, pts)
+                if not (regular.all() and flow.region.contains_many(ys).all()):
                     ok = False
         _check(checks, f"flow-region-preservation-d{d}",
                "flow-region-preservation", 0.0, 1.0, ok=ok)

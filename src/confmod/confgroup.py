@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from operator import mul
+from functools import cache, cached_property, reduce
+from operator import matmul
 
 import numpy as np
 
-from .geometry import (PoincareMap, _boost_matrix, _metric_signs, _minkowski, _on_columns,
-                       _point, _rotation_matrix, _signs, minkowski_norm)
+from .geometry import (PoincareMap, _boost_matrix, _dot, _metric_signs, _minkowski,
+                       _point, _rotation_matrix, _row_images, _signs, minkowski_norm)
 
 __all__ = [
     "quadratic_form",
@@ -58,14 +58,19 @@ INFINITY_TOL = 1e-10
 FORM_TOL = 1e-10
 
 
-def _form_signs(d: int) -> np.ndarray:
-    """Diagonal of Q = diag(eta, -1, +1): +1 at indices 0 and d+1, -1 at 1..d."""
-    return _signs(d + 2, slice(1, d + 1))
+@cache
+def _form(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q, Q), read-only: the diagonal of Q = diag(eta, -1, +1), +1 at indices
+    0 and d+1 and -1 at 1..d, and Q itself."""
+    q = _signs(d + 2, slice(1, d + 1))
+    Q = np.diag(q)
+    q.flags.writeable = Q.flags.writeable = False
+    return q, Q
 
 
 def quadratic_form(d: int) -> np.ndarray:
     """Diagonal matrix of Q on R^{d+2}."""
-    return np.diag(_form_signs(d))
+    return _form(d)[1].copy()
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,7 @@ class Ray:
         if norm == 0.0:
             raise ValueError("ray vector must be nonzero")
         v = v / norm
-        if abs(np.dot(_form_signs(v.shape[0] - 2) * v, v)) > 1e-12:
+        if abs(np.dot(_form(v.shape[0] - 2)[0] * v, v)) > 1e-12:
             raise ValueError("vector is not isotropic for the (d,2) form")
         object.__setattr__(self, "xi", v)
 
@@ -96,24 +101,22 @@ class Ray:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """(d+2)x(d+2) real matrix g with g^T Q g = Q, acting on rays."""
+    """(d+2)x(d+2) real matrix g with g^T Q g = Q, acting on rays.
+
+    GroupElement(m) tests the form on m.  The closed-form constructors, whose
+    matrices preserve Q in exact arithmetic, test only that the entries are
+    finite (_exact); a composite tests the form once, on its product."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m, amax = _finite_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        d = m.shape[0] - 2
-        if m.shape != (d + 2, d + 2) or d < 1:
-            raise ValueError("matrix must be square of size d+2 with d >= 1")
-        q = _form_signs(d)
+        q, Q = _form(self.dim)
         # Rounding in g^T Q g scales with the squared entry magnitude, so the
         # acceptance threshold must scale the same way for large parameters.
-        amax = np.abs(m).max()
-        if not amax < np.inf:
-            raise ValueError("matrix entries must be finite")
         tol = FORM_TOL * max(1.0, amax ** 2)
-        if np.abs((m.T * q) @ m - np.diag(q)).max() > tol:
+        if np.abs((m.T * q) @ m - Q).max() > tol:
             raise ValueError("matrix does not preserve the (d,2) form")
 
     @property
@@ -124,8 +127,8 @@ class GroupElement:
         return GroupElement(self.matrix @ other.matrix)
 
     def inverse(self) -> "GroupElement":
-        q = _form_signs(self.dim)
-        return GroupElement(np.outer(q, q) * self.matrix.T)
+        q = _form(self.dim)[0]
+        return _exact(np.outer(q, q) * self.matrix.T)
 
     def act(self, x):
         """Conformal action on a point; None where the action is singular."""
@@ -142,8 +145,8 @@ class GroupElement:
         coordinate order, is normalised; c is regular where its xi_d +
         xi_{d+1} is at least INFINITY_TOL in size, and has no image if not."""
         v = _ray_coords(c)
-        w = [sum(map(mul, row, v)) for row in self._rows]
-        n2 = sum(map(mul, w, w))
+        w = [_dot(row, v) for row in self._rows]
+        n2 = _dot(w, w)
         # Both square roots round correctly; math.sqrt keeps a point on floats.
         norm = math.sqrt(n2) if isinstance(n2, float) else np.sqrt(n2)
         w = [wi / norm for wi in w]
@@ -154,6 +157,33 @@ class GroupElement:
         return [wi / denom for wi in w[:-2]], regular
 
 
+def _finite_matrix(m) -> tuple[np.ndarray, float]:
+    """(m as a float array, its largest entry size); raises unless m is a
+    finite square matrix of size d+2 with d >= 1."""
+    m = np.asarray(m, dtype=float)
+    d = m.shape[0] - 2
+    if m.shape != (d + 2, d + 2) or d < 1:
+        raise ValueError("matrix must be square of size d+2 with d >= 1")
+    amax = np.abs(m).max()
+    if not amax < np.inf:
+        raise ValueError("matrix entries must be finite")
+    return m, amax
+
+
+def _exact(m) -> GroupElement:
+    """The element of a closed-form matrix, one that preserves Q in exact
+    arithmetic: only the finiteness test runs."""
+    g = object.__new__(GroupElement)
+    object.__setattr__(g, "matrix", _finite_matrix(m)[0])
+    return g
+
+
+def _product(*factors: GroupElement) -> GroupElement:
+    """The product of the factors, multiplied left to right as a chain of @,
+    with the form tested once, on the result."""
+    return GroupElement(reduce(matmul, [g.matrix for g in factors]))
+
+
 @dataclass(frozen=True)
 class LieGenerator:
     """(d+2)x(d+2) real matrix A with A^T Q + Q A = 0."""
@@ -161,12 +191,9 @@ class LieGenerator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m, amax = _finite_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        q = _form_signs(m.shape[0] - 2)
-        amax = np.abs(m).max()
-        if not amax < np.inf:
-            raise ValueError("matrix entries must be finite")
+        q = _form(self.dim)[0]
         tol = FORM_TOL * max(1.0, amax)
         if np.abs(m.T * q + q[:, None] * m).max() > tol:
             raise ValueError("matrix is not in the (d,2) Lie algebra")
@@ -224,10 +251,7 @@ def act_array(g: GroupElement, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Rows whose image is at infinity or not finite carry NaNs and a False
     mask entry; no row warns.
     """
-    y, regular = _on_columns(g._act_coords, X, g.dim)
-    out = np.stack(y, axis=1)
-    out[~regular] = np.nan
-    return out, regular
+    return _row_images(g._act_coords, X, g.dim)
 
 
 # --- element constructors ---------------------------------------------------
@@ -242,7 +266,7 @@ def translation(d: int, a) -> GroupElement:
     m = np.eye(d + 2) + gen
     m[d, d:] += a2 / 2.0
     m[d + 1, d:] -= a2 / 2.0
-    return GroupElement(m)
+    return _exact(m)
 
 
 def _lorentz_element(lorentz: np.ndarray) -> GroupElement:
@@ -250,7 +274,7 @@ def _lorentz_element(lorentz: np.ndarray) -> GroupElement:
     d = lorentz.shape[0]
     m = np.eye(d + 2)
     m[:d, :d] = lorentz
-    return GroupElement(m)
+    return _exact(m)
 
 
 def boost(d: int, axis: int, rapidity: float) -> GroupElement:
@@ -270,12 +294,12 @@ def dilation(d: int, lam: float) -> GroupElement:
     inv, lm = 1.0 / lam, lam
     m[d, d] = m[d + 1, d + 1] = (inv + lm) / 2.0
     m[d, d + 1] = m[d + 1, d] = (inv - lm) / 2.0
-    return GroupElement(m)
+    return _exact(m)
 
 
 def _reflection(d: int, minus) -> GroupElement:
     """The sign flip of the ray coordinates at the indices minus."""
-    return GroupElement(np.diag(_signs(d + 2, minus)))
+    return _exact(np.diag(_signs(d + 2, minus)))
 
 
 def ray_inversion(d: int) -> GroupElement:
@@ -286,7 +310,7 @@ def ray_inversion(d: int) -> GroupElement:
 def special(d: int, a) -> GroupElement:
     """Special conformal transformation: ray inversion, translation, inversion."""
     rho = ray_inversion(d)
-    return rho @ translation(d, a) @ rho
+    return _product(rho, translation(d, a), rho)
 
 
 def axis_inversion(d: int, axis: int) -> GroupElement:
@@ -362,7 +386,7 @@ def in_identity_component(g: GroupElement) -> bool:
     determinant flips sign when d is odd.
     """
     d = g.dim
-    q = _form_signs(d)
+    q = _form(d)[0]
     pos, neg = np.flatnonzero(q > 0), np.flatnonzero(q < 0)
     det_pos = np.linalg.det(g.matrix[np.ix_(pos, pos)])
     det_neg = np.linalg.det(g.matrix[np.ix_(neg, neg)])
@@ -379,11 +403,11 @@ def axis_inversion_subgroup(d: int, alpha: float, axis: int = 1) -> GroupElement
     """
     s = np.sin(alpha)
     if abs(s) < 1e-12:
-        return GroupElement(np.eye(d + 2))
+        return _exact(np.eye(d + 2))
     a = np.zeros(d)
     a[axis] = -np.cos(alpha) / s
     tau = translation(d, a)
-    return tau @ dilation(d, s ** -2) @ axis_inversion(d, axis) @ tau
+    return _product(tau, dilation(d, s ** -2), axis_inversion(d, axis), tau)
 
 
 def dilation_identity_defect(d: int, a: float, axis: int = 1) -> float:
@@ -394,7 +418,7 @@ def dilation_identity_defect(d: int, a: float, axis: int = 1) -> float:
     ea, einv = np.zeros(d), np.zeros(d)
     ea[axis], einv[axis] = a, 1.0 / a
     r = axis_inversion(d, axis)
-    lhs = translation(d, ea) @ r @ translation(d, einv) @ r @ translation(d, ea) @ r
+    lhs = _product(translation(d, ea), r, translation(d, einv), r, translation(d, ea), r)
     rhs = dilation(d, a * a)
     return distance_mod_sign(lhs, rhs)
 
@@ -409,7 +433,7 @@ def distance_mod_sign(g: GroupElement, h: GroupElement) -> float:
 # --- Poincare embedding and double-cone transport ----------------------------
 
 def poincare_to_conformal(p: PoincareMap) -> GroupElement:
-    return translation(p.dim, p.translation) @ _lorentz_element(p.lorentz)
+    return _product(translation(p.dim, p.translation), _lorentz_element(p.lorentz))
 
 
 def _boost_to_unit_timelike(u: np.ndarray) -> PoincareMap:
@@ -442,5 +466,5 @@ def double_cone_transport(src, dst) -> GroupElement:
     c2, u2, r2 = parts(dst)
     b1 = poincare_to_conformal(_boost_to_unit_timelike(u1))
     b2 = poincare_to_conformal(_boost_to_unit_timelike(u2))
-    return (translation(d, c2) @ b2 @ dilation(d, r2 / r1)
-            @ b1.inverse() @ translation(d, -c1))
+    return _product(translation(d, c2), b2, dilation(d, r2 / r1), b1.inverse(),
+                    translation(d, -c1))

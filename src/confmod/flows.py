@@ -5,7 +5,8 @@ x1 > |x0| (rapidity 2 pi t, acting as x0' = cosh(2 pi t) x0 - sinh(2 pi t) x1),
 the fractional-linear flow of the unit double cone acting on the light-cone
 combinations x0 +- |vec x| with fixed points +-1, and the dilation flow of
 the future cone.  Each flow carries its region, its Lie-algebra generator,
-and the closed-form point map; conjugation transports all three coherently.
+and the closed-form map, on a point and on the rows of an array;
+conjugation transports all of them coherently.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import confgroup as cg
-from .geometry import (FutureCone, Region, TransformedRegion, standard_wedge,
+from .geometry import (FutureCone, Region, TransformedRegion, _row_images, standard_wedge,
                        unit_double_cone)
 
 __all__ = [
@@ -34,14 +35,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CanonicalFlow:
-    """A region together with the one-parameter group preserving it."""
+    """A region together with the one-parameter group preserving it.
+
+    closed_form(t, x) is the image of a point, None where the map is singular.
+    The private _columns(t, c) is the same arithmetic on the columns c of an
+    (n, d) array, (image columns, regular mask); rows(t, X) adapts it to the
+    rows.
+    """
 
     region: Region
     generator: cg.LieGenerator
     closed_form: Callable[[float, np.ndarray], np.ndarray | None]
+    _columns: Callable[[float, list], tuple[list, np.ndarray]]
 
     def matrix(self, t: float) -> cg.GroupElement:
         return self.generator.exp(t)
+
+    def rows(self, t: float, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(images, regular) on the rows of an (n, d) array, shaped like
+        confgroup.act_array: row i is closed_form(t, X[i]) bit for bit, and
+        irregular, with NaNs, exactly where that is None.  No row warns."""
+        return _row_images(lambda c: self._columns(t, c), X, self.region.dim)
+
+
+def _everywhere(c) -> np.ndarray:
+    """The regular mask of a flow without singular points."""
+    return np.full(len(c[0]), True)
 
 
 def wedge_flow(d: int) -> CanonicalFlow:
@@ -56,8 +75,12 @@ def wedge_flow(d: int) -> CanonicalFlow:
         y[1] = -s * x[0] + c * x[1]
         return y
 
+    def columns(t, c):
+        ch, sh = np.cosh(2 * np.pi * t), np.sinh(2 * np.pi * t)
+        return [ch * c[0] - sh * c[1], -sh * c[0] + ch * c[1], *c[2:]], _everywhere(c)
+
     return CanonicalFlow(standard_wedge(d), cg.boost_generator(d, 1, 2 * np.pi),
-                         closed_form)
+                         closed_form, columns)
 
 
 def _mobius_pm(e: float, v: float):
@@ -67,6 +90,13 @@ def _mobius_pm(e: float, v: float):
     if abs(den) < cg.INFINITY_TOL * max(1.0, abs(v)):
         return None
     return ((1.0 + v) - e * (1.0 - v)) / den
+
+
+def _mobius_pm_columns(e: float, v: np.ndarray):
+    """(_mobius_pm(e, v) on each entry, mask of the entries off the pole)."""
+    den = (1.0 + v) + e * (1.0 - v)
+    regular = ~(np.abs(den) < cg.INFINITY_TOL * np.fmax(1.0, np.abs(v)))
+    return ((1.0 + v) - e * (1.0 - v)) / den, regular
 
 
 def doublecone_flow(d: int) -> CanonicalFlow:
@@ -98,10 +128,22 @@ def doublecone_flow(d: int) -> CanonicalFlow:
         y[1:] = ((a - b) / (2.0 * r)) * v if r > 0 else 0.0
         return y
 
+    def columns(t, c):
+        # v . v of each row through dot's kernel, as v.dot(v) above; a sum
+        # of elementwise products rounds differently on some rows
+        v = np.stack(c[1:], axis=1)
+        r = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+        e = float(np.exp(-2 * np.pi * t))
+        a, regular_a = _mobius_pm_columns(e, c[0] + r)
+        b, regular_b = _mobius_pm_columns(e, c[0] - r)
+        k = (a - b) / (2.0 * r)
+        return ([(a + b) / 2.0, *(np.where(r > 0, k * ci, 0.0) for ci in c[1:])],
+                regular_a & regular_b)
+
     h = cg.translation_generator(d, np.eye(d)[0]).matrix
     rho = cg.ray_inversion(d).matrix
     gen = cg.LieGenerator(np.pi * (h - rho @ h @ rho))
-    return CanonicalFlow(unit_double_cone(d), gen, closed_form)
+    return CanonicalFlow(unit_double_cone(d), gen, closed_form, columns)
 
 
 def cone_flow(d: int) -> CanonicalFlow:
@@ -110,8 +152,11 @@ def cone_flow(d: int) -> CanonicalFlow:
     def closed_form(t, x):
         return np.exp(t) * np.asarray(x, dtype=float)
 
+    def columns(t, c):
+        return [np.exp(t) * ci for ci in c], _everywhere(c)
+
     return CanonicalFlow(FutureCone(np.zeros(d)), cg.dilation_generator(d),
-                         closed_form)
+                         closed_form, columns)
 
 
 def conjugate_flow(g: cg.GroupElement, flow: CanonicalFlow) -> CanonicalFlow:
@@ -128,8 +173,14 @@ def conjugate_flow(g: cg.GroupElement, flow: CanonicalFlow) -> CanonicalFlow:
             return None
         return g.act(z)
 
+    def columns(t, c):
+        y, regular_in = ginv._act_coords(c)
+        z, regular_flow = flow._columns(t, y)
+        w, regular_out = g._act_coords(z)
+        return w, regular_in & regular_flow & regular_out
+
     gen = cg.LieGenerator(g.matrix @ flow.generator.matrix @ ginv.matrix)
-    return CanonicalFlow(TransformedRegion(g, flow.region), gen, closed_form)
+    return CanonicalFlow(TransformedRegion(g, flow.region), gen, closed_form, columns)
 
 
 def time_reflection(d: int) -> cg.GroupElement:
@@ -150,8 +201,8 @@ def wedge_to_doublecone(d: int) -> cg.GroupElement:
     if d < 2:
         raise ValueError("needs d >= 2")
     tau = cg.translation(d, np.eye(d)[1])
-    cayley = tau @ cg.dilation(d, 2.0) @ cg.axis_inversion(d, 1) @ tau
-    return cayley @ time_reflection(d)
+    return cg._product(tau, cg.dilation(d, 2.0), cg.axis_inversion(d, 1), tau,
+                       time_reflection(d))
 
 
 def pct_ingredients(d: int) -> tuple[cg.GroupElement, cg.GroupElement, cg.GroupElement]:

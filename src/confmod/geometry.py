@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import mul, sub
+from functools import reduce
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -49,7 +50,14 @@ def _minkowski(c):
     """c[0]^2 - c[1]^2 - ... - c[d-1]^2 on a sequence of coordinates, time
     first: the floats of one point or the columns of an (n, d) array."""
     v = c[1:]
-    return c[0] * c[0] - sum(map(mul, v, v))
+    return c[0] * c[0] - _dot(v, v)
+
+
+def _dot(a, b):
+    """a[0] b[0] + a[1] b[1] + ..., added left to right from 0.0: the floats
+    of a point and the columns of an array round alike.  (sum() compensates
+    float rounding from Python 3.12 on, which arrays do not.)"""
+    return reduce(add, map(mul, a, b), 0.0)
 
 
 def _future_timelike(c):
@@ -77,6 +85,16 @@ def _on_columns(f, X, d: int):
         raise ValueError(f"expected an (n, {d}) array of points")
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         return f(X.T)
+
+
+def _row_images(f, X, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(images, regular) of the rows of an (n, d) array under a map f of
+    coordinate columns to (image columns, regular mask): the images as an
+    (n, d) array whose irregular rows carry NaNs, and the mask."""
+    y, regular = _on_columns(f, X, d)
+    out = np.stack(y, axis=1)
+    out[~regular] = np.nan
+    return out, regular
 
 
 class CausalRelation(Enum):
@@ -188,7 +206,7 @@ class PoincareMap:
     def _act_coords(self, c):
         """(L c + a, True: regular everywhere) on a sequence of coordinates,
         as Region._member takes them; rows sum in coordinate order."""
-        return [sum(map(mul, row, c)) + a for row, a in self._rows], True
+        return [_dot(row, c) + a for row, a in self._rows], True
 
     def act(self, x):
         return np.array(self._act_coords(_point(x, self.dim))[0])

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import confmod.confgroup as cg
+import confmod.flows as fl
 from confmod.flows import doublecone_flow
-from confmod.geometry import PoincareMap, minkowski_norm, sample_region, spacelike_complement, standard_wedge, unit_double_cone
+from confmod.geometry import DoubleCone, PoincareMap, minkowski_norm, sample_region, spacelike_complement, standard_wedge, unit_double_cone
 
 DIMS = (2, 3, 4)
 
@@ -88,8 +89,18 @@ def test_ray_invariant_rejects_non_isotropic():
 
 # --- element constructors -------------------------------------------------------
 
+def random_double_cone(rng, d):
+    c = rng.normal(size=d)
+    v = rng.normal(size=d) * 0.3
+    v[0] = abs(v[0]) + 1.0 + np.linalg.norm(v[1:])
+    return DoubleCone(c, c + v)
+
+
 @pytest.mark.parametrize("d", DIMS)
 def test_constructors_preserve_form(d):
+    # The closed-form constructors skip the form test and the composites run
+    # it once, on their product: every matrix, and its inverse, must still
+    # preserve Q to 1e-10 and pass the full test of GroupElement(matrix).
     rng = np.random.default_rng(3)
     q = cg.quadratic_form(d)
     els = [cg.translation(d, rng.normal(size=d)),
@@ -101,8 +112,70 @@ def test_constructors_preserve_form(d):
            cg.space_reflection(d, 1)]
     if d >= 3:
         els.append(cg.rotation(d, 1, 2, 0.7))
+    for _ in range(10):
+        a = rng.normal(size=d)
+        axis = int(rng.integers(1, d))
+        p = PoincareMap.from_translation(rng.normal(size=d)).compose(
+            PoincareMap.from_boost(d, axis, rng.normal()))
+        els += [cg.translation(d, a),
+                cg.dilation(d, float(np.exp(rng.normal()))),
+                cg.special(d, a),
+                cg.boost(d, axis, 2.0 * rng.normal()),
+                cg.axis_inversion(d, axis),
+                cg.space_reflection(d, axis),
+                cg.axis_inversion_subgroup(d, rng.uniform(0.15, np.pi - 0.15), axis),
+                cg.poincare_to_conformal(p),
+                cg.double_cone_transport(random_double_cone(rng, d),
+                                         random_double_cone(rng, d))]
+        if d >= 3:
+            els.append(cg.rotation(d, 1, 2, rng.uniform(-np.pi, np.pi)))
+    els += [fl.wedge_to_doublecone(d), fl.time_reflection(d), *fl.pct_ingredients(d)]
+    els += [g.inverse() for g in els]
     for g in els:
-        assert np.max(np.abs(g.matrix.T @ q @ g.matrix - q)) < 1e-10
+        m = g.matrix
+        assert np.max(np.abs(m.T @ q @ m - q)) < 1e-10
+        assert np.array_equal(cg.GroupElement(m).matrix, m)
+
+
+def e0(d):
+    return np.eye(d)[0]
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("build, raises", (
+    (lambda d: cg.translation(d, np.full(d, np.nan)), True),
+    (lambda d: cg.translation(d, np.full(d, np.inf)), True),
+    (lambda d: cg.translation(d, np.full(d, 1e100)), False),
+    (lambda d: cg.translation(d, 1e100 * e0(d)), False),
+    (lambda d: cg.translation(d, 1e160 * e0(d)), True),
+    (lambda d: cg.translation(d, np.full(d, 1e160)), True),
+    (lambda d: cg.special(d, 1e100 * e0(d)), False),
+    (lambda d: cg.special(d, 1e160 * e0(d)), True),
+    (lambda d: cg.dilation(d, 0.0), True),
+    (lambda d: cg.dilation(d, -1.0), True),
+    (lambda d: cg.dilation(d, np.nan), True),
+    (lambda d: cg.dilation(d, 1e-300), False),
+    (lambda d: cg.boost(d, 1, np.nan), True),
+    (lambda d: cg.boost(d, 1, np.inf), True),
+    (lambda d: cg.boost(d, 1, 800.0), True),
+    (lambda d: cg.boost(d, 1, 700.0), False),
+), ids=("shift-nan", "shift-inf", "shift-1e100", "time-shift-1e100", "time-shift-1e160",
+        "shift-1e160", "special-1e100", "special-1e160", "dilation-0", "dilation-minus-1",
+        "dilation-nan", "dilation-1e-300", "rapidity-nan", "rapidity-inf", "rapidity-800",
+        "rapidity-700"))
+def test_exact_constructors_raise_where_the_form_test_does(d, build, raises):
+    # A closed-form constructor tests only that its entries are finite.  The
+    # flags are where it raised when it ran the full form test as well; the
+    # full test accepts every matrix it returns, including those whose
+    # squared entries overflow.
+    with np.errstate(all="ignore"):
+        if raises:
+            with pytest.raises(ValueError):
+                build(d)
+        else:
+            g = build(d)
+            for m in (g.matrix, g.inverse().matrix):
+                assert np.array_equal(cg.GroupElement(m).matrix, m)
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -436,14 +509,7 @@ def test_generators_are_commutators(d):
 def test_double_cone_transport(d):
     rng = np.random.default_rng(13)
     for _ in range(5):
-        def random_cone():
-            c = rng.normal(size=d)
-            v = rng.normal(size=d) * 0.3
-            v[0] = abs(v[0]) + 1.0 + np.linalg.norm(v[1:])
-            from confmod.geometry import DoubleCone
-            return DoubleCone(c, c + v)
-
-        src, dst = random_cone(), random_cone()
+        src, dst = random_double_cone(rng, d), random_double_cone(rng, d)
         g = cg.double_cone_transport(src, dst)
         pts = sample_region(src, 200, seed=14)
         img, ok = cg.act_array(g, pts)

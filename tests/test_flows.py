@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,59 @@ def test_region_preservation(d):
             for p in pts:
                 y = flow.closed_form(t, p)
                 assert y is not None and flow.region.contains(y)
+
+
+# At this time the double-cone flow has a pole inside the sampled rows.
+T_POLE = -0.3
+
+
+def row_form_inputs(d, a):
+    """Random rows, rows in the unit double cone and on its time axis, rows on
+    the double-cone flow's poles at T_POLE, rows on the light cone of a, and
+    rows with infinite, NaN and huge coordinates."""
+    rng = np.random.default_rng(17)
+    e = float(np.exp(-2 * np.pi * T_POLE))
+    pole = (1.0 + e) / (e - 1.0)   # the value of x0 +- |vec x| sent to infinity
+    u = rng.normal(size=(4, d - 1))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    rho = rng.uniform(0.1, 0.5, size=(4, 1))
+    null = np.r_[1.0, u[0]]
+    special = [np.nan, np.inf, -np.inf, 0.0, 1.0, 1e200]
+    return np.vstack([rng.normal(size=(200, d)),
+                      sample_region(unit_double_cone(d), 50, seed=18),
+                      rng.normal(size=(5, 1)) * np.eye(d)[0],
+                      np.c_[pole - rho, rho * u], np.c_[pole + rho, rho * u],
+                      a + np.array([[-2.0], [-0.5], [0.0], [1.5]]) * null,
+                      rng.choice(special, size=(40, d))])
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_rows_match_closed_form_bitwise(d):
+    a = 0.3 * np.random.default_rng(19).normal(size=d)
+    g = cg.translation(d, a) @ cg.ray_inversion(d)
+    X = row_form_inputs(d, a)
+    flows = (fl.wedge_flow(d), fl.doublecone_flow(d), fl.cone_flow(d),
+             fl.conjugate_flow(g, fl.doublecone_flow(d)))
+    for k, flow in enumerate(flows):
+        singular = 0
+        for t in (T_POLE, -1.2, 0.0, 0.45, 1.7):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                Y, regular = flow.rows(t, X)
+            with np.errstate(all="ignore"):
+                expected = [flow.closed_form(t, x) for x in X]
+            assert Y.shape == X.shape and regular.shape == (len(X),)
+            for y, ok, e in zip(Y, regular, expected):
+                if e is None:
+                    assert not ok and np.isnan(y).all()
+                    singular += 1
+                else:
+                    # bit for bit, but for the sign of a NaN, which scalar
+                    # and array arithmetic may set differently
+                    nan = np.isnan(e)
+                    assert ok and np.array_equal(np.isnan(y), nan)
+                    assert y[~nan].tobytes() == e[~nan].tobytes()
+        assert (singular > 0) == (k in (1, 3))
 
 
 @pytest.mark.parametrize("d", DIMS)

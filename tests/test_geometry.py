@@ -10,7 +10,7 @@ from confmod.geometry import (SAMPLING_BOX, CausalRelation, DoubleCone, FutureCo
                               causal_relation, minkowski_norm, sample_region,
                               spacelike_complement, standard_wedge,
                               timelike_complement, transform_region,
-                              unit_double_cone)
+                              unit_double_cone, _dot)
 
 DIMS = (2, 3, 4)
 
@@ -19,6 +19,18 @@ def test_minkowski_norm_examples():
     assert minkowski_norm([1, 0, 0, 0]) == 1
     assert minkowski_norm([0, 1, 0, 0]) == -1
     assert minkowski_norm([3, 1, 2, 2]) == 0   # 9 - 1 - 4 - 4
+
+
+def test_coordinate_sums_fold_left_to_right():
+    # Arrays add left to right, so the floats of a point must too: a
+    # compensated sum (Python's sum from 3.12 on) gives 1.0 and -(1e16 + 2)
+    # below, and the sign of zero follows sum's start at 0.
+    a = [1e16, 1.0, -1e16]
+    assert _dot(a, [1.0, 1.0, 1.0]) == 0.0
+    np.testing.assert_array_equal(_dot([np.array([v]) for v in a], [1.0] * 3), [0.0])
+    assert str(_dot([-0.0], [1.0])) == str(sum([-0.0])) == "0.0"
+    x = np.array([0.0, 1e8, 1.0, 1.0])   # 1e16 + 1 + 1 rounds to 1e16 twice
+    assert minkowski_norm(x) == minkowski_norm(x[None])[0] == -1e16
 
 
 def test_causal_relation_examples():
