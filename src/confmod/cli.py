@@ -242,17 +242,24 @@ def run_flows_suite(config: SuiteConfig) -> list:
 
 
 def run_modular_suite(config: SuiteConfig) -> list:
+    """Tomita calculus on 100 random standard subspaces.  Each draw makes
+    two frame products, one dense call for S, Delta, J, Delta^{1/2} and the
+    cocycle's flows and one on the basis of K for the flow check's times,
+    and applies S to the stacked generators once."""
     rng = _suite_rng(config, "modular")
     checks = []
     tol = config.tol("modular_residual")
     worst = {"involution": 0.0, "conjugation": 0.0, "cocycle": 0.0,
              "fix": 0.0, "flow": 0.0, "complement": 0.0, "kms": 0.0}
+    dense_entries = ("S", "delta", "J", "delta_sqrt", *md._flow_entries((0.4, 0.9, 1.3)))
+    flow_entries = md._flow_entries((0.3, 1.0, 2.7))
+    cplx = md._complexify_vectors
     for _ in range(100):
         m = int(rng.integers(1, 9))
         K = md.random_standard_subspace(m, rng)
         dat = md.tomita_operators(K)
-        S, D, J, sq = np.hsplit(md.dense(lambda cols: dat.apply_planes(
-            ("S", "delta", "J", "delta_sqrt"), None, cols), 2 * m), 4)
+        S, D, J, sq, *cocycle = np.hsplit(md.dense(
+            lambda cols: dat.apply_planes(dense_entries, cols), 2 * m), len(dense_entries))
         eye = np.eye(2 * m)
         worst["involution"] = max(worst["involution"],
                                   np.max(np.abs(S @ S - eye)) / max(1.0, np.max(np.abs(S)) ** 2),
@@ -260,29 +267,27 @@ def run_modular_suite(config: SuiteConfig) -> list:
         dinv = S @ S.T      # Delta^{-1} exactly: Delta = S^T S and S^2 = 1
         worst["conjugation"] = max(worst["conjugation"],
                                    np.max(np.abs(J @ D @ J - dinv)) / max(1.0, np.max(np.abs(dinv))))
-        for g in K.generators:
-            worst["fix"] = max(worst["fix"],
-                               np.linalg.norm(dat.apply_s(g) - g) / np.linalg.norm(g))
+        gens = K.generators
+        worst["fix"] = max(worst["fix"], np.max(
+            np.linalg.norm(dat.apply_s(gens) - gens, axis=1) / np.linalg.norm(gens, axis=1)))
         # Delta^{it} is orthogonal, so the largest angle between K and its
         # image is arcsin of the norm of the image's residual off K
-        for t in (0.3, 1.0, 2.7):
-            fk = dat.apply_flow_real(t, K.basis)
-            resid = np.linalg.norm(fk - K.basis @ (K.basis.T @ fk), 2)
-            worst["flow"] = max(worst["flow"], float(np.arcsin(min(resid, 1.0))))
-        jk = md.StandardSubspace(m, md._complexify_vectors(J @ K.basis).T)
-        worst["complement"] = max(worst["complement"], md.symplectic_complement_angle(K, jk))
+        fks = md._flow_images(np.hsplit(dat.apply_planes(flow_entries, K.basis),
+                                        len(flow_entries)))
+        norms = np.linalg.svd(np.stack([fk - K.basis @ (K.basis.T @ fk) for fk in fks]),
+                              compute_uv=False)[:, 0]
+        worst["flow"] = max(worst["flow"], float(np.arcsin(min(np.max(norms), 1.0))))
+        # J is orthogonal, so J B is an orthonormal basis of J K
+        worst["complement"] = max(worst["complement"],
+                                  md.symplectic_complement_angle(K.basis, J @ K.basis))
         x, y = rng.normal(size=2 * m), rng.normal(size=2 * m)
-        cplx = md._complexify_vectors
         lhs = np.vdot(cplx(sq @ x), cplx(sq @ y))
         rhs = np.vdot(cplx(S @ y), cplx(S @ x))
         worst["kms"] = max(worst["kms"], abs(lhs - rhs) / max(1.0, abs(lhs)))
-
-        def flow(t):
-            """Delta^{it} as a complex m x m matrix: the first m columns of
-            its real encoding, the images of the real unit vectors."""
-            return cplx(md.dense(lambda cols: dat.apply_flow_real(t, cols), 2 * m)[:, :m])
-        worst["cocycle"] = max(worst["cocycle"], np.max(np.abs(
-            flow(0.4) @ flow(0.9) - flow(1.3))))
+        # Delta^{it} as a complex m x m matrix: the first m columns of its
+        # real encoding, the images of the real unit vectors
+        u4, u9, u13 = (cplx(u[:, :m]) for u in md._flow_images(cocycle))
+        worst["cocycle"] = max(worst["cocycle"], np.max(np.abs(u4 @ u9 - u13)))
     _check(checks, "tomita-involutions", "tomita-involutions", worst["involution"], tol)
     _check(checks, "modular-conjugation-inverts", "modular-conjugation-inverts",
            worst["conjugation"], tol)

@@ -163,11 +163,12 @@ class ModularData:
 
     Each operator has one form, its application to real-encoded columns
     plane by plane, frame (blocks (frame^T cols)), in O(m^2 k) for k
-    columns: apply_planes for any kinds of plane block side by side,
+    columns: apply_planes for any kinds and flow times side by side,
     apply_flow_real and apply_j_real, and apply_s, apply_j and apply_flow
-    on complex vectors.  A caller that needs the 2m x 2m matrix applies the
-    operator to the identity, dense(apply, 2m).  flow_real(t) is that
-    matrix for Delta^{it}, kept as a name the benchmark tracer wraps.
+    on complex vectors or (k, m) stacks of row vectors.  A caller that
+    needs the 2m x 2m matrix applies the operator to the identity,
+    dense(apply, 2m).  flow_real(t) is that matrix for Delta^{it}, kept as
+    a name the benchmark tracer wraps.
     """
 
     ambient_dim: int
@@ -175,7 +176,13 @@ class ModularData:
     sigmas: np.ndarray
     sines: np.ndarray
 
-    def _plane_blocks(self, kind: str, t: float | None = None) -> np.ndarray:
+    def _plane_blocks(self, entry) -> np.ndarray:
+        """The 2x2 blocks of one apply_planes entry: "S", "delta",
+        "delta_sqrt" or "J", or a flow kind with its time, ("flow_cos", t)
+        or ("flow_sin", t)."""
+        kind, t = (entry, None) if isinstance(entry, str) else entry
+        if (t is None) != (kind in ("S", "delta", "delta_sqrt", "J")):
+            raise ValueError(f"bad plane block {entry!r}")
         c, s = self.sigmas, self.sines
         n = c.shape[0]
         blocks = np.empty((n, 2, 2))
@@ -206,7 +213,7 @@ class ModularData:
             blocks[:, 0, 1] = blocks[:, 1, 0] = -s * w
             blocks[:, 1, 1] = c * w
         else:
-            raise ValueError(kind)
+            raise ValueError(f"bad plane block {entry!r}")
         return blocks
 
     def log_eigenvalues(self) -> np.ndarray:
@@ -215,15 +222,17 @@ class ModularData:
 
     # -- real-encoded operators (act on [Re v; Im v]) --
 
-    def apply_planes(self, kinds, t: float | None, cols: np.ndarray) -> np.ndarray:
-        """frame (blocks (frame^T cols)) for each kind of plane block, side
-        by side: O(m^2 k) for k columns, no 2m x 2m operator formed.  The
-        kinds are "S", "delta", "delta_sqrt" and "J", and "flow_cos" and
-        "flow_sin" at time t."""
+    def apply_planes(self, kinds, cols: np.ndarray) -> np.ndarray:
+        """frame (blocks (frame^T cols)) for each entry of kinds, side by
+        side: O(m^2 k) for k columns, no 2m x 2m operator formed.  An entry
+        is a block kind, "S", "delta", "delta_sqrt" or "J", or a flow kind
+        with its own time, ("flow_cos", t) or ("flow_sin", t), so one call
+        serves any mix of operators and times with one product by frame^T
+        and one by frame."""
         m = self.ambient_dim
         y = (self.frame.T @ cols.reshape(2 * m, -1)).reshape(m, 2, -1)
-        parts = [np.einsum("kij,kjn->kin", self._plane_blocks(kind, t), y)
-                 .reshape(2 * m, -1) for kind in kinds]
+        parts = [np.einsum("kij,kjn->kin", self._plane_blocks(entry), y)
+                 .reshape(2 * m, -1) for entry in kinds]
         return self.frame @ np.hstack(parts)
 
     def apply_flow_real(self, t: float, cols: np.ndarray) -> np.ndarray:
@@ -234,13 +243,13 @@ class ModularData:
         and both parts are mapped back as frame (cos part) + i frame (sin
         part)."""
         cols = np.asarray(cols, dtype=float)
-        re, im = np.hsplit(self.apply_planes(("flow_cos", "flow_sin"), t, cols), 2)
-        return (re + _times_i(im)).reshape(cols.shape)
+        (u,) = _flow_images(np.hsplit(self.apply_planes(_flow_entries((t,)), cols), 2))
+        return u.reshape(cols.shape)
 
     def apply_j_real(self, cols: np.ndarray) -> np.ndarray:
         """J of real-encoded columns, plane by plane as in apply_flow_real."""
         cols = np.asarray(cols, dtype=float)
-        return self.apply_planes(("J",), None, cols).reshape(cols.shape)
+        return self.apply_planes(("J",), cols).reshape(cols.shape)
 
     def flow_real(self, t: float) -> np.ndarray:
         """Real encoding of Delta^{it} as a 2m x 2m matrix."""
@@ -249,19 +258,32 @@ class ModularData:
     # -- complex vectors --
 
     def _apply(self, real_map, v: np.ndarray) -> np.ndarray:
-        """Complex vectors through a map of real-encoded columns."""
+        """Complex vectors through a map of real-encoded columns: a vector,
+        or a (k, m) stack of row vectors, comes back in the same shape."""
         v = np.asarray(v, dtype=complex)
         out = _complexify_vectors(real_map(_realify(np.atleast_2d(v).T)))
-        return out.ravel() if v.ndim == 1 else out
+        return out.T.reshape(v.shape)
 
     def apply_s(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(lambda cols: self.apply_planes(("S",), None, cols), v)
+        return self._apply(lambda cols: self.apply_planes(("S",), cols), v)
 
     def apply_j(self, v: np.ndarray) -> np.ndarray:
         return self._apply(self.apply_j_real, v)
 
     def apply_flow(self, t: float, v: np.ndarray) -> np.ndarray:
         return self._apply(lambda cols: self.apply_flow_real(t, cols), v)
+
+
+def _flow_entries(times) -> list:
+    """apply_planes entries for Delta^{it} at each time: its cos and sin
+    parts, in pairs."""
+    return [(kind, t) for t in times for kind in ("flow_cos", "flow_sin")]
+
+
+def _flow_images(parts) -> list:
+    """Delta^{it} images from the part pairs of _flow_entries: the cos part
+    plus i times the sin part."""
+    return [re + _times_i(im) for re, im in zip(parts[::2], parts[1::2])]
 
 
 def dense(apply, n: int) -> np.ndarray:
@@ -335,23 +357,24 @@ def symplectic_complement(subspace: StandardSubspace) -> StandardSubspace:
     return StandardSubspace(m, _complexify_vectors(comp).T)
 
 
-def symplectic_complement_angle(k1: StandardSubspace, k2: StandardSubspace) -> float:
-    """Largest principal angle between K1' and K2, computed from the two
-    orthonormal bases without forming K1'.
+def symplectic_complement_angle(b1: np.ndarray, b2: np.ndarray) -> float:
+    """Largest principal angle between K1' and K2, computed from
+    orthonormal bases b1 of K1 and b2 of K2 (real-encoded columns, any
+    bases of the spans) without forming K1'.
 
     K1' = (iK1)^perp, so the part of a unit vector of K2 outside K1' is
     its projection onto iK1: the sines of the angles between K2 and K1' are
-    the singular values mu of M = B1^T (i B2), padded with zeros to dim K2.
+    the singular values mu of M = b1^T (i b2), padded with zeros to dim K2.
     There are q = min(2m - dim K1, dim K2) principal angles, those with
     the q smallest sines; the largest angle is arcsin of the q-th smallest
     mu (arcsin of ||M||_2 for equal dimensions).  Raises ValueError when K1
     spans R^{2m}, so that K1' = 0 and no angle is defined."""
-    d1, d2 = k1.real_dim, k2.real_dim
-    q = min(2 * k1.ambient_dim - d1, d2)
+    d1, d2 = b1.shape[1], b2.shape[1]
+    q = min(b1.shape[0] - d1, d2)
     if q == 0:
         raise ValueError("the symplectic complement is the zero subspace")
     mu = np.zeros(d2)
-    mu[d2 - min(d1, d2):] = svd(k1.basis.T @ _times_i(k2.basis), compute_uv=False)[::-1]
+    mu[d2 - min(d1, d2):] = svd(b1.T @ _times_i(b2), compute_uv=False)[::-1]
     return float(np.arcsin(min(mu[q - 1], 1.0)))
 
 

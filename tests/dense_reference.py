@@ -23,12 +23,13 @@ def std_i(m):
     return j
 
 
-def assemble(dat, kind, t=None):
-    """frame @ blockdiag(blocks) @ frame^T for one kind of plane block."""
+def assemble(dat, entry):
+    """frame @ blockdiag(blocks) @ frame^T for one apply_planes entry, a
+    block kind or a flow kind with its time."""
     m = dat.ambient_dim
     # Apply each 2x2 block to its column pair in one batched product.
     paired = dat.frame.reshape(2 * m, m, 2)
-    mixed = np.einsum("nkj,kji->nki", paired, dat._plane_blocks(kind, t))
+    mixed = np.einsum("nkj,kji->nki", paired, dat._plane_blocks(entry))
     return mixed.reshape(2 * m, 2 * m) @ dat.frame.T
 
 
@@ -46,7 +47,8 @@ def j_real(dat):
 
 def flow_real(dat, t):
     """Real encoding of Delta^{it}: the cos part plus i times the sin part."""
-    return assemble(dat, "flow_cos", t) + std_i(dat.ambient_dim) @ assemble(dat, "flow_sin", t)
+    return (assemble(dat, ("flow_cos", t))
+            + std_i(dat.ambient_dim) @ assemble(dat, ("flow_sin", t)))
 
 
 def complexify_operator(a):

@@ -411,6 +411,50 @@ def test_duality_defect_matches_complement_svd(models):
             assert abs(ch.duality_defect(model, interval) - reference(model, interval)) < 1e-12
 
 
+def _site_basis_arcs(model):
+    """The half circle, its L/8 rotation, its complement, and the two
+    off-site arcs above with their complements."""
+    I = ch.half_circle()
+    shift = 2 * np.pi * (model.L // 8) / model.L
+    off = (ch.CircleInterval(0.1, np.pi + 0.3), ch.CircleInterval(0.3, 1.0))
+    return (I, ch.CircleInterval(I.a + shift, I.b + shift), I.complement(),
+            *off, *(arc.complement() for arc in off))
+
+
+@pytest.mark.parametrize("L", (64, 128, 256, 512))
+def test_site_basis_spans_interval_subspace(models, L):
+    # the Householder basis is orthonormal, one column per site, and spans
+    # the space of the thin-SVD basis of interval_subspace
+    model = models.get(L) or ch.build_model(L)
+    for arc in _site_basis_arcs(model):
+        q = ch._site_basis(model, arc)
+        assert q.shape == (2 * model.m, arc.sites(model).size)
+        assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) < 1e-13
+        b = ch.interval_subspace(model, arc).basis
+        assert np.max(np.abs(q @ q.T - b @ b.T)) < 1e-12
+
+
+def test_site_basis_errors(models):
+    # no sites and all sites: the errors of interval_subspace; L - 1 sites:
+    # a basis of all of R^{2m}, whose symplectic complement is zero, as for
+    # the thin-SVD basis
+    model = models[64]
+    w = 2 * np.pi / model.L
+    for arc, message in ((ch.CircleInterval(0.25 * w, 0.75 * w),
+                          "^interval contains no lattice sites"),
+                         (ch.CircleInterval(-0.5 * w, -0.6 * w),
+                          "complement contains no lattice sites")):
+        for fn in (ch._site_basis, ch.interval_subspace, ch.duality_defect):
+            with pytest.raises(ValueError, match=message):
+                fn(model, arc)
+    most = ch.CircleInterval(0.5 * w, -0.5 * w)
+    assert most.sites(model).size == model.L - 1
+    assert ch._site_basis(model, most).shape == (2 * model.m, 2 * model.m)
+    assert ch.interval_subspace(model, most).real_dim == 2 * model.m
+    with pytest.raises(ValueError, match="zero subspace"):
+        ch.duality_defect(model, most)
+
+
 def test_duality_angle_ladder_recorded(models):
     """The worst principal angle is pinned to boundary site pairs whose
     symplectic pairing is scale invariant; the measured ladder increases,
@@ -491,7 +535,7 @@ def test_windowed_tomita_involution(models):
     dat = ch.interval_tomita(model, ch.half_circle())
     W = ch._window_frame(dat)
     P = W @ W.T
-    Sw = P @ md.dense(lambda cols: dat.apply_planes(("S",), None, cols), 2 * model.m) @ P
+    Sw = P @ md.dense(lambda cols: dat.apply_planes(("S",), cols), 2 * model.m) @ P
     fam = ch._encoded_family(model, ch.default_test_family(model, ch.half_circle()), W)
     assert np.max(np.linalg.norm(Sw @ (Sw @ fam) - fam, axis=0)) < 1e-6
 

@@ -139,7 +139,8 @@ def test_ladder_suites_build_each_model_once(monkeypatch):
 
 def test_ladder_suites_factor_each_interval_once(monkeypatch):
     # bw and pct factor the half circle once per size; duality reads its
-    # angle from the interval bases and factors nothing; the modular suite
+    # angle from Householder bases of the arcs and builds no Tomita
+    # operators; the modular suite
     # factors each of its 100 random subspaces once and measures J K = K'
     # from the two bases, never forming K'
     calls = []

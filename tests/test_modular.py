@@ -13,9 +13,10 @@ def realify(vectors):
     return np.vstack([v.real, v.imag])
 
 
-def operator(dat, kind, t=None):
-    """Real 2m x 2m matrix of one kind of plane block, from its application."""
-    return md.dense(lambda cols: dat.apply_planes((kind,), t, cols), 2 * dat.ambient_dim)
+def operator(dat, entry):
+    """Real 2m x 2m matrix of one apply_planes entry, a block kind or a
+    flow kind with its time, from its application."""
+    return md.dense(lambda cols: dat.apply_planes((entry,), cols), 2 * dat.ambient_dim)
 
 
 def flow_real(dat, t):
@@ -281,6 +282,63 @@ def test_plane_conjugation_matches_dense_conjugation():
                                    rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(S))))
 
 
+@pytest.mark.parametrize("seed", (18, 19))
+def test_complex_application_keeps_rows(seed):
+    # a (k, m) stack of row vectors, the layout of StandardSubspace.generators,
+    # comes back as rows, each the 1-D application of its row: k < m, k == m
+    # and k > m, with S compared relative to its largest entry as above
+    rng = np.random.default_rng(seed)
+    for m in range(1, 9):
+        dat = md.tomita_operators(md.random_standard_subspace(m, rng))
+        s_scale = max(1.0, np.max(np.abs(dr.s_matrix(dat))))
+        for apply, scale in ((dat.apply_s, s_scale), (dat.apply_j, 1.0),
+                             (lambda v: dat.apply_flow(0.4, v), 1.0)):
+            for k in sorted({max(1, m - 1), m, m + 2}):
+                rows = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
+                out = apply(rows)
+                assert out.shape == (k, m)
+                for row, image in zip(rows, out):
+                    np.testing.assert_allclose(image, apply(row), rtol=0,
+                                               atol=1e-13 * scale)
+
+
+def _one_kind_call(dat, entry, cols):
+    """The block of one entry from one call per kind: a block kind alone, a
+    flow part with its partner at the same time, as apply_flow_real calls
+    them (on a single column, a call with one entry is a matrix-vector
+    product, whose rounding may differ)."""
+    if isinstance(entry, str):
+        return dat.apply_planes((entry,), cols)
+    kind, t = entry
+    return np.hsplit(dat.apply_planes((("flow_cos", t), ("flow_sin", t)), cols), 2)[
+        kind == "flow_sin"]
+
+
+def test_apply_planes_mixed_matches_one_kind_calls():
+    # the modular suite's values are bitwise those of one call per kind
+    # and time: each block of its two mixed calls, the dense one on the
+    # identity and the flow check's on the basis of K, is the one-kind
+    # call's, bit for bit, for the suite's draws; so is each block of both
+    # entry lists joined
+    dense = ["S", "delta", "J", "delta_sqrt",
+             *((kind, t) for t in (0.4, 0.9, 1.3) for kind in ("flow_cos", "flow_sin"))]
+    flows = [(kind, t) for t in (0.3, 1.0, 2.7) for kind in ("flow_cos", "flow_sin")]
+    for K in _modular_suite_subspaces(42):
+        dat = md.tomita_operators(K)
+        eye = np.eye(2 * K.ambient_dim)
+        for entries, cols in ((dense, eye), (dense + flows, eye), (flows, K.basis)):
+            blocks = np.hsplit(dat.apply_planes(entries, cols), len(entries))
+            for entry, block in zip(entries, blocks):
+                np.testing.assert_array_equal(block, _one_kind_call(dat, entry, cols))
+
+
+def test_apply_planes_rejects_bad_entries():
+    dat = md.tomita_operators(md.StandardSubspace(2, [[1.0, 0.0], [0.5j, 1.0]]))
+    for entry in ("flow_cos", ("J", 0.3), "T", ("flow_tan", 0.3)):
+        with pytest.raises(ValueError):
+            dat.apply_planes((entry,), np.eye(4))
+
+
 def test_kms_symmetry():
     # <Delta^{1/2} x, Delta^{1/2} y> = <S y, S x> on K + iK
     rng = np.random.default_rng(4)
@@ -343,11 +401,11 @@ def test_complement_angle_matches_complement_svd():
         m = int(rng.integers(1, 9))
         k1, k2 = (md.random_standard_subspace(m, rng) for _ in range(2))
         ref = md.subspace_angle(md.symplectic_complement(k1), k2)
-        assert md.symplectic_complement_angle(k1, k2) == pytest.approx(ref, abs=1e-12)
+        assert md.symplectic_complement_angle(k1.basis, k2.basis) == pytest.approx(ref, abs=1e-12)
         # equal dimensions: arcsin of the norm of B1^T (i B2)
         norm = np.linalg.norm(k1.basis.T @ md._times_i(k2.basis), 2)
-        assert md.symplectic_complement_angle(k1, k2) == pytest.approx(np.arcsin(norm),
-                                                                        abs=1e-12)
+        assert md.symplectic_complement_angle(k1.basis, k2.basis) == pytest.approx(
+            np.arcsin(norm), abs=1e-12)
     # spans of other real dimensions: the q-th smallest singular value,
     # q = min(2m - dim K1, dim K2)
     for _ in range(60):
@@ -357,10 +415,11 @@ def test_complement_angle_matches_complement_svd():
                   for d in (d1, d2))
         assert (k1.real_dim, k2.real_dim) == (d1, d2)
         ref = md.subspace_angle(md.symplectic_complement(k1), k2)
-        assert md.symplectic_complement_angle(k1, k2) == pytest.approx(ref, abs=1e-12)
+        assert md.symplectic_complement_angle(k1.basis, k2.basis) == pytest.approx(ref, abs=1e-12)
     # a span of all of C^m has the zero complement: no angle, as no complement
     full = md.StandardSubspace(3, rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3)))
-    for fn in (md.symplectic_complement, lambda k: md.symplectic_complement_angle(k, k2)):
+    for fn in (md.symplectic_complement,
+               lambda k: md.symplectic_complement_angle(k.basis, k2.basis)):
         with pytest.raises(ValueError):
             fn(full)
 
@@ -413,7 +472,7 @@ def test_frame_orthogonal_and_planes_invariant():
         # block per principal plane
         off = np.kron(np.eye(n // 2), np.ones((2, 2))) == 0
         t = rng.uniform(-1.0, 1.0)
-        ops = [operator(dat, kind, t) for kind in ("J", "S", "flow_cos", "flow_sin")]
+        ops = [operator(dat, entry) for entry in ("J", "S", ("flow_cos", t), ("flow_sin", t))]
         for op in ops:
             leak = np.max(np.abs((F.T @ op @ F)[off]), initial=0.0)
             assert leak / max(1.0, np.max(np.abs(op))) < 1e-14
