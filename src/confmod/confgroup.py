@@ -105,19 +105,16 @@ class GroupElement:
 
     GroupElement(m) tests the form on m.  The closed-form constructors, whose
     matrices preserve Q in exact arithmetic, test only that the entries are
-    finite (_exact); a composite tests the form once, on its product."""
+    finite; a composite tests the form once, on its product (_product).
+    Each public constructor is a one-row call of a builder that does the
+    same for a stack of parameters, matrix by matrix."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m, amax = _finite_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        q, Q = _form(self.dim)
-        # Rounding in g^T Q g scales with the squared entry magnitude, so the
-        # acceptance threshold must scale the same way for large parameters.
-        tol = FORM_TOL * max(1.0, amax ** 2)
-        if np.abs((m.T * q) @ m - Q).max() > tol:
-            raise ValueError("matrix does not preserve the (d,2) form")
+        _check_form(m[None], amax)
 
     @property
     def dim(self) -> int:
@@ -157,31 +154,70 @@ class GroupElement:
         return [wi / denom for wi in w[:-2]], regular
 
 
-def _finite_matrix(m) -> tuple[np.ndarray, float]:
-    """(m as a float array, its largest entry size); raises unless m is a
-    finite square matrix of size d+2 with d >= 1."""
+def _finite_stack(m) -> tuple[np.ndarray, np.ndarray]:
+    """(m as a float array, the largest entry size of each of its matrices);
+    raises unless m is an (n, d+2, d+2) stack of finite matrices, d >= 1."""
     m = np.asarray(m, dtype=float)
-    d = m.shape[0] - 2
-    if m.shape != (d + 2, d + 2) or d < 1:
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] < 3:
         raise ValueError("matrix must be square of size d+2 with d >= 1")
-    amax = np.abs(m).max()
-    if not amax < np.inf:
+    amax = np.abs(m).max(axis=(1, 2), initial=0.0)
+    if not (amax < np.inf).all():
         raise ValueError("matrix entries must be finite")
     return m, amax
+
+
+def _finite_matrix(m) -> tuple[np.ndarray, float]:
+    """_finite_stack on one matrix: (m as a float array, its largest entry size)."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise ValueError("matrix must be square of size d+2 with d >= 1")
+    return m, _finite_stack(m[None])[1][0]
+
+
+def _check_form(m: np.ndarray, amax) -> np.ndarray:
+    """m, an (n, d+2, d+2) stack whose matrices have the largest entry sizes
+    amax; raises unless every matrix g of it preserves Q, to within
+    |g^T Q g - Q| <= FORM_TOL max(1, amax^2) entrywise."""
+    q, Q = _form(m.shape[-1] - 2)
+    # Rounding in g^T Q g scales with the squared entry magnitude, so the
+    # acceptance threshold must scale the same way for large parameters.
+    tol = FORM_TOL * np.fmax(1.0, amax ** 2)
+    residual = np.abs((m.transpose(0, 2, 1) * q) @ m - Q).max(axis=(1, 2), initial=0.0)
+    if (residual > tol).any():
+        raise ValueError("matrix does not preserve the (d,2) form")
+    return m
+
+
+def _element(m: np.ndarray) -> GroupElement:
+    """The element of a float matrix whose tests have run."""
+    g = object.__new__(GroupElement)
+    object.__setattr__(g, "matrix", m)
+    return g
 
 
 def _exact(m) -> GroupElement:
     """The element of a closed-form matrix, one that preserves Q in exact
     arithmetic: only the finiteness test runs."""
-    g = object.__new__(GroupElement)
-    object.__setattr__(g, "matrix", _finite_matrix(m)[0])
-    return g
+    return _element(_finite_matrix(m)[0])
 
 
-def _product(*factors: GroupElement) -> GroupElement:
-    """The product of the factors, multiplied left to right as a chain of @,
-    with the form tested once, on the result."""
-    return GroupElement(reduce(matmul, [g.matrix for g in factors]))
+def _product(*factors: np.ndarray) -> np.ndarray:
+    """The product of the factors, matrices and (n, d+2, d+2) stacks of them,
+    multiplied left to right as a chain of @: an (n, d+2, d+2) stack, n = 1
+    for matrices alone, each matrix of which passed the finiteness test and
+    the form test."""
+    m = reduce(matmul, factors)
+    return _check_form(*_finite_stack(m.reshape(-1, *m.shape[-2:])))
+
+
+def _compose(*factors: GroupElement) -> GroupElement:
+    """The element of _product on the matrices of the factors."""
+    return _element(_product(*(g.matrix for g in factors))[0])
+
+
+def _eyes(k: int, n: int) -> np.ndarray:
+    """A stack of n identity matrices of size k."""
+    return np.repeat(np.eye(k)[None], n, axis=0)
 
 
 @dataclass(frozen=True)
@@ -257,16 +293,22 @@ def act_array(g: GroupElement, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # --- element constructors ---------------------------------------------------
 
 def translation(d: int, a) -> GroupElement:
-    a = np.asarray(a, dtype=float)
-    if a.shape != (d,):
+    return _element(_translations(d, [a])[0])
+
+
+def _translations(d: int, A) -> np.ndarray:
+    """The translations by the rows of an (n, d) array, an (n, d+2, d+2) stack."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[1] != d:
         raise ValueError("translation vector must have length d")
     # exp(A) = I + A + A^2/2 for the nilpotent generator A; A^2/2 is
     # (a^2/2) [[1, 1], [-1, -1]] on the (xi_d, xi_{d+1}) block
-    gen, a2 = _translation_generator(d, a)
+    gen, a2 = _translation_generators(d, A)
     m = np.eye(d + 2) + gen
-    m[d, d:] += a2 / 2.0
-    m[d + 1, d:] -= a2 / 2.0
-    return _exact(m)
+    half = (a2 / 2.0)[:, None]
+    m[:, d, d:] += half
+    m[:, d + 1, d:] -= half
+    return _finite_stack(m)[0]
 
 
 def _lorentz_element(lorentz: np.ndarray) -> GroupElement:
@@ -288,13 +330,19 @@ def rotation(d: int, i: int, j: int, angle: float) -> GroupElement:
 
 def dilation(d: int, lam: float) -> GroupElement:
     """x -> lam x for lam > 0; hyperbolic in the (xi_d, xi_{d+1}) plane."""
-    if lam <= 0:
+    return _element(_dilations(d, [lam])[0])
+
+
+def _dilations(d: int, lam) -> np.ndarray:
+    """The dilations by the entries of a 1-D array, an (n, d+2, d+2) stack."""
+    lam = np.asarray(lam, dtype=float)
+    if (lam <= 0).any():
         raise ValueError("dilation parameter must be positive")
-    m = np.eye(d + 2)
-    inv, lm = 1.0 / lam, lam
-    m[d, d] = m[d + 1, d + 1] = (inv + lm) / 2.0
-    m[d, d + 1] = m[d + 1, d] = (inv - lm) / 2.0
-    return _exact(m)
+    m = _eyes(d + 2, len(lam))
+    inv = 1.0 / lam
+    m[:, d, d] = m[:, d + 1, d + 1] = (inv + lam) / 2.0
+    m[:, d, d + 1] = m[:, d + 1, d] = (inv - lam) / 2.0
+    return _finite_stack(m)[0]
 
 
 def _reflection(d: int, minus) -> GroupElement:
@@ -310,7 +358,7 @@ def ray_inversion(d: int) -> GroupElement:
 def special(d: int, a) -> GroupElement:
     """Special conformal transformation: ray inversion, translation, inversion."""
     rho = ray_inversion(d)
-    return _product(rho, translation(d, a), rho)
+    return _compose(rho, translation(d, a), rho)
 
 
 def axis_inversion(d: int, axis: int) -> GroupElement:
@@ -330,19 +378,22 @@ def space_reflection(d: int, axis: int) -> GroupElement:
 
 # --- generators --------------------------------------------------------------
 
-def _translation_generator(d: int, a: np.ndarray) -> tuple[np.ndarray, float]:
-    """(A, a^2): xi_mu' = a_mu (xi_d + xi_{d+1}), xi_d' = -xi_{d+1}' = <a, xi>."""
-    eta_a = _metric_signs(d) * a
-    m = np.zeros((d + 2, d + 2))
-    m[:d, d] = a
-    m[:d, d + 1] = a
-    m[d, :d] = eta_a
-    m[d + 1, :d] = -eta_a
-    return m, float(np.dot(eta_a, a))
+def _translation_generators(d: int, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, a^2) for each row a of an (n, d) array, as an (n, d+2, d+2) stack
+    and an (n,) array: xi_mu' = a_mu (xi_d + xi_{d+1}), xi_d' = -xi_{d+1}' =
+    <a, xi>."""
+    E = _metric_signs(d) * A
+    m = np.zeros((len(A), d + 2, d + 2))
+    m[:, :d, d] = A
+    m[:, :d, d + 1] = A
+    m[:, d, :d] = E
+    m[:, d + 1, :d] = -E
+    # each a^2 through dot's kernel, which rounds as np.dot on one row
+    return m, (E[:, None, :] @ A[:, :, None])[:, 0, 0]
 
 
 def translation_generator(d: int, a) -> LieGenerator:
-    return LieGenerator(_translation_generator(d, np.asarray(a, dtype=float))[0])
+    return LieGenerator(_translation_generators(d, np.asarray([a], dtype=float))[0][0])
 
 
 def boost_generator(d: int, axis: int, rate: float = 1.0) -> LieGenerator:
@@ -400,40 +451,69 @@ def axis_inversion_subgroup(d: int, alpha: float, axis: int = 1) -> GroupElement
 
     with tau the translation along the axis.  U(0) = U(pi) = identity,
     U(pi/2) = R_axis; as matrices the group law holds modulo sign.
+
+    The factors grow as cot(alpha)^2, and near 0 and pi their product fails
+    the 1e-10 form test and raises ValueError.  Measured on grids of alpha
+    at d = 2, 3: it fails for every alpha in [1e-8, 0.05], for most alpha in
+    (0.01, 0.1), and for none in [0.102, pi - 0.102]; the same holds
+    mirrored at pi - alpha.
     """
+    return _element(_axis_inversion_subgroups(d, [alpha], axis)[0])
+
+
+def _axis_inversion_subgroups(d: int, alpha, axis: int = 1) -> np.ndarray:
+    """U(alpha) for each entry of a 1-D array, an (n, d+2, d+2) stack: the
+    identity where |sin alpha| < 1e-12, the product form elsewhere."""
+    alpha = np.asarray(alpha, dtype=float)
     s = np.sin(alpha)
-    if abs(s) < 1e-12:
-        return _exact(np.eye(d + 2))
-    a = np.zeros(d)
-    a[axis] = -np.cos(alpha) / s
-    tau = translation(d, a)
-    return _product(tau, dilation(d, s ** -2), axis_inversion(d, axis), tau)
+    turn = ~(np.abs(s) < 1e-12)
+    s = s[turn]
+    a = np.zeros((len(s), d))
+    a[:, axis] = -np.cos(alpha[turn]) / s
+    tau = _translations(d, a)
+    # s^-2 entry by entry with Python's pow: numpy's array power rounds
+    # some entries differently from the scalar pow
+    dil = _dilations(d, [v ** -2 for v in s.tolist()])
+    m = _eyes(d + 2, len(alpha))
+    m[turn] = _product(tau, dil, axis_inversion(d, axis).matrix, tau)
+    return m
 
 
 def dilation_identity_defect(d: int, a: float, axis: int = 1) -> float:
     """Max-norm distance (mod sign) between
     tau(a) R tau(1/a) R tau(a) R and the dilation by a^2."""
-    if a == 0:
+    return _identity_defects(d, [a], axis)[0]
+
+
+def _identity_defects(d: int, a, axis: int = 1) -> np.ndarray:
+    """dilation_identity_defect for each entry of a 1-D array."""
+    a = np.asarray(a, dtype=float)
+    if (a == 0).any():
         raise ValueError("parameter must be nonzero")
-    ea, einv = np.zeros(d), np.zeros(d)
-    ea[axis], einv[axis] = a, 1.0 / a
-    r = axis_inversion(d, axis)
-    lhs = _product(translation(d, ea), r, translation(d, einv), r, translation(d, ea), r)
-    rhs = dilation(d, a * a)
-    return distance_mod_sign(lhs, rhs)
+    ea, einv = np.zeros((len(a), d)), np.zeros((len(a), d))
+    ea[:, axis], einv[:, axis] = a, 1.0 / a
+    r = axis_inversion(d, axis).matrix
+    tau = _translations(d, ea)
+    lhs = _product(tau, r, _translations(d, einv), r, tau, r)
+    return _distances_mod_sign(lhs, _dilations(d, a * a))
 
 
 def distance_mod_sign(g: GroupElement, h: GroupElement) -> float:
     """min over sign of the max-norm distance between +-g and h."""
-    diff = np.max(np.abs(g.matrix - h.matrix))
-    summ = np.max(np.abs(g.matrix + h.matrix))
-    return min(diff, summ)
+    return _distances_mod_sign(g.matrix[None], h.matrix[None])[0]
+
+
+def _distances_mod_sign(G: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """distance_mod_sign between the matrices of two (n, d+2, d+2) stacks, slice by slice."""
+    diff = np.abs(G - H).max(axis=(1, 2))
+    summ = np.abs(G + H).max(axis=(1, 2))
+    return np.minimum(diff, summ)
 
 
 # --- Poincare embedding and double-cone transport ----------------------------
 
 def poincare_to_conformal(p: PoincareMap) -> GroupElement:
-    return _product(translation(p.dim, p.translation), _lorentz_element(p.lorentz))
+    return _compose(translation(p.dim, p.translation), _lorentz_element(p.lorentz))
 
 
 def _boost_to_unit_timelike(u: np.ndarray) -> PoincareMap:
@@ -466,5 +546,5 @@ def double_cone_transport(src, dst) -> GroupElement:
     c2, u2, r2 = parts(dst)
     b1 = poincare_to_conformal(_boost_to_unit_timelike(u1))
     b2 = poincare_to_conformal(_boost_to_unit_timelike(u2))
-    return _product(translation(d, c2), b2, dilation(d, r2 / r1), b1.inverse(),
+    return _compose(translation(d, c2), b2, dilation(d, r2 / r1), b1.inverse(),
                     translation(d, -c1))

@@ -39,22 +39,26 @@ class CanonicalFlow:
 
     closed_form(t, x) is the image of a point, None where the map is singular.
     The private _columns(t, c) is the same arithmetic on the columns c of an
-    (n, d) array, (image columns, regular mask); rows(t, X) adapts it to the
-    rows.
+    (n, d) array, (image columns, regular mask), with t a scalar or an array
+    of one time per row; rows(t, X) adapts it to the rows.
     """
 
     region: Region
     generator: cg.LieGenerator
     closed_form: Callable[[float, np.ndarray], np.ndarray | None]
-    _columns: Callable[[float, list], tuple[list, np.ndarray]]
+    _columns: Callable[[float | np.ndarray, list], tuple[list, np.ndarray]]
 
     def matrix(self, t: float) -> cg.GroupElement:
         return self.generator.exp(t)
 
-    def rows(self, t: float, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def rows(self, t, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(images, regular) on the rows of an (n, d) array, shaped like
-        confgroup.act_array: row i is closed_form(t, X[i]) bit for bit, and
-        irregular, with NaNs, exactly where that is None.  No row warns."""
+        confgroup.act_array, at a time t or at one time t[i] per row: row i
+        is closed_form(t[i], X[i]) bit for bit, and irregular, with NaNs,
+        exactly where that is None.  No row warns."""
+        t = np.asarray(t, dtype=float)
+        if t.shape not in ((), np.shape(X)[:1]):
+            raise ValueError("t must be a scalar or one time per row")
         return _row_images(lambda c: self._columns(t, c), X, self.region.dim)
 
 
@@ -92,8 +96,9 @@ def _mobius_pm(e: float, v: float):
     return ((1.0 + v) - e * (1.0 - v)) / den
 
 
-def _mobius_pm_columns(e: float, v: np.ndarray):
-    """(_mobius_pm(e, v) on each entry, mask of the entries off the pole)."""
+def _mobius_pm_columns(e, v: np.ndarray):
+    """(_mobius_pm(e, v) on each entry, mask of the entries off the pole),
+    with e a scalar or one value per entry."""
     den = (1.0 + v) + e * (1.0 - v)
     regular = ~(np.abs(den) < cg.INFINITY_TOL * np.fmax(1.0, np.abs(v)))
     return ((1.0 + v) - e * (1.0 - v)) / den, regular
@@ -133,7 +138,7 @@ def doublecone_flow(d: int) -> CanonicalFlow:
         # of elementwise products rounds differently on some rows
         v = np.stack(c[1:], axis=1)
         r = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-        e = float(np.exp(-2 * np.pi * t))
+        e = np.exp(-2 * np.pi * t)
         a, regular_a = _mobius_pm_columns(e, c[0] + r)
         b, regular_b = _mobius_pm_columns(e, c[0] - r)
         k = (a - b) / (2.0 * r)
@@ -201,7 +206,7 @@ def wedge_to_doublecone(d: int) -> cg.GroupElement:
     if d < 2:
         raise ValueError("needs d >= 2")
     tau = cg.translation(d, np.eye(d)[1])
-    return cg._product(tau, cg.dilation(d, 2.0), cg.axis_inversion(d, 1), tau,
+    return cg._compose(tau, cg.dilation(d, 2.0), cg.axis_inversion(d, 1), tau,
                        time_reflection(d))
 
 

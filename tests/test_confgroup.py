@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import confmod.confgroup as cg
 import confmod.flows as fl
 from confmod.flows import doublecone_flow
-from confmod.geometry import DoubleCone, PoincareMap, minkowski_norm, sample_region, spacelike_complement, standard_wedge, unit_double_cone
+from confmod.geometry import DoubleCone, PoincareMap, _boost_matrix, minkowski_norm, sample_region, spacelike_complement, standard_wedge, unit_double_cone
 
 DIMS = (2, 3, 4)
 
@@ -141,29 +142,47 @@ def e0(d):
     return np.eye(d)[0]
 
 
+def _raw_boost(d, rapidity):
+    """The boost's matrix, built with no finiteness or form test."""
+    m = np.eye(d + 2)
+    m[:d, :d] = _boost_matrix(d, 1, rapidity)
+    return m
+
+
+# the public constructor and its one-row stack, on the parameter p
+SCALAR = {"translation": cg.translation, "special": cg.special, "dilation": cg.dilation,
+          "boost": lambda d, r: cg.boost(d, 1, r)}
+ONE_ROW = {"translation": lambda d, p: cg._translations(d, [p]),
+           "special": lambda d, p: cg._product(cg.ray_inversion(d).matrix,
+                                               cg._translations(d, [p]),
+                                               cg.ray_inversion(d).matrix),
+           "dilation": lambda d, p: cg._dilations(d, [p]),
+           "boost": lambda d, r: cg._product(_raw_boost(d, r))}
+
+# id: (constructor, its parameter at d, whether it raises)
+EXACT_CASES = {
+    "shift-nan": ("translation", lambda d: np.full(d, np.nan), True),
+    "shift-inf": ("translation", lambda d: np.full(d, np.inf), True),
+    "shift-1e100": ("translation", lambda d: np.full(d, 1e100), False),
+    "time-shift-1e100": ("translation", lambda d: 1e100 * e0(d), False),
+    "time-shift-1e160": ("translation", lambda d: 1e160 * e0(d), True),
+    "shift-1e160": ("translation", lambda d: np.full(d, 1e160), True),
+    "special-1e100": ("special", lambda d: 1e100 * e0(d), False),
+    "special-1e160": ("special", lambda d: 1e160 * e0(d), True),
+    "dilation-0": ("dilation", lambda d: 0.0, True),
+    "dilation-minus-1": ("dilation", lambda d: -1.0, True),
+    "dilation-nan": ("dilation", lambda d: np.nan, True),
+    "dilation-1e-300": ("dilation", lambda d: 1e-300, False),
+    "rapidity-nan": ("boost", lambda d: np.nan, True),
+    "rapidity-inf": ("boost", lambda d: np.inf, True),
+    "rapidity-800": ("boost", lambda d: 800.0, True),
+    "rapidity-700": ("boost", lambda d: 700.0, False),
+}
+
+
 @pytest.mark.parametrize("d", DIMS)
-@pytest.mark.parametrize("build, raises", (
-    (lambda d: cg.translation(d, np.full(d, np.nan)), True),
-    (lambda d: cg.translation(d, np.full(d, np.inf)), True),
-    (lambda d: cg.translation(d, np.full(d, 1e100)), False),
-    (lambda d: cg.translation(d, 1e100 * e0(d)), False),
-    (lambda d: cg.translation(d, 1e160 * e0(d)), True),
-    (lambda d: cg.translation(d, np.full(d, 1e160)), True),
-    (lambda d: cg.special(d, 1e100 * e0(d)), False),
-    (lambda d: cg.special(d, 1e160 * e0(d)), True),
-    (lambda d: cg.dilation(d, 0.0), True),
-    (lambda d: cg.dilation(d, -1.0), True),
-    (lambda d: cg.dilation(d, np.nan), True),
-    (lambda d: cg.dilation(d, 1e-300), False),
-    (lambda d: cg.boost(d, 1, np.nan), True),
-    (lambda d: cg.boost(d, 1, np.inf), True),
-    (lambda d: cg.boost(d, 1, 800.0), True),
-    (lambda d: cg.boost(d, 1, 700.0), False),
-), ids=("shift-nan", "shift-inf", "shift-1e100", "time-shift-1e100", "time-shift-1e160",
-        "shift-1e160", "special-1e100", "special-1e160", "dilation-0", "dilation-minus-1",
-        "dilation-nan", "dilation-1e-300", "rapidity-nan", "rapidity-inf", "rapidity-800",
-        "rapidity-700"))
-def test_exact_constructors_raise_where_the_form_test_does(d, build, raises):
+@pytest.mark.parametrize("kind, param, raises", EXACT_CASES.values(), ids=EXACT_CASES.keys())
+def test_exact_constructors_raise_where_the_form_test_does(d, kind, param, raises):
     # A closed-form constructor tests only that its entries are finite.  The
     # flags are where it raised when it ran the full form test as well; the
     # full test accepts every matrix it returns, including those whose
@@ -171,11 +190,45 @@ def test_exact_constructors_raise_where_the_form_test_does(d, build, raises):
     with np.errstate(all="ignore"):
         if raises:
             with pytest.raises(ValueError):
-                build(d)
+                SCALAR[kind](d, param(d))
         else:
-            g = build(d)
+            g = SCALAR[kind](d, param(d))
             for m in (g.matrix, g.inverse().matrix):
                 assert np.array_equal(cg.GroupElement(m).matrix, m)
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("kind, param, raises", EXACT_CASES.values(), ids=EXACT_CASES.keys())
+def test_one_row_stacks_raise_where_the_constructors_do(d, kind, param, raises):
+    # The stacked finiteness and form tests, on a one-row stack of the same
+    # parameter, raise the constructor's ValueError or return its matrix,
+    # and every matrix the constructor returns passes them.
+    p = param(d)
+    with np.errstate(all="ignore"):
+        if raises:
+            with pytest.raises(ValueError) as scalar:
+                SCALAR[kind](d, p)
+            with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
+                ONE_ROW[kind](d, p)
+        else:
+            g = SCALAR[kind](d, p)
+            stack = ONE_ROW[kind](d, p)
+            assert stack.shape == (1, d + 2, d + 2)
+            assert stack.tobytes() == g.matrix.tobytes()
+            for m in (g.matrix, g.inverse().matrix):
+                assert cg._product(m).tobytes() == m.tobytes()
+
+
+def test_stacked_form_test_raises_on_one_bad_slice():
+    # At alpha = 0.0125 the product form misses Q by about 8.5e-6, far past
+    # the 1e-10 test: one such slice makes the whole stack raise, with the
+    # one-row call's error.
+    good = np.linspace(0.3, np.pi - 0.3, 9)
+    assert cg._axis_inversion_subgroups(2, good).shape == (9, 4, 4)
+    with pytest.raises(ValueError) as scalar:
+        cg.axis_inversion_subgroup(2, 0.0125)
+    with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
+        cg._axis_inversion_subgroups(2, np.insert(good, 4, 0.0125))
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -387,6 +440,89 @@ def test_axis_inversion_order_two_mod_sign():
     for d in DIMS:
         r = cg.axis_inversion(d, 1)
         assert cg.distance_mod_sign(r @ r, cg.GroupElement(np.eye(d + 2))) == 0.0
+
+
+def _loop_translation(d, a):
+    """The translation by one vector, in the arithmetic of one matrix: a^2
+    from np.dot and exp(A) = I + A + A^2/2."""
+    eta_a = np.r_[1.0, -np.ones(d - 1)] * a
+    gen = np.zeros((d + 2, d + 2))
+    gen[:d, d] = gen[:d, d + 1] = a
+    gen[d, :d], gen[d + 1, :d] = eta_a, -eta_a
+    m = np.eye(d + 2) + gen
+    a2 = float(np.dot(eta_a, a))
+    m[d, d:] += a2 / 2.0
+    m[d + 1, d:] -= a2 / 2.0
+    return m
+
+
+def _loop_dilation(d, lam):
+    m = np.eye(d + 2)
+    m[d, d] = m[d + 1, d + 1] = (1.0 / lam + lam) / 2.0
+    m[d, d + 1] = m[d + 1, d] = (1.0 / lam - lam) / 2.0
+    return m
+
+
+def _loop_subgroup(d, alpha, axis):
+    """U(alpha) on one scalar alpha: numpy's scalar sin, cos and power."""
+    s = np.sin(np.float64(alpha))
+    if abs(s) < 1e-12:
+        return np.eye(d + 2)
+    a = np.zeros(d)
+    a[axis] = -np.cos(alpha) / s
+    tau = _loop_translation(d, a)
+    return tau @ _loop_dilation(d, s ** -2) @ cg.axis_inversion(d, axis).matrix @ tau
+
+
+def _loop_defect(d, a, axis):
+    ea, einv = np.zeros(d), np.zeros(d)
+    ea[axis], einv[axis] = a, 1.0 / a
+    r = cg.axis_inversion(d, axis).matrix
+    tau = _loop_translation(d, ea)
+    lhs = tau @ r @ _loop_translation(d, einv) @ r @ tau @ r
+    rhs = _loop_dilation(d, a * a)
+    return min(np.max(np.abs(lhs - rhs)), np.max(np.abs(lhs + rhs)))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_stacked_builders_match_one_row_calls(d):
+    # Row i of each stacked builder is, as bytes, the public one-row call on
+    # parameter i and the same closed form evaluated on that parameter alone
+    # (the _loop_* references): the arithmetic does not depend on the stack.
+    rng = np.random.default_rng(29 + d)
+    n = 50
+    A = rng.normal(size=(n, d)) * rng.choice([0.01, 1.0, 100.0], size=(n, 1))
+    lam = np.exp(3.0 * rng.normal(size=n))
+    # turning alpha away from the form test's failures near k pi, the
+    # fixed points 0, pi/2, pi, 2 pi, -pi, and |sin alpha| < 1e-12
+    alpha = rng.uniform(0.15, np.pi - 0.15, size=n) + np.pi * rng.integers(-2, 2, size=n)
+    alpha[rng.choice(n, 9, replace=False)] = (0.0, np.pi / 2, np.pi, 2 * np.pi, -np.pi,
+                                               1e-13, -3e-13, np.pi + 2e-13, -np.pi / 2)
+    a = rng.uniform(0.2, 3.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+    T, D = cg._translations(d, A), cg._dilations(d, lam)
+    for i in range(n):
+        assert T[i].tobytes() == cg.translation(d, A[i]).matrix.tobytes()
+        assert T[i].tobytes() == _loop_translation(d, A[i]).tobytes()
+        assert D[i].tobytes() == cg.dilation(d, lam[i]).matrix.tobytes()
+        assert D[i].tobytes() == _loop_dilation(d, lam[i]).tobytes()
+    TD = cg._product(T, D)
+    for i in range(n):
+        g = cg.translation(d, A[i]) @ cg.dilation(d, lam[i])
+        assert TD[i].tobytes() == g.matrix.tobytes()
+    for axis in range(1, d):
+        U = cg._axis_inversion_subgroups(d, alpha, axis)
+        defects = cg._identity_defects(d, a, axis)
+        dist = cg._distances_mod_sign(U, T)
+        for i in range(n):
+            u = cg.axis_inversion_subgroup(d, alpha[i], axis)
+            assert U[i].tobytes() == u.matrix.tobytes()
+            assert U[i].tobytes() == _loop_subgroup(d, alpha[i], axis).tobytes()
+            defect = np.float64(cg.dilation_identity_defect(d, a[i], axis))
+            assert defects[i].tobytes() == defect.tobytes()
+            assert defect.tobytes() == np.float64(_loop_defect(d, a[i], axis)).tobytes()
+            assert dist[i].tobytes() == np.float64(
+                cg.distance_mod_sign(u, cg.translation(d, A[i]))).tobytes()
+        assert (U[np.abs(np.sin(alpha)) < 1e-12] == np.eye(d + 2)).all()
 
 
 # --- dilation generation identity -------------------------------------------------

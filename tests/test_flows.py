@@ -92,21 +92,29 @@ def row_form_inputs(d, a):
                       rng.choice(special, size=(40, d))])
 
 
+def _flows_for_rows(d, a):
+    g = cg.translation(d, a) @ cg.ray_inversion(d)
+    return (fl.wedge_flow(d), fl.doublecone_flow(d), fl.cone_flow(d),
+            fl.conjugate_flow(g, fl.doublecone_flow(d)))
+
+
 @pytest.mark.parametrize("d", DIMS)
 def test_rows_match_closed_form_bitwise(d):
     a = 0.3 * np.random.default_rng(19).normal(size=d)
-    g = cg.translation(d, a) @ cg.ray_inversion(d)
     X = row_form_inputs(d, a)
-    flows = (fl.wedge_flow(d), fl.doublecone_flow(d), fl.cone_flow(d),
-             fl.conjugate_flow(g, fl.doublecone_flow(d)))
-    for k, flow in enumerate(flows):
+    # one time per row: the pole's time on half the rows, so that the
+    # poles constructed in X stay singular there
+    rng = np.random.default_rng(23)
+    per_row = np.where(rng.random(len(X)) < 0.5, T_POLE, rng.uniform(-2.0, 2.0, len(X)))
+    for k, flow in enumerate(_flows_for_rows(d, a)):
         singular = 0
-        for t in (T_POLE, -1.2, 0.0, 0.45, 1.7):
+        for t in (T_POLE, -1.2, 0.0, 0.45, 1.7, per_row):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 Y, regular = flow.rows(t, X)
+            times = t if np.ndim(t) else [t] * len(X)
             with np.errstate(all="ignore"):
-                expected = [flow.closed_form(t, x) for x in X]
+                expected = [flow.closed_form(ti, x) for ti, x in zip(times, X)]
             assert Y.shape == X.shape and regular.shape == (len(X),)
             for y, ok, e in zip(Y, regular, expected):
                 if e is None:
@@ -119,6 +127,16 @@ def test_rows_match_closed_form_bitwise(d):
                     assert ok and np.array_equal(np.isnan(y), nan)
                     assert y[~nan].tobytes() == e[~nan].tobytes()
         assert (singular > 0) == (k in (1, 3))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_rows_reject_misshapen_times(d):
+    a = 0.3 * np.random.default_rng(19).normal(size=d)
+    X = np.random.default_rng(5).normal(size=(10, d))
+    for flow in _flows_for_rows(d, a):
+        for t in (np.zeros(9), np.zeros(11), np.zeros((10, 1)), np.zeros((1, 10))):
+            with pytest.raises(ValueError):
+                flow.rows(t, X)
 
 
 @pytest.mark.parametrize("d", DIMS)
