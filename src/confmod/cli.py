@@ -22,7 +22,8 @@ from . import chiral as ch
 from . import confgroup as cg
 from . import flows as fl
 from . import modular as md
-from .geometry import sample_region, spacelike_complement, standard_wedge
+from .geometry import (DoubleCone, FutureCone, Wedge, sample_region, spacelike_complement,
+                       standard_wedge)
 
 SUITES = ("group", "flows", "modular", "bw", "duality", "pct")
 
@@ -189,6 +190,40 @@ def run_group_suite(config: SuiteConfig) -> list:
     return checks
 
 
+def _null_coordinates(region, P: np.ndarray) -> tuple:
+    """The two light-cone coordinates of each row of P that are positive
+    exactly inside the region of a canonical flow: x1 + x0 and x1 - x0 in
+    the standard wedge, x0 + |x| and x0 - |x| in the future cone of the
+    origin, 1 - (x0 + |x|) and 1 + (x0 - |x|) in the unit double cone."""
+    x0, r = P[:, 0], np.sqrt(np.sum(P[:, 1:] ** 2, axis=1))
+    if isinstance(region, Wedge) and region.poincare is None:
+        return P[:, 1] + x0, P[:, 1] - x0
+    if isinstance(region, FutureCone):
+        return x0 + r, x0 - r
+    if isinstance(region, DoubleCone):
+        return 1.0 - (x0 + r), 1.0 + (x0 - r)
+    raise ValueError(f"no light-cone coordinates for {type(region).__name__}")
+
+
+def _preserves_region(flow: fl.CanonicalFlow, pts: np.ndarray, times) -> bool:
+    """Whether the flow keeps every sampled point of its region inside it,
+    each point moved for each t times its relative margin mu = min(p, q) /
+    max(p, q) in (0, 1], p and q its _null_coordinates.
+
+    Exact membership of an image is decidable in float64 only when the
+    image's own relative margin is above rounding.  The canonical flows
+    scale p and q by at most e^{2 pi |t|} each way, so an image at time
+    t mu keeps a relative margin of at least mu e^{-4 pi |t| mu}, which
+    is at least min(mu / e, e^{-4 pi |t|}): 1.2e-11 for |t| = 2.  At t
+    itself a wedge point 1e-6 inside the horizon would land within an ulp
+    of it, and its rounded image outside."""
+    p, q = _null_coordinates(flow.region, pts)
+    mu = np.minimum(p, q) / np.maximum(p, q)
+    ys, regular = flow.rows(np.concatenate([t * mu for t in times]),
+                            np.tile(pts, (len(times), 1)))
+    return bool(regular.all() and flow.region.contains_many(ys).all())
+
+
 def run_flows_suite(config: SuiteConfig) -> list:
     checks = []
     tol_c = config.tol("flow_conjugacy")
@@ -219,13 +254,8 @@ def run_flows_suite(config: SuiteConfig) -> list:
             worst = max(worst, _worst(np.abs(A - B).max(axis=1) / np.fmax(1.0, norm)))
         _check(checks, f"flow-group-law-d{d}", "flow-group-law", worst, tol_g)
 
-        ok = True
-        for flow in (wf, df, cf):
-            pts = sample_region(flow.region, 200, seed=config.seed + 1)
-            for t in (-2.0, -1.0, -0.1, 0.1, 1.0, 2.0):
-                ys, regular = flow.rows(t, pts)
-                if not (regular.all() and flow.region.contains_many(ys).all()):
-                    ok = False
+        ok = all(_preserves_region(flow, sample_region(flow.region, 200, seed=config.seed + 1),
+                                   (-2.0, -1.0, -0.1, 0.1, 1.0, 2.0)) for flow in (wf, df, cf))
         _check(checks, f"flow-region-preservation-d{d}",
                "flow-region-preservation", 0.0, 1.0, ok=ok)
 
@@ -243,53 +273,103 @@ def run_flows_suite(config: SuiteConfig) -> list:
     return checks
 
 
+def _modular_draws(rng: np.random.Generator, n: int,
+                   angle_floor: float = md.DEFAULT_ANGLE_FLOOR) -> list:
+    """The modular suite's n draws, (m, generators, x, y) each, in the
+    stream order of a loop of m = integers(1, 9), random_standard_subspace
+    (m, rng, angle_floor) and x, y = normal(2m) twice.
+
+    The standardness tests run on stacks, one per m: every draw is taken
+    first as accepted, and the first one rejected is drawn again by
+    random_standard_subspace from the generator state before it, which
+    repeats the rejected generators and draws on until one is accepted;
+    the draws after it are then taken afresh."""
+    draws = []
+    while len(draws) < n:
+        start, states = len(draws), []
+        for _ in range(start, n):
+            m = int(rng.integers(1, 9))
+            states.append(rng.bit_generator.state)
+            gens = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+            draws.append((m, gens, rng.normal(size=2 * m), rng.normal(size=2 * m)))
+        ms = np.array([d[0] for d in draws[start:]])
+        ok = np.empty(ms.size, dtype=bool)
+        for m in set(ms.tolist()):
+            (at,) = np.nonzero(ms == m)
+            ok[at] = md._standard_draws(m, np.stack([draws[start + i][1] for i in at]),
+                                        angle_floor)
+        if ok.all():
+            break
+        j = int(np.argmin(ok))
+        m = draws[start + j][0]
+        del draws[start + j:]
+        rng.bit_generator.state = states[j]
+        gens = md.random_standard_subspace(m, rng, angle_floor).generators
+        draws.append((m, gens, rng.normal(size=2 * m), rng.normal(size=2 * m)))
+    return draws
+
+
+_DENSE_ENTRIES = ("S", "delta", "J", "delta_sqrt", *md._flow_entries((0.4, 0.9, 1.3)))
+_FLOW_ENTRIES = md._flow_entries((0.3, 1.0, 2.7))
+
+
+def _modular_stack_checks(m: int, stack: list) -> dict:
+    """The modular suite's check values, each the worst over the draws
+    (m, generators, x, y) of one dimension m, factored as one stack.  The
+    stack makes two frame products, one dense call for S, Delta, J,
+    Delta^{1/2} and the cocycle's flows and one on the bases for the flow
+    check's times, and applies S to the stacked generators once."""
+    cplx, tr = md._complexify_vectors, md._tr
+
+    def amax(a):
+        return np.max(np.abs(a), axis=(-2, -1))
+
+    K = md.StandardSubspace(m, np.stack([d[1] for d in stack]))
+    dat = md.tomita_operators(K)
+    S, D, J, sq, *cocycle = md._split(md.dense(
+        lambda cols: dat.apply_planes(_DENSE_ENTRIES, cols), 2 * m), len(_DENSE_ENTRIES))
+    eye = np.eye(2 * m)
+    # max(1, |S|^2) squares with the scalar pow of a single draw
+    scale = np.maximum(1.0, [v ** 2 for v in amax(S).tolist()])
+    involution = np.maximum(amax(S @ S - eye) / scale, amax(J @ J - eye))
+    dinv = S @ tr(S)    # Delta^{-1} exactly: Delta = S^T S and S^2 = 1
+    conjugation = amax(J @ D @ J - dinv) / np.maximum(1.0, amax(dinv))
+    gens = K.generators
+    fix = np.linalg.norm(dat.apply_s(gens) - gens, axis=-1) / np.linalg.norm(gens, axis=-1)
+    # Delta^{it} is orthogonal, so the largest angle between K and its
+    # image is arcsin of the norm of the image's residual off K
+    B = K.basis
+    fks = md._flow_images(md._split(dat.apply_planes(_FLOW_ENTRIES, B), len(_FLOW_ENTRIES)))
+    norms = np.linalg.svd(np.stack([fk - B @ (tr(B) @ fk) for fk in fks], axis=-3),
+                          compute_uv=False)[..., 0]
+    flow = np.arcsin(np.minimum(np.max(norms, axis=-1), 1.0))
+    # J is orthogonal, so J B is an orthonormal basis of J K
+    complement = md.symplectic_complement_angle(B, J @ B)
+    x, y = (np.stack([d[k] for d in stack])[..., None] for k in (2, 3))
+    sx, sy, Sy, Sx = (cplx(a @ v)[..., 0] for a, v in ((sq, x), (sq, y), (S, y), (S, x)))
+    kms = []
+    for i in range(len(stack)):
+        lhs, rhs = np.vdot(sx[i], sy[i]), np.vdot(Sy[i], Sx[i])
+        kms.append(abs(lhs - rhs) / max(1.0, abs(lhs)))
+    # Delta^{it} as a complex m x m matrix: the first m columns of its
+    # real encoding, the images of the real unit vectors
+    u4, u9, u13 = (cplx(u[..., :m]) for u in md._flow_images(cocycle))
+    cocycle = amax(u4 @ u9 - u13)
+    return {name: float(np.max(values)) for name, values in (
+        ("involution", involution), ("conjugation", conjugation), ("cocycle", cocycle),
+        ("fix", fix), ("flow", flow), ("complement", complement), ("kms", kms))}
+
+
 def run_modular_suite(config: SuiteConfig) -> list:
-    """Tomita calculus on 100 random standard subspaces.  Each draw makes
-    two frame products, one dense call for S, Delta, J, Delta^{1/2} and the
-    cocycle's flows and one on the basis of K for the flow check's times,
-    and applies S to the stacked generators once."""
+    """Tomita calculus on 100 random standard subspaces, factored and
+    checked as one stack per dimension m."""
     rng = _suite_rng(config, "modular")
     checks = []
     tol = config.tol("modular_residual")
-    worst = {"involution": 0.0, "conjugation": 0.0, "cocycle": 0.0,
-             "fix": 0.0, "flow": 0.0, "complement": 0.0, "kms": 0.0}
-    dense_entries = ("S", "delta", "J", "delta_sqrt", *md._flow_entries((0.4, 0.9, 1.3)))
-    flow_entries = md._flow_entries((0.3, 1.0, 2.7))
-    cplx = md._complexify_vectors
-    for _ in range(100):
-        m = int(rng.integers(1, 9))
-        K = md.random_standard_subspace(m, rng)
-        dat = md.tomita_operators(K)
-        S, D, J, sq, *cocycle = np.hsplit(md.dense(
-            lambda cols: dat.apply_planes(dense_entries, cols), 2 * m), len(dense_entries))
-        eye = np.eye(2 * m)
-        worst["involution"] = max(worst["involution"],
-                                  np.max(np.abs(S @ S - eye)) / max(1.0, np.max(np.abs(S)) ** 2),
-                                  np.max(np.abs(J @ J - eye)))
-        dinv = S @ S.T      # Delta^{-1} exactly: Delta = S^T S and S^2 = 1
-        worst["conjugation"] = max(worst["conjugation"],
-                                   np.max(np.abs(J @ D @ J - dinv)) / max(1.0, np.max(np.abs(dinv))))
-        gens = K.generators
-        worst["fix"] = max(worst["fix"], np.max(
-            np.linalg.norm(dat.apply_s(gens) - gens, axis=1) / np.linalg.norm(gens, axis=1)))
-        # Delta^{it} is orthogonal, so the largest angle between K and its
-        # image is arcsin of the norm of the image's residual off K
-        fks = md._flow_images(np.hsplit(dat.apply_planes(flow_entries, K.basis),
-                                        len(flow_entries)))
-        norms = np.linalg.svd(np.stack([fk - K.basis @ (K.basis.T @ fk) for fk in fks]),
-                              compute_uv=False)[:, 0]
-        worst["flow"] = max(worst["flow"], float(np.arcsin(min(np.max(norms), 1.0))))
-        # J is orthogonal, so J B is an orthonormal basis of J K
-        worst["complement"] = max(worst["complement"],
-                                  md.symplectic_complement_angle(K.basis, J @ K.basis))
-        x, y = rng.normal(size=2 * m), rng.normal(size=2 * m)
-        lhs = np.vdot(cplx(sq @ x), cplx(sq @ y))
-        rhs = np.vdot(cplx(S @ y), cplx(S @ x))
-        worst["kms"] = max(worst["kms"], abs(lhs - rhs) / max(1.0, abs(lhs)))
-        # Delta^{it} as a complex m x m matrix: the first m columns of its
-        # real encoding, the images of the real unit vectors
-        u4, u9, u13 = (cplx(u[:, :m]) for u in md._flow_images(cocycle))
-        worst["cocycle"] = max(worst["cocycle"], np.max(np.abs(u4 @ u9 - u13)))
+    draws = _modular_draws(rng, 100)
+    stacks = [_modular_stack_checks(m, [d for d in draws if d[0] == m])
+              for m in sorted({d[0] for d in draws})]
+    worst = {name: max(values[name] for values in stacks) for name in stacks[0]}
     _check(checks, "tomita-involutions", "tomita-involutions", worst["involution"], tol)
     _check(checks, "modular-conjugation-inverts", "modular-conjugation-inverts",
            worst["conjugation"], tol)

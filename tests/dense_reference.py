@@ -29,7 +29,7 @@ def assemble(dat, entry):
     m = dat.ambient_dim
     # Apply each 2x2 block to its column pair in one batched product.
     paired = dat.frame.reshape(2 * m, m, 2)
-    mixed = np.einsum("nkj,kji->nki", paired, dat._plane_blocks(entry))
+    mixed = np.einsum("nkj,kji->nki", paired, dat._plane_blocks(entry, dat.log_eigenvalues()))
     return mixed.reshape(2 * m, 2 * m) @ dat.frame.T
 
 

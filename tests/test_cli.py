@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 import confmod.chiral as ch
+import confmod.flows as fl
 import confmod.modular as md
 from confmod import cli
+from confmod.geometry import sample_region
 
 
 def test_group_suite_passes(tmp_path):
@@ -140,19 +143,70 @@ def test_ladder_suites_build_each_model_once(monkeypatch):
 def test_ladder_suites_factor_each_interval_once(monkeypatch):
     # bw and pct factor the half circle once per size; duality reads its
     # angle from Householder bases of the arcs and builds no Tomita
-    # operators; the modular suite
-    # factors each of its 100 random subspaces once and measures J K = K'
-    # from the two bases, never forming K'
-    calls = []
-    for name in ("tomita_operators", "symplectic_complement"):
-        def counted(*args, _name=name, _fn=getattr(md, name), **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(md, name, counted)
+    # operators; the modular suite factors each of its 100 random subspaces
+    # once, in one stacked call per dimension m, and measures J K = K' from
+    # the two bases, never forming K'.  Subspaces are counted, not calls: a
+    # stacked call factors every subspace of its stack.
+    factored, complements = [], []
+
+    def counted(subspace, *args, _fn=md.tomita_operators, **kwargs):
+        basis = subspace.basis
+        factored.extend(b.tobytes() for b in basis.reshape((-1,) + basis.shape[-2:]))
+        return _fn(subspace, *args, **kwargs)
+
+    def counted_complement(*args, _fn=md.symplectic_complement, **kwargs):
+        complements.append(args)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(md, "tomita_operators", counted)
+    monkeypatch.setattr(md, "symplectic_complement", counted_complement)
     for suite, n in (("bw", 3), ("duality", 0), ("pct", 3), ("modular", 100)):
-        calls.clear()
+        factored.clear()
         cli.SUITE_RUNNERS[suite](cli.SuiteConfig(sizes=(64, 128, 256)))
-        assert calls == ["tomita_operators"] * n, suite
+        assert len(factored) == n and len(set(factored)) == n, suite
+        assert complements == [], suite
+
+
+def _reference_draws(seed, n, angle_floor):
+    """The modular suite's draw loop one draw at a time."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(n):
+        m = int(rng.integers(1, 9))
+        gens = md.random_standard_subspace(m, rng, angle_floor).generators
+        draws.append((m, gens, rng.normal(size=2 * m), rng.normal(size=2 * m)))
+    return draws, rng
+
+
+def test_stacked_draws_replay_random_standard_subspace(monkeypatch):
+    # at a floor of 0.2 rad about one draw in six is rejected; each
+    # rejection is replayed from the generator state before it, so the
+    # stacked draws and the rest of the stream equal the one-at-a-time loop
+    floor = 0.2
+    tested = []
+
+    def counted(m, gens, angle_floor, _fn=md._standard_draws):
+        ok = _fn(m, gens, angle_floor)
+        if np.ndim(ok) == 0:
+            tested.append(bool(ok))
+        return ok
+
+    monkeypatch.setattr(md, "_standard_draws", counted)
+    for seed in (3, 4):
+        tested.clear()
+        ref, ref_rng = _reference_draws(seed, 60, floor)
+        assert tested.count(False) >= 5
+        rng = np.random.default_rng(seed)
+        draws = cli._modular_draws(rng, 60, floor)
+        assert len(draws) == 60
+        for a, b in zip(draws, ref):
+            assert a[0] == b[0]
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(a[1:], b[1:]))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # at the suite's floor the stacked draws equal the loop as well
+    draws = cli._modular_draws(np.random.default_rng(5), 100)
+    ref, _ = _reference_draws(5, 100, md.DEFAULT_ANGLE_FLOOR)
+    assert all(a[1].tobytes() == b[1].tobytes() for a, b in zip(draws, ref))
 
 
 def test_modular_suite_passes_at_ill_conditioned_seed():
@@ -224,3 +278,48 @@ def test_tolerance_override_through_main(tmp_path):
     assert code == 1
     data = json.loads(out.read_text())
     assert any(c["status"] == "fail" for c in data["checks"])
+
+
+TIMES = (-2.0, -1.0, -0.1, 0.1, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_region_preservation_well_posed_near_the_horizon(d):
+    # at seed 172 the wedge sample holds points a few 1e-6 inside the
+    # horizon x1 = |x0|; moved at t = 2 itself their images lie within an
+    # ulp of it and round outside, while at t times their relative margin
+    # every image keeps a margin float64 resolves
+    wf = fl.wedge_flow(d)
+    pts = sample_region(wf.region, 200, seed=172)
+    ys, _ = wf.rows(2.0, pts)
+    assert not wf.region.contains_many(ys).all()
+    assert cli._preserves_region(wf, pts, TIMES)
+    for s in (171, 172, 1601):
+        report = cli.run(cli.SuiteConfig(suite="flows", dims=(d,), seed=s))
+        assert not report.failed(), s
+
+
+def _wrong_maps(flow, outside):
+    """The flow with a shifted image, and with the time-reversed image of
+    an outside point."""
+    def shifted(t, c):
+        y, regular = flow._columns(t, c)
+        return [y[0] + 0.5, y[1] - 3.0, *y[2:]], regular
+
+    def reversed_outside(t, c):
+        return flow._columns(-t, outside(c))
+
+    return (dataclasses.replace(flow, _columns=shifted),
+            dataclasses.replace(flow, _columns=reversed_outside))
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_region_preservation_fails_on_wrong_maps(d):
+    cases = ((fl.wedge_flow(d), lambda c: [c[0], -c[1], *c[2:]]),
+             (fl.doublecone_flow(d), lambda c: [3.0 * ci for ci in c]),
+             (fl.cone_flow(d), lambda c: [-c[0], *c[1:]]))
+    for flow, outside in cases:
+        pts = sample_region(flow.region, 200, seed=43)
+        assert cli._preserves_region(flow, pts, TIMES)
+        for wrong in _wrong_maps(flow, outside):
+            assert not cli._preserves_region(wrong, pts, TIMES)

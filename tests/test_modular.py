@@ -567,3 +567,91 @@ def test_clip_policy_keeps_flows_orthogonal():
     assert np.max(np.abs(u.T @ u - np.eye(4))) < 1e-10
     J = md.dense(dat.apply_j_real, 4)
     assert np.max(np.abs(J @ J - np.eye(4))) < 1e-10
+
+
+# --- stacks of subspaces -----------------------------------------------------------
+
+STACK_KINDS = ("S", "delta", "delta_sqrt", "J", ("flow_cos", 0.7), ("flow_sin", 0.7),
+               ("flow_cos", -2.1), ("flow_sin", -2.1))
+
+
+def _degenerate_generators(m, k, eps, rng):
+    """m generators of a subspace of C^m with k principal planes of angle
+    about eps (K holds e_j and nearly i e_j for j < k), turned by a random
+    unitary so that no coordinate is special."""
+    gens = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    for j in range(k):
+        gens[2 * j] = np.eye(m)[2 * j]
+        gens[2 * j + 1] = 1j * (1 + eps) * np.eye(m)[2 * j] + eps * np.eye(m)[2 * j + 1]
+    u, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    return gens @ u
+
+
+def _assert_stack_matches_one_calls(gens, **kwargs):
+    m = gens.shape[-1]
+    rng = np.random.default_rng(m)
+    K = md.StandardSubspace(m, gens)
+    dat = md.tomita_operators(K, **kwargs)
+    assert K.stack_shape == gens.shape[:1] and dat.frame.shape == gens.shape[:1] + (2 * m, 2 * m)
+    shared, own = rng.normal(size=(2 * m, 3)), rng.normal(size=(len(gens), 2 * m, 3))
+    stacked = (dat.apply_planes(STACK_KINDS, shared), dat.apply_planes(STACK_KINDS, own),
+               dat.apply_flow_real(0.4, own), dat.apply_j_real(own), dat.apply_s(gens),
+               dat.apply_flow(0.4, gens), dat.apply_j(gens))
+    for i, g in enumerate(gens):
+        one = md.tomita_operators(md.StandardSubspace(m, g), **kwargs)
+        for a, b in ((dat.frame[i], one.frame), (dat.sigmas[i], one.sigmas),
+                     (dat.sines[i], one.sines), (K.basis[i], md.StandardSubspace(m, g).basis)):
+            assert a.tobytes() == b.tobytes()
+        singles = (one.apply_planes(STACK_KINDS, shared), one.apply_planes(STACK_KINDS, own[i]),
+                   one.apply_flow_real(0.4, own[i]), one.apply_j_real(own[i]), one.apply_s(g),
+                   one.apply_flow(0.4, g), one.apply_j(g))
+        for a, b in zip(stacked, singles):
+            assert a[i].tobytes() == b.tobytes()
+
+
+def test_stacked_tomita_matches_one_subspace_calls():
+    # each subspace of a stack is factored and its operators applied with
+    # the arithmetic of its own call, bit for bit, for every m the modular
+    # suite draws
+    rng = np.random.default_rng(19)
+    for m in range(1, 9):
+        gens = np.stack([md.random_standard_subspace(m, rng).generators for _ in range(6)])
+        _assert_stack_matches_one_calls(gens)
+
+
+def test_stacked_tomita_matches_one_calls_with_degenerate_planes():
+    # members with 0, 2 and 4 angle-degenerate planes (residual norm at
+    # most 1e-7; each nearly complex pair in K makes two) take QRs of
+    # different widths within one stack
+    rng = np.random.default_rng(23)
+    gens = np.stack([_degenerate_generators(5, k, 1e-9, rng) for k in (2, 0, 1, 2, 1)])
+    n_deg = [int(np.sum(np.linalg.norm(md._principal_planes(
+        md.StandardSubspace(5, g).basis)[2], axis=0) <= 1e-7)) for g in gens]
+    assert n_deg == [4, 0, 2, 4, 2]
+    _assert_stack_matches_one_calls(gens, clip_angle=1e-7)
+
+
+def test_stacked_standardness_is_per_subspace():
+    rng = np.random.default_rng(29)
+    gens = np.stack([md.random_standard_subspace(3, rng).generators,
+                     _degenerate_generators(3, 1, 1e-9, rng),
+                     md.random_standard_subspace(3, rng).generators])
+    report = md.StandardSubspace(3, gens).standardness()
+    assert report.standard.tolist() == [True, False, True]
+    assert report.min_angle.shape == (3,) and report.min_angle[1] < 1e-8
+    assert md._standard_draws(3, gens, md.DEFAULT_ANGLE_FLOOR).tolist() == [True, False, True]
+    # the error names the first failing subspace and carries its own report
+    with pytest.raises(md.StandardnessError, match=r"subspace \(1,\) of the stack") as err:
+        md.tomita_operators(md.StandardSubspace(3, gens))
+    one = md.StandardSubspace(3, gens[1]).standardness()
+    assert err.value.report.angles.tobytes() == one.angles.tobytes()
+
+
+def test_stack_of_different_dimensions_raises():
+    gens = np.zeros((2, 2, 2), dtype=complex)
+    gens[:, 0, 0] = 1.0
+    gens[0, 1, 1] = 1.0          # spans R^2: real dimension 2
+    gens[1, 1, 0] = 2.0          # parallel to the first: real dimension 1
+    with pytest.raises(ValueError, match="one real dimension"):
+        md.StandardSubspace(2, gens)
+    assert md._standard_draws(2, gens, md.DEFAULT_ANGLE_FLOOR).tolist() == [True, False]
