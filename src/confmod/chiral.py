@@ -70,21 +70,38 @@ RESOLVABLE_WINDOW = 1e-3
 
 @dataclass(frozen=True)
 class LatticeModel:
-    """Circle lattice with complex structure and energy form.  Its one stored
-    identification of site functions with C^m is coord_map_real."""
+    """Circle lattice with complex structure and energy form.  It stores
+    only L and the site angles: nothing of size L^2.
+
+    The encoding of site functions, [Re z; Im z] with z = coords(u), is
+    never stored.  Encoded site indicators (the bases of interval
+    subspaces) are built per site by _encoded_sites, with the unreduced
+    phase exp(2 pi i k j / L) of the closed form: its error grows like
+    L eps (8.4e-14, 3.5e-13, 7.0e-13 relative at L = 256, 1024, 2048),
+    and it is kept on purpose, since the recorded reference values were
+    computed from it (ROADMAP item 2 will switch to reduced phases).
+    Products with site functions (coords, and the encodings in
+    _encoded_family and _pull_back) go through np.fft.rfft and are exact
+    to FFT rounding.  coord_map_real, coord_map and coord_pinv build the
+    dense matrices on each access, for dense references."""
 
     L: int
     thetas: np.ndarray
-    coord_map_real: np.ndarray     # site functions -> [Re z; Im z], 2m x L
 
     @property
     def m(self) -> int:
         return self.L // 2 - 1
 
     @property
+    def coord_map_real(self) -> np.ndarray:
+        """Site functions -> [Re z; Im z], real 2m x L."""
+        return _encoded_sites(self, np.arange(self.L))
+
+    @property
     def coord_map(self) -> np.ndarray:
         """Site functions -> C^m, complex m x L."""
-        return self.coord_map_real[:self.m] + 1j * self.coord_map_real[self.m:]
+        tr = self.coord_map_real
+        return tr[:self.m] + 1j * tr[self.m:]
 
     @property
     def coord_pinv(self) -> np.ndarray:
@@ -94,27 +111,41 @@ class LatticeModel:
         return self.coord_map_real.T * (self.L / np.concatenate([k, k]))
 
     def coords(self, u: np.ndarray) -> np.ndarray:
-        """Complex coordinates of a real site function."""
-        return self.coord_map @ np.asarray(u, dtype=float)
+        """Complex coordinates of real site functions along axis 0:
+        z_k = sqrt(2k) c_{-k} = (sqrt(2k) / L) conj(rfft(u)_k), k = 1..m."""
+        u = np.asarray(u, dtype=float)
+        k = np.arange(1, self.m + 1).reshape((-1,) + (1,) * (u.ndim - 1))
+        return np.sqrt(2.0 * k) / self.L * np.fft.rfft(u, axis=0)[1:self.m + 1].conj()
 
     def energy_norm(self, u: np.ndarray) -> float:
         return float(np.linalg.norm(self.coords(u)))
+
+
+def _encoded_sites(model: LatticeModel, sites: np.ndarray) -> np.ndarray:
+    """Real encodings [Re z; Im z] of the indicators of the given sites,
+    2m x len(sites), each entry the closed form evaluated at its site.
+
+    z_k = sqrt(2k) c_{-k},  c_{-k}(u) = (1/L) sum_j u_j e^{+2 pi i k j / L};
+    the negative-mode coefficients are the complex-linear ones for the
+    -i sign(n) complex structure."""
+    L = model.L
+    k = np.arange(1, model.m + 1)
+    phases = np.exp(2j * np.pi * np.outer(k, sites) / L)
+    z = np.sqrt(2.0 * k)[:, None] * phases / L
+    return np.vstack([z.real, z.imag])
+
+
+def _encode(model: LatticeModel, fields: np.ndarray) -> np.ndarray:
+    """coord_map_real @ fields, by the FFT (LatticeModel.coords)."""
+    z = model.coords(fields)
+    return np.concatenate([z.real, z.imag])
 
 
 def build_model(L: int) -> LatticeModel:
     """Build the lattice model; L must be a power of two, at least 16."""
     if L < 16 or (L & (L - 1)) != 0:
         raise ValueError("L must be a power of two with L >= 16")
-    m = L // 2 - 1
-    thetas = 2.0 * np.pi * np.arange(L) / L
-
-    # z_k = sqrt(2k) c_{-k},  c_{-k}(u) = (1/L) sum_j u_j e^{+2 pi i k j / L};
-    # the negative-mode coefficients are the complex-linear ones for the
-    # -i sign(n) complex structure.
-    k = np.arange(1, m + 1)
-    phases = np.exp(2j * np.pi * np.outer(k, np.arange(L)) / L)
-    coord_map = np.sqrt(2.0 * k)[:, None] * phases / L
-    return LatticeModel(L, thetas, np.vstack([coord_map.real, coord_map.imag]))
+    return LatticeModel(L, 2.0 * np.pi * np.arange(L) / L)
 
 
 @dataclass(frozen=True)
@@ -159,7 +190,7 @@ def _site_columns(model: LatticeModel, interval: CircleInterval) -> np.ndarray:
         raise ValueError("interval contains no lattice sites")
     if sites.size == model.L:
         raise ValueError("interval complement contains no lattice sites")
-    return model.coord_map_real[:, sites]
+    return _encoded_sites(model, sites)
 
 
 def interval_subspace(model: LatticeModel, interval: CircleInterval) -> md.StandardSubspace:
@@ -293,14 +324,14 @@ def _pull_back(model: LatticeModel, cols: np.ndarray, angles: np.ndarray,
 
     The positive-mode coefficients of an encoded column [x; y] are
     (x - i y) / sqrt(2k), and the field at the angles is twice the real
-    part of their _mode_synthesis; coord_map_real of a field equals that of
+    part of their _mode_synthesis; the encoding of a field equals that of
     its retained part, so no projection onto the retained modes is
     needed."""
     m = model.m
     coeffs = (cols[:m] - 1j * cols[m:]) / np.sqrt(2.0 * np.arange(1, m + 1))[:, None]
     fields = 2.0 * np.real(_mode_synthesis(model, angles) @ coeffs)
-    return model.coord_map_real @ np.hstack(
-        [fields if r is None else r[:, None] * fields for r in rows])
+    return _encode(model, np.hstack(
+        [fields if r is None else r[:, None] * fields for r in rows]))
 
 
 def _flow_sites(model: LatticeModel, interval: CircleInterval, t: float,
@@ -376,7 +407,7 @@ class BWReport:
 def _encoded_family(model: LatticeModel, family, frame=None) -> np.ndarray:
     """Unit-normalised encoded family, projected by frame @ frame^T when an
     orthonormal frame is given."""
-    cols = np.stack([model.coord_map_real @ f for f in family], axis=1)
+    cols = _encode(model, np.stack(family, axis=1))
     if frame is not None:
         cols = frame @ (frame.T @ cols)
     norms = np.linalg.norm(cols, axis=0)

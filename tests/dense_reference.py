@@ -81,6 +81,17 @@ def flow(dat, t):
 
 # --- lattice operators --------------------------------------------------------------
 
+def encoding(model):
+    """The real encoding [Re z; Im z] of all site functions, 2m x L, from
+    the closed form z_k = sqrt(2k) (1/L) sum_j u_j e^{2 pi i k j / L} with
+    the phase k j left unreduced, in the order of operations whose bits the
+    recorded reference values were computed from."""
+    k = np.arange(1, model.m + 1)
+    phases = np.exp(2j * np.pi * np.outer(k, np.arange(model.L)) / model.L)
+    z = np.sqrt(2.0 * k)[:, None] * phases / model.L
+    return np.vstack([z.real, z.imag])
+
+
 def hilbert(model):
     """The complex structure, multiplier -i sign n, as a real L x L matrix."""
     mult = np.zeros(model.L, dtype=complex)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,65 @@ def test_coord_pinv_closed_form(models):
         np.testing.assert_allclose(model.coord_pinv, np.linalg.pinv(tr), rtol=0, atol=1e-12)
         np.testing.assert_allclose(tr @ model.coord_pinv, np.eye(2 * model.m),
                                    rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("L", (16, 32, 64, 128, 256, 512, 1024))
+def test_site_columns_match_dense_encoding_bytes(L):
+    # the site columns, built per site, are the bits of the dense encoding's
+    # columns, so every interval basis and Tomita frame factors the same
+    # input: the half circle, its complement, the pct probe, a rotated half
+    # circle, and arcs holding one site and all but one site
+    model = ch.build_model(L)
+    dense = dr.encoding(model)
+    assert model.coord_map_real.tobytes() == dense.tobytes()
+    I, w = ch.half_circle(), 2 * np.pi / L
+    arcs = (I, I.complement(), ch.CircleInterval(np.pi + 0.7, np.pi + 1.5),
+            ch.CircleInterval(3 * w, np.pi + 3 * w),
+            ch.CircleInterval(-0.5 * w, 0.5 * w), ch.CircleInterval(0.5 * w, -0.5 * w))
+    assert [arc.sites(model).size for arc in arcs[-2:]] == [1, L - 1]
+    for arc in arcs:
+        cols = ch._site_columns(model, arc)
+        assert cols.tobytes() == dense[:, arc.sites(model)].tobytes()
+
+
+@pytest.mark.parametrize("L", (64, 256))
+def test_half_circle_frame_matches_dense_columns_bytes(L):
+    model = ch.build_model(L)
+    I = ch.half_circle()
+    cols = dr.encoding(model)[:, I.sites(model)]
+    K = md.StandardSubspace(model.m, (cols[:model.m] + 1j * cols[model.m:]).T)
+    frame = md.tomita_operators(K, clip_angle=ch.LATTICE_CLIP_ANGLE).frame
+    assert ch.interval_tomita(model, I).frame.tobytes() == frame.tobytes()
+
+
+@pytest.mark.parametrize("L", (16, 1024))
+def test_lattice_model_holds_order_L_bytes(L):
+    # a model stores L and the site angles, nothing of size L^2
+    model = ch.build_model(L)
+    stored = [getattr(model, f.name) for f in dataclasses.fields(model)]
+    assert sum(np.asarray(v).nbytes for v in stored) <= 8 * (L + 1)
+
+
+@pytest.mark.parametrize("L", (16, 64, 256, 1024, 2048))
+def test_fft_encoding_matches_dense_product(L):
+    # The dense encoding evaluates exp(2 pi i k j / L) with k j up to L^2/2
+    # unreduced, so each of its entries carries a relative error of up to
+    # 1.54 L eps (8.4e-14, 3.5e-13, 7.0e-13 against the reduced-phase closed
+    # form at L = 256, 1024, 2048); row k of its product with F is then off
+    # by at most 2 L eps w_k ||F||_1, w_k = sqrt(2k) / L the entries' size.
+    # The FFT's componentwise error is a few eps log2(L) w_k ||F||_1.
+    model = ch.build_model(L)
+    eps = np.finfo(float).eps
+    k = np.arange(1, model.m + 1)
+    w = np.sqrt(2.0 * np.concatenate([k, k])) / L
+    rng = np.random.default_rng(L)
+    for F in (rng.normal(size=L), rng.normal(size=(L, 3)), ch.bump_vector(model, 1.0, 0.5)):
+        dense = model.coord_map_real @ F
+        fft = ch._encode(model, F)
+        assert fft.shape == dense.shape
+        bound = (2 * L + 5 * np.log2(L)) * eps * np.multiply.outer(w, np.abs(F).sum(axis=0))
+        assert np.all(np.abs(fft - dense) <= bound)
+    assert model.energy_norm(F) == pytest.approx(np.linalg.norm(dense), rel=1e-12)
 
 
 def test_complex_structure_squares_to_minus_projector(models):
