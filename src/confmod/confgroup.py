@@ -105,7 +105,8 @@ class GroupElement:
 
     GroupElement(m) tests the form on m.  The closed-form constructors, whose
     matrices preserve Q in exact arithmetic, test only that the entries are
-    finite; a composite tests the form once, on its product (_product).
+    finite; a composite tests the form once, on its product (_product), and
+    an exponential on each of its matrices (_exps).
     Each public constructor is a one-row call of a builder that does the
     same for a stack of parameters, matrix by matrix."""
 
@@ -215,14 +216,12 @@ def _compose(*factors: GroupElement) -> GroupElement:
     return _element(_product(*(g.matrix for g in factors))[0])
 
 
-def _eyes(k: int, n: int) -> np.ndarray:
-    """A stack of n identity matrices of size k."""
-    return np.repeat(np.eye(k)[None], n, axis=0)
-
-
 @dataclass(frozen=True)
 class LieGenerator:
-    """(d+2)x(d+2) real matrix A with A^T Q + Q A = 0."""
+    """(d+2)x(d+2) real matrix X with X^T Q + Q X = 0 and X^3 = c X, each
+    to within FORM_TOL scaled by the entries' size, so that exp is the
+    three-term closed form of _exps.  c = tr(X^4) / tr(X^2), or 0 (X
+    nilpotent) when tr(X^2) is at rounding level against |X|^2."""
 
     matrix: np.ndarray
 
@@ -233,26 +232,38 @@ class LieGenerator:
         tol = FORM_TOL * max(1.0, amax)
         if np.abs(m.T * q + q[:, None] * m).max() > tol:
             raise ValueError("matrix is not in the (d,2) Lie algebra")
+        m2, tr2 = m @ m, np.sum(m * m.T)
+        nilpotent = abs(tr2) <= m.size * np.finfo(float).eps * np.sum(m * m)
+        c = 0.0 if nilpotent else float(np.sum(m2 * m2.T) / tr2)
+        if np.abs(m @ m2 - c * m).max() > tol * max(1.0, amax) ** 2:
+            raise ValueError("matrix has no three-term exponential: X^3 != c X")
+        object.__setattr__(self, "_c", c)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0] - 2
 
     def exp(self, t: float = 1.0) -> GroupElement:
-        return GroupElement(_expm(t * self.matrix))
+        return _element(_exps(self, [t])[0])
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring: 18 Taylor terms on a / 2^s, whose
-    row-sum norm is at most 1/2 (remainder below 1e-22), then s squarings."""
-    s = max(0, int(np.frexp(np.linalg.norm(a, np.inf))[1]) + 1)
-    x = a / 2.0 ** s
-    e = eye = np.eye(a.shape[0])
-    for k in range(18, 0, -1):
-        e = eye + (x @ e) / k
-    for _ in range(s):
-        e = e @ e
-    return e
+def _exps(gen: LieGenerator, t) -> np.ndarray:
+    """exp(t X) = I + s X + k X^2 for each entry of a 1-D array of times,
+    an (n, d+2, d+2) stack that passed the finiteness and form tests.  For
+    c = -w^2, s = sin(wt)/w and k = (1 - cos wt)/w^2 = 2 sin(wt/2)^2/w^2,
+    with no cancellation at small wt; for c = w^2 the same with sinh; for
+    c = 0, s = t, k = t^2/2.  Overflow raises ValueError, with no warning."""
+    t = np.asarray(t, dtype=float)
+    c = gen._c
+    with np.errstate(over="ignore", invalid="ignore"):
+        if c == 0.0:
+            s, k = t, t * t / 2.0
+        else:
+            sin, w = np.sin if c < 0 else np.sinh, math.sqrt(abs(c))
+            s, k = sin(w * t) / w, 2.0 * sin(w * t / 2.0) ** 2 / abs(c)
+        x = gen.matrix
+        m = np.eye(len(x)) + s[:, None, None] * x + k[:, None, None] * (x @ x)
+    return _check_form(*_finite_stack(m))
 
 
 def _ray_coords(c):
@@ -338,7 +349,7 @@ def _dilations(d: int, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if (lam <= 0).any():
         raise ValueError("dilation parameter must be positive")
-    m = _eyes(d + 2, len(lam))
+    m = np.repeat(np.eye(d + 2)[None], len(lam), axis=0)
     inv = 1.0 / lam
     m[:, d, d] = m[:, d + 1, d + 1] = (inv + lam) / 2.0
     m[:, d, d + 1] = m[:, d + 1, d] = (inv - lam) / 2.0
@@ -447,36 +458,24 @@ def in_identity_component(g: GroupElement) -> bool:
 def axis_inversion_subgroup(d: int, alpha: float, axis: int = 1) -> GroupElement:
     """One-parameter elliptic subgroup through the axis inversion:
 
-        U(alpha) = tau(-cot a) D(sin(a)^-2) R_axis tau(-cot a)
+        U(alpha) = exp(alpha Y),   Y[axis, d] = 2 = -Y[d, axis],
 
-    with tau the translation along the axis.  U(0) = U(pi) = identity,
-    U(pi/2) = R_axis; as matrices the group law holds modulo sign.
-
-    The factors grow as cot(alpha)^2, and near 0 and pi their product fails
-    the 1e-10 form test and raises ValueError.  Measured on grids of alpha
-    at d = 2, 3: it fails for every alpha in [1e-8, 0.05], for most alpha in
-    (0.01, 0.1), and for none in [0.102, pi - 0.102]; the same holds
-    mirrored at pi - alpha.
+    the rotation by 2 alpha in the (xi_axis, xi_d) plane.  U(0) = U(pi) =
+    identity, U(pi/2) = R_axis modulo sign, and U(a) U(b) = U(a + b) as
+    matrices, with period pi.  Modulo sign U(alpha) is also the product
+    tau(-cot a) D(sin(a)^-2) R_axis tau(-cot a), tau the translation along
+    the axis, whose factors grow as cot(a)^2 near 0 and pi.
     """
     return _element(_axis_inversion_subgroups(d, [alpha], axis)[0])
 
 
 def _axis_inversion_subgroups(d: int, alpha, axis: int = 1) -> np.ndarray:
-    """U(alpha) for each entry of a 1-D array, an (n, d+2, d+2) stack: the
-    identity where |sin alpha| < 1e-12, the product form elsewhere."""
-    alpha = np.asarray(alpha, dtype=float)
-    s = np.sin(alpha)
-    turn = ~(np.abs(s) < 1e-12)
-    s = s[turn]
-    a = np.zeros((len(s), d))
-    a[:, axis] = -np.cos(alpha[turn]) / s
-    tau = _translations(d, a)
-    # s^-2 entry by entry with Python's pow: numpy's array power rounds
-    # some entries differently from the scalar pow
-    dil = _dilations(d, [v ** -2 for v in s.tolist()])
-    m = _eyes(d + 2, len(alpha))
-    m[turn] = _product(tau, dil, axis_inversion(d, axis).matrix, tau)
-    return m
+    """U(alpha) for each entry of a 1-D array, an (n, d+2, d+2) stack."""
+    if not 1 <= axis <= d - 1:
+        raise ValueError("axis out of range")
+    y = np.zeros((d + 2, d + 2))
+    y[axis, d], y[d, axis] = 2.0, -2.0
+    return _exps(LieGenerator(y), alpha)
 
 
 def dilation_identity_defect(d: int, a: float, axis: int = 1) -> float:

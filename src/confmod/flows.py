@@ -40,7 +40,15 @@ class CanonicalFlow:
     closed_form(t, x) is the image of a point, None where the map is singular.
     The private _columns(t, c) is the same arithmetic on the columns c of an
     (n, d) array, (image columns, regular mask), with t a scalar or an array
-    of one time per row; rows(t, X) adapts it to the rows.
+    of one time per row; rows(t, X) adapts it to the rows.  matrix(t) is the
+    generator's three-term closed-form exponential.
+
+    closed_form and _columns are two bodies of one map on purpose.  As a
+    point adapter over _columns, closed_form is bitwise equal, but the
+    36,000 point calls of a region-sampling pass then take 0.95-1.3 s of
+    CPU (on one-element columns; 1.5-1.9 s through rows) against 0.13-0.18
+    s as written (Intel Xeon, one core).  The fork stays until the point
+    callers move to rows.
     """
 
     region: Region

@@ -8,11 +8,11 @@ under them passes and its suite ran within the criterion's wall-clock gate.
 Thresholds, seeds and loops live only in `confmod.cli`.  Inputs that no
 suite and no other test checks are still computed here.
 
-One sub-check is a strict expected failure with the evidence recorded in
-the test body and the repository notes: on sharp site lattices the raw
-duality angle is dominated by boundary site pairs (scale invariant,
-non-decaying), so its monotone-decrease clause cannot be met by this
-construction; everything else is green.
+One sub-check is a strict expected failure, declared with its criterion
+and reason in `confmod.cli`: on sharp site lattices the raw duality angle
+is dominated by boundary site pairs (scale invariant, non-decaying), so its
+monotone-decrease clause cannot be met by this construction; everything
+else is green.
 """
 
 import time
@@ -125,11 +125,13 @@ def test_criterion_6_bisognano_wichmann(suite_runs):
     assert verdict(suite_runs, "6", "Bisognano-Wichmann at desk scale", gate_s=600.0)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the raw duality angle is pinned to boundary site pairs whose symplectic "
-    "pairing is scale invariant on sharp lattices; the measured ladder "
-    "increases (0.759, 0.840, 0.907) at every weighting tried, and 60-digit "
-    "recomputation confirms the lattice subspaces truly behave this way"))
+def test_expected_failures_stand_on_their_criteria():
+    for name, (criterion, _) in cli._EXPECTED_FAILURES.items():
+        assert name in CRITERIA[criterion][1], name
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason=cli._EXPECTED_FAILURES["duality-angle-monotone"][1])
 def test_criterion_7_duality_monotone(suite_runs):
     assert verdict(suite_runs, "7a", "duality ladder decreases")
 

@@ -220,15 +220,14 @@ def test_one_row_stacks_raise_where_the_constructors_do(d, kind, param, raises):
 
 
 def test_stacked_form_test_raises_on_one_bad_slice():
-    # At alpha = 0.0125 the product form misses Q by about 8.5e-6, far past
-    # the 1e-10 test: one such slice makes the whole stack raise, with the
-    # one-row call's error.
-    good = np.linspace(0.3, np.pi - 0.3, 9)
-    assert cg._axis_inversion_subgroups(2, good).shape == (9, 4, 4)
+    # 2 I misses Q by 3, far past the 1e-10 test: one such slice makes the
+    # whole stack raise, with the one-matrix test's error.
+    good = cg._axis_inversion_subgroups(2, np.linspace(0.3, np.pi - 0.3, 9))
+    assert cg._product(good).tobytes() == good.tobytes()
     with pytest.raises(ValueError) as scalar:
-        cg.axis_inversion_subgroup(2, 0.0125)
+        cg.GroupElement(2.0 * np.eye(4))
     with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
-        cg._axis_inversion_subgroups(2, np.insert(good, 4, 0.0125))
+        cg._product(np.insert(good, 4, 2.0 * np.eye(4), axis=0))
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -423,15 +422,25 @@ def test_axis_inversion_subgroup_endpoints(d):
 @pytest.mark.parametrize("d", DIMS)
 def test_axis_inversion_subgroup_law(d):
     rng = np.random.default_rng(11)
-    count = 0
-    while count < 100:
-        a, b = rng.uniform(0.15, np.pi - 0.15, size=2)
-        s = (a + b) % np.pi
-        if min(s, np.pi - s) < 0.1:
-            continue
-        count += 1
+    for a, b in rng.uniform(0.15, np.pi - 0.15, size=(100, 2)):
         lhs = cg.axis_inversion_subgroup(d, a) @ cg.axis_inversion_subgroup(d, b)
-        assert cg.distance_mod_sign(lhs, cg.axis_inversion_subgroup(d, s)) < 1e-8
+        s = cg.axis_inversion_subgroup(d, (a + b) % np.pi)
+        assert cg.distance_mod_sign(lhs, s) < 1e-8
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_axis_inversion_subgroup_passes_form_test(d):
+    # The product form missed Q past 1e-10 for every alpha in [1e-8, 0.05];
+    # the rotation preserves it to rounding on all of (0, pi), on a grid
+    # dense on a log scale near both ends.
+    ends = np.geomspace(1e-8, 0.1, 60)
+    alpha = np.r_[ends, np.linspace(0.1, np.pi - 0.1, 61)[1:-1], np.pi - ends]
+    q = cg.quadratic_form(d)
+    for axis in range(1, d):
+        U = cg._axis_inversion_subgroups(d, alpha, axis)
+        for m in U:
+            assert np.max(np.abs(m.T @ q @ m - q)) < 1e-15
+            assert np.array_equal(cg.GroupElement(m).matrix, m)
 
 
 def test_axis_inversion_order_two_mod_sign():
@@ -463,8 +472,9 @@ def _loop_dilation(d, lam):
     return m
 
 
-def _loop_subgroup(d, alpha, axis):
-    """U(alpha) on one scalar alpha: numpy's scalar sin, cos and power."""
+def _product_form_subgroup(d, alpha, axis):
+    """U(alpha) modulo sign as the product tau(-cot a) D(sin(a)^-2) R_axis
+    tau(-cot a), the identity where |sin alpha| < 1e-12."""
     s = np.sin(np.float64(alpha))
     if abs(s) < 1e-12:
         return np.eye(d + 2)
@@ -489,12 +499,13 @@ def test_stacked_builders_match_one_row_calls(d):
     # Row i of each stacked builder is, as bytes, the public one-row call on
     # parameter i and the same closed form evaluated on that parameter alone
     # (the _loop_* references): the arithmetic does not depend on the stack.
+    # The subgroup's rows equal its product form modulo sign to 1e-11.
     rng = np.random.default_rng(29 + d)
     n = 50
     A = rng.normal(size=(n, d)) * rng.choice([0.01, 1.0, 100.0], size=(n, 1))
     lam = np.exp(3.0 * rng.normal(size=n))
-    # turning alpha away from the form test's failures near k pi, the
-    # fixed points 0, pi/2, pi, 2 pi, -pi, and |sin alpha| < 1e-12
+    # alpha over four periods, the fixed points 0, pi/2, pi, 2 pi, -pi, and
+    # alpha within 1e-12 of k pi
     alpha = rng.uniform(0.15, np.pi - 0.15, size=n) + np.pi * rng.integers(-2, 2, size=n)
     alpha[rng.choice(n, 9, replace=False)] = (0.0, np.pi / 2, np.pi, 2 * np.pi, -np.pi,
                                                1e-13, -3e-13, np.pi + 2e-13, -np.pi / 2)
@@ -516,13 +527,14 @@ def test_stacked_builders_match_one_row_calls(d):
         for i in range(n):
             u = cg.axis_inversion_subgroup(d, alpha[i], axis)
             assert U[i].tobytes() == u.matrix.tobytes()
-            assert U[i].tobytes() == _loop_subgroup(d, alpha[i], axis).tobytes()
+            ref = _product_form_subgroup(d, alpha[i], axis)
+            assert min(np.abs(U[i] - ref).max(), np.abs(U[i] + ref).max()) <= 1e-11
             defect = np.float64(cg.dilation_identity_defect(d, a[i], axis))
             assert defects[i].tobytes() == defect.tobytes()
             assert defect.tobytes() == np.float64(_loop_defect(d, a[i], axis)).tobytes()
             assert dist[i].tobytes() == np.float64(
                 cg.distance_mod_sign(u, cg.translation(d, A[i]))).tobytes()
-        assert (U[np.abs(np.sin(alpha)) < 1e-12] == np.eye(d + 2)).all()
+        assert (U[alpha == 0.0] == np.eye(d + 2)).all()
 
 
 # --- dilation generation identity -------------------------------------------------
@@ -553,10 +565,12 @@ def test_conformal_energy_period(d):
 
 
 def _generators(d):
+    moved = cg.translation(d, [0.3, -0.2, 0.1, 0.25][:d]) @ cg.ray_inversion(d)
     return {"boost": cg.boost_generator(d, 1), "double-cone": doublecone_flow(d).generator,
             "dilation": cg.dilation_generator(d),
             "translation": cg.translation_generator(d, [1.0, 0.5, -0.3, 0.2][:d]),
-            "conformal-energy": cg.conformal_energy(d)}
+            "conformal-energy": cg.conformal_energy(d),
+            "conjugated-double-cone": fl.conjugate_flow(moved, doublecone_flow(d)).generator}
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -566,13 +580,23 @@ def test_lie_exponential_against_mpmath(d):
     # generator at t = 1.3, so it cannot serve as the reference
     mp = pytest.importorskip("mpmath").mp
     for name, gen in _generators(d).items():
-        for t in np.linspace(-2.0, 2.0, 11):
+        for t in np.linspace(-2.0 * np.pi, 2.0 * np.pi, 13):
             with mp.workdps(40):
                 ref = np.array(mp.expm(mp.matrix((t * gen.matrix).tolist())).tolist(), dtype=float)
             err = np.max(np.abs(gen.exp(t).matrix - ref)) / np.max(np.abs(ref))
             assert err < 1e-14, (name, t, err)
 
 
+@pytest.mark.parametrize("d", DIMS)
+def test_lie_generator_needs_a_three_term_exponential(d):
+    # rate-2 boost plus dilation: X^3 - c X vanishes on the boost block for
+    # c = 4 and on the dilation block for c = 1, so for no single c
+    m = cg.boost_generator(d, 1, 2.0).matrix + cg.dilation_generator(d).matrix
+    with pytest.raises(ValueError, match="three-term exponential"):
+        cg.LieGenerator(m)
+
+
+# an exponential whose entries overflow raises ValueError, not OverflowError
 @pytest.mark.parametrize("build", (
     lambda: cg.GroupElement(np.full((4, 4), np.nan)),
     lambda: cg.GroupElement(np.diag([np.inf, 1.0, 1.0, 1.0])),
@@ -580,6 +604,9 @@ def test_lie_exponential_against_mpmath(d):
     lambda: cg.LieGenerator(np.diag([0.0, 0.0, 0.0, -np.inf])),
     lambda: cg.translation(2, [np.nan, 0.0]),
     lambda: cg.dilation_generator(2).exp(np.nan),
+    lambda: cg.dilation_generator(2).exp(1e3),
+    lambda: cg.boost_generator(2, 1).exp(1e308),
+    lambda: cg.dilation_generator(2).exp(np.inf),
     lambda: PoincareMap(np.full((2, 2), np.nan), np.zeros(2)),
     lambda: PoincareMap(np.diag([np.inf, 1.0]), np.zeros(2)),
     lambda: PoincareMap(np.eye(2), [np.nan, 0.0]),
@@ -588,6 +615,7 @@ def test_lie_exponential_against_mpmath(d):
     lambda: cg.Ray([np.inf, 0.0, 0.0, 0.0, 0.0, 0.0]),
     lambda: cg.embed([np.nan, 0.0]),
 ), ids=("group-nan", "group-inf", "lie-nan", "lie-inf", "translation-nan", "exp-nan",
+        "exp-1e3", "exp-1e308", "exp-inf",
         "lorentz-nan", "lorentz-inf", "shift-nan", "shift-inf", "ray-nan", "ray-inf",
         "embed-nan"))
 def test_non_finite_matrices_rejected(build):
