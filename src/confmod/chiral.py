@@ -182,15 +182,21 @@ def half_circle() -> CircleInterval:
     return CircleInterval(0.0, np.pi)
 
 
-def _site_columns(model: LatticeModel, interval: CircleInterval) -> np.ndarray:
-    """Encoded indicators of the sites inside the interval, 2m x n; raises
-    when the interval or its complement holds no site."""
+def _checked_sites(model: LatticeModel, interval: CircleInterval) -> np.ndarray:
+    """The sites inside the interval; raises when the interval or its
+    complement holds no site."""
     sites = interval.sites(model)
     if sites.size == 0:
         raise ValueError("interval contains no lattice sites")
     if sites.size == model.L:
         raise ValueError("interval complement contains no lattice sites")
-    return _encoded_sites(model, sites)
+    return sites
+
+
+def _site_columns(model: LatticeModel, interval: CircleInterval) -> np.ndarray:
+    """Encoded indicators of the sites inside the interval, 2m x n; raises
+    when the interval or its complement holds no site."""
+    return _encoded_sites(model, _checked_sites(model, interval))
 
 
 def interval_subspace(model: LatticeModel, interval: CircleInterval) -> md.StandardSubspace:
@@ -217,8 +223,63 @@ def _site_basis(model: LatticeModel, interval: CircleInterval) -> np.ndarray:
     symplectic_complement_angle raises its zero-subspace error.  Principal
     angles do not depend on which orthonormal basis spans each space
     (Bjorck-Golub 1973), so the angles read from it are those of the SVD
-    basis of interval_subspace."""
+    basis of interval_subspace.  symplectic_locality reads it, and the
+    tests compare duality_defect's parity blocks with it."""
     return np.linalg.qr(_site_columns(model, interval))[0]
+
+
+def _mirror_phases(model: LatticeModel, c: int) -> np.ndarray:
+    """e^{-i pi k c / L}, k = 1..m.  k c is reduced mod 2L and split into
+    whole quarter turns, taken exactly as powers of -i, and a remainder
+    below a quarter turn; so c = L/2 gives the phases (-i)^k exactly."""
+    L = model.L
+    turns, rest = np.divmod(np.arange(1, model.m + 1) * c % (2 * L), L // 2)
+    return np.array([1.0, -1j, -1.0, 1j])[turns] * np.exp(-1j * np.pi * rest / L)
+
+
+def _parity_bases(model: LatticeModel, interval: CircleInterval) -> tuple:
+    """(c, basis of K+, basis of K-): the arc's mirror reflection and
+    orthonormal bases of the two parity blocks of K(interval) under it.
+
+    Take the sites in arc order, (theta_j - a) mod 2 pi ascending, so that
+    an arc across theta = 0 pairs its ends.  The reflection j -> c - j,
+    c = (first + last) mod L, maps the arc onto itself; on C^m it is
+    z_k -> e^{2 pi i k c / L} conj(z_k).  In the coordinates
+    w_k = e^{-i pi k c / L} z_k (_mirror_phases; a unitary change that
+    commutes with i, so it keeps every angle and pairing) it is plain
+    conjugation and sends the site w_j to w_{c-j} = conj(w_j).  So K(I)
+    splits into K+, spanned in the Re rows by Re w of the first ceil(n/2)
+    sites, and K-, spanned in the Im rows by Im w of the first floor(n/2):
+    two m-row blocks, each given its basis by a reduced QR.  As in
+    _site_basis there is no rank decision: for n <= L - 2 the n site
+    columns are independent, so each block has full column rank, and for
+    n = L - 1 the + block is m x (m + 1) and its basis spans R^m."""
+    sites = _checked_sites(model, interval)
+    sites = sites[np.argsort((model.thetas[sites] - interval.a) % (2.0 * np.pi), kind="stable")]
+    m, n = model.m, sites.size
+    c = int(sites[0] + sites[-1]) % model.L
+    cols = _encoded_sites(model, sites[:(n + 1) // 2])
+    w = _mirror_phases(model, c)[:, None] * (cols[:m] + 1j * cols[m:])
+    return c, np.linalg.qr(w.real)[0], np.linalg.qr(w.imag[:, :n // 2])[0]
+
+
+def _parity_pairing(model: LatticeModel, interval: CircleInterval) -> np.ndarray:
+    """B_in^T (i B_out), up to the sign of its first block row, for the
+    parity bases (_parity_bases) of the arc, B_in, and of its complement,
+    B_out: blocks P, N and P', N', m rows each, half the rows and about
+    half the columns of the site columns.
+
+    The complement's blocks are moved to the arc's coordinates by the
+    relative phases u = C + iS, u_k = e^{-i pi k (c_in - c_out) / L}, where
+    B_out reads [[C P', -S N'], [S P', C N']].  When both arcs have the
+    same reflection, as they do unless exactly one endpoint sits on a
+    site, u = 1: multiplication by i swaps the blocks, and the diagonal
+    blocks of the pairing are zero."""
+    c, plus, minus = _parity_bases(model, interval)
+    c_out, plus_out, minus_out = _parity_bases(model, interval.complement())
+    u = _mirror_phases(model, c - c_out)[:, None]
+    return np.block([[plus.T @ (u.imag * plus_out), plus.T @ (u.real * minus_out)],
+                     [minus.T @ (u.real * plus_out), -(minus.T @ (u.imag * minus_out))]])
 
 
 def interval_tomita(model: LatticeModel, interval: CircleInterval) -> md.ModularData:
@@ -506,18 +567,22 @@ def duality_defect(model: LatticeModel, interval: CircleInterval) -> float:
     """Largest principal angle between the symplectic complement
     K(I)' = (iK(I))^perp and K(I'), I' the interior of the complement.
 
-    It is read from Householder bases B_in of K(I) and B_out of K(I')
-    (_site_basis): arcsin of the q-th smallest singular value of
-    B_in^T (i B_out), q = min(2m - dim K(I), dim K(I'))
-    (modular.symplectic_complement_angle).  K(I)' itself is never formed,
-    and no SVD beyond that of the 2m-row pairing matrix is taken.
+    It is arcsin of the q-th smallest singular value of the pairing
+    B_in^T (i B_out) (_parity_pairing), the sines padded with zeros to
+    dim K(I'), q = min(2m - dim K(I), dim K(I')) (modular._complement_angle,
+    the rule of symplectic_complement_angle), for orthonormal bases B_in of
+    K(I) and B_out of K(I').  K(I)' itself is never formed, and the one SVD
+    is that of the dim K(I) x dim K(I') pairing.  Principal angles do not
+    depend on which orthonormal basis spans each space (Bjorck-Golub
+    1973), so the angle equals the one read from _site_basis.
 
     On sharp site lattices this worst-case angle is dominated by the
     boundary-adjacent site pairs, whose symplectic pairing is
     scale-invariant; it does not decay with L (see the test suite for the
     measured ladder)."""
-    return md.symplectic_complement_angle(_site_basis(model, interval),
-                                          _site_basis(model, interval.complement()))
+    pairing = _parity_pairing(model, interval)
+    return md._complement_angle(np.linalg.svd(pairing, compute_uv=False), 2 * model.m,
+                                *pairing.shape)
 
 
 def _reflect_encoded(model: LatticeModel, interval: CircleInterval,

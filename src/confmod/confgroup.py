@@ -473,9 +473,18 @@ def _axis_inversion_subgroups(d: int, alpha, axis: int = 1) -> np.ndarray:
     """U(alpha) for each entry of a 1-D array, an (n, d+2, d+2) stack."""
     if not 1 <= axis <= d - 1:
         raise ValueError("axis out of range")
+    return _exps(_axis_inversion_generator(d, axis), alpha)
+
+
+@cache
+def _axis_inversion_generator(d: int, axis: int) -> LieGenerator:
+    """Y[axis, d] = 2 = -Y[d, axis], built and form-checked once per
+    (d, axis); its matrix is read-only."""
     y = np.zeros((d + 2, d + 2))
     y[axis, d], y[d, axis] = 2.0, -2.0
-    return _exps(LieGenerator(y), alpha)
+    gen = LieGenerator(y)
+    gen.matrix.flags.writeable = False
+    return gen
 
 
 def dilation_identity_defect(d: int, a: float, axis: int = 1) -> float:

@@ -472,19 +472,30 @@ def symplectic_complement_angle(b1: np.ndarray, b2: np.ndarray) -> float:
 
     K1' = (iK1)^perp, so the part of a unit vector of K2 outside K1' is
     its projection onto iK1: the sines of the angles between K2 and K1' are
-    the singular values mu of M = b1^T (i b2), padded with zeros to dim K2.
-    There are q = min(2m - dim K1, dim K2) principal angles, those with
-    the q smallest sines; the largest angle is arcsin of the q-th smallest
-    mu (arcsin of ||M||_2 for equal dimensions).  Raises ValueError when K1
-    spans R^{2m}, so that K1' = 0 and no angle is defined.  Stacks of bases,
+    the singular values of M = b1^T (i b2), padded with zeros to dim K2,
+    and the angle is read from them by _complement_angle.  Stacks of bases,
     (..., 2m, dim), give an array of angles over the stack."""
-    d1, d2 = b1.shape[-1], b2.shape[-1]
-    q = min(b1.shape[-2] - d1, d2)
+    return _complement_angle(svd(_tr(b1) @ _times_i(b2), compute_uv=False),
+                             b1.shape[-2], b1.shape[-1], b2.shape[-1])
+
+
+def _complement_angle(mu: np.ndarray, ambient: int, d1: int, d2: int):
+    """Largest principal angle between K1' and K2 from singular values mu,
+    (..., r) with r <= d2, of the pairing of orthonormal bases of K1 and
+    K2, real dimensions d1 and d2 in R^ambient; any singular values left
+    out of mu are zero.
+
+    The sines of the angles are mu padded with zeros to d2.  There are
+    q = min(ambient - d1, d2) principal angles, those with the q smallest
+    sines; the largest angle is arcsin of the q-th smallest (of the
+    largest for equal dimensions).  Raises ValueError when K1 spans
+    R^ambient, so that K1' = 0 and no angle is defined."""
+    q = min(ambient - d1, d2)
     if q == 0:
         raise ValueError("the symplectic complement is the zero subspace")
-    mu = np.zeros(np.broadcast_shapes(b1.shape[:-2], b2.shape[:-2]) + (d2,))
-    mu[..., d2 - min(d1, d2):] = svd(_tr(b1) @ _times_i(b2), compute_uv=False)[..., ::-1]
-    angle = np.arcsin(np.minimum(mu[..., q - 1], 1.0))
+    sines = np.zeros(mu.shape[:-1] + (d2,))
+    sines[..., d2 - mu.shape[-1]:] = np.sort(mu, axis=-1)
+    angle = np.arcsin(np.minimum(sines[..., q - 1], 1.0))
     return angle if np.ndim(angle) else float(angle)
 
 

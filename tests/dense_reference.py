@@ -11,6 +11,7 @@ matrices.
 import numpy as np
 
 from confmod import chiral as ch
+from confmod import modular as md
 
 
 # --- modular operators -------------------------------------------------------------
@@ -49,6 +50,13 @@ def flow_real(dat, t):
     """Real encoding of Delta^{it}: the cos part plus i times the sin part."""
     return (assemble(dat, ("flow_cos", t))
             + std_i(dat.ambient_dim) @ assemble(dat, ("flow_sin", t)))
+
+
+def involution_residual(dat):
+    """max |J J - 1| of the modular conjugation as a dense 2m x 2m matrix,
+    J applied to the identity (md.dense)."""
+    J = md.dense(dat.apply_j_real, 2 * dat.ambient_dim)
+    return float(np.max(np.abs(J @ J - np.eye(len(J)))))
 
 
 def complexify_operator(a):

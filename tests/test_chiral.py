@@ -6,6 +6,7 @@ import pytest
 import confmod.chiral as ch
 import confmod.modular as md
 import dense_reference as dr
+from confmod import cli
 
 LADDER = (64, 128, 256)
 
@@ -447,39 +448,129 @@ def test_duality_defect_lattice_symmetries(models):
         assert abs(base - ch.duality_defect(model, I.complement())) < 1e-10
 
 
-def test_duality_defect_matches_complement_svd(models):
-    # the angle read from the interval bases equals the one measured
-    # against K(I)' built by the full SVD of symplectic_complement
-    def reference(model, interval):
-        k_in = ch.interval_subspace(model, interval)
-        k_out = ch.interval_subspace(model, interval.complement())
-        return md.subspace_angle(md.symplectic_complement(k_in), k_out)
-
-    I = ch.half_circle()
-    for L in (64, 128, 256, 512):
-        model = models.get(L) or ch.build_model(L)
-        shift = 2 * np.pi * (L // 8) / L
-        for arc in (I, ch.CircleInterval(I.a + shift, I.b + shift), I.complement()):
-            assert abs(ch.duality_defect(model, arc) - reference(model, arc)) < 1e-12
-    # endpoints off the sites: dim K(I') differs from 2m - dim K(I), so the
-    # angle is the q-th smallest sine, q = min(2m - dim K(I), dim K(I'))
-    model = models[64]
-    for arc in (ch.CircleInterval(0.1, np.pi + 0.3), ch.CircleInterval(0.3, 1.0)):
-        for interval in (arc, arc.complement()):
-            k_in = ch.interval_subspace(model, interval)
-            k_out = ch.interval_subspace(model, interval.complement())
-            assert k_out.real_dim != 2 * model.m - k_in.real_dim
-            assert abs(ch.duality_defect(model, interval) - reference(model, interval)) < 1e-12
-
-
 def _site_basis_arcs(model):
-    """The half circle, its L/8 rotation, its complement, and the two
-    off-site arcs above with their complements."""
+    """The half circle, its L/8 rotation and its complement, then five
+    arcs, each followed by its complement: two at fixed angles off the
+    sites; 2h + 1 sites across theta = 0, h = L/8 (odd); 2h sites from
+    site 4 (even); and 2h sites after an endpoint on site 0, the one kind
+    of arc whose mirror reflection is not its complement's."""
     I = ch.half_circle()
-    shift = 2 * np.pi * (model.L // 8) / model.L
-    off = (ch.CircleInterval(0.1, np.pi + 0.3), ch.CircleInterval(0.3, 1.0))
-    return (I, ch.CircleInterval(I.a + shift, I.b + shift), I.complement(),
-            *off, *(arc.complement() for arc in off))
+    w = 2 * np.pi / model.L
+    h = model.L // 8
+    off = (ch.CircleInterval(0.1, np.pi + 0.3), ch.CircleInterval(0.3, 1.0),
+           ch.CircleInterval(-(h + 0.5) * w, (h + 0.5) * w),
+           ch.CircleInterval(3.5 * w, (2 * h + 3.5) * w),
+           ch.CircleInterval(0.0, (2 * h + 0.5) * w))
+    return (I, ch.CircleInterval(I.a + h * w, I.b + h * w), I.complement(),
+            *(a for arc in off for a in (arc, arc.complement())))
+
+
+def _complement_svd_angle(model, interval):
+    """The duality angle measured against K(I)' built by the full SVD of
+    symplectic_complement."""
+    k_in = ch.interval_subspace(model, interval)
+    k_out = ch.interval_subspace(model, interval.complement())
+    return md.subspace_angle(md.symplectic_complement(k_in), k_out)
+
+
+def test_duality_defect_matches_complement_svd(models):
+    # the angle read from the parity blocks equals the one measured against
+    # K(I)' built by the full SVD of symplectic_complement.  Off the sites
+    # dim K(I') differs from 2m - dim K(I), so the angle is the q-th
+    # smallest sine, q = min(2m - dim K(I), dim K(I')).  An arc of
+    # L - 2 = 2m sites spans R^{2m} (at L = 16, the complement of
+    # (0.3, 1.0)): its symplectic complement is zero and duality_defect
+    # raises.  At L = 1024 the reference costs a second per arc, so only
+    # the half circle's three arcs are compared there.
+    for L in (16, 32, 64, 128, 256, 512, 1024):
+        model = models.get(L) or ch.build_model(L)
+        arcs = _site_basis_arcs(model)
+        for arc in arcs[:3] if L == 1024 else arcs:
+            if arc.sites(model).size == 2 * model.m:
+                with pytest.raises(ValueError, match="zero subspace"):
+                    ch.duality_defect(model, arc)
+                continue
+            assert abs(ch.duality_defect(model, arc) - _complement_svd_angle(model, arc)) < 1e-12
+        sizes = [arc.sites(model).size for arc in arcs]
+        assert [n % 2 for n in sizes[7:11]] == [1, 1, 0, 0]
+        assert {0, L - 1} <= set(arcs[7].sites(model))
+        for arc in arcs[3:5]:
+            k_in = ch.interval_subspace(model, arc)
+            k_out = ch.interval_subspace(model, arc.complement())
+            assert k_out.real_dim != 2 * model.m - k_in.real_dim
+
+
+def _parity_and_full_pairing(model, arc):
+    """The singular values, descending, of the parity pairing that
+    duality_defect reads (_parity_pairing) and of the pairing
+    B_in^T (i B_out) of the Householder bases (_site_basis)."""
+    parity = np.linalg.svd(ch._parity_pairing(model, arc), compute_uv=False)
+    full = np.linalg.svd(ch._site_basis(model, arc).T
+                         @ md._times_i(ch._site_basis(model, arc.complement())),
+                         compute_uv=False)
+    return parity, full
+
+
+@pytest.mark.parametrize("L", (16, 32, 64, 128, 256))
+def test_duality_parity_pairing_gives_the_full_pairing(models, L):
+    # the parity pairing has the singular values of the Householder
+    # pairing, for every arc.  For an arc that shares its mirror reflection
+    # with its complement (all but the last two of _site_basis_arcs),
+    # multiplication by i swaps the parity blocks: the pairing's diagonal
+    # blocks are zero, and its singular values are those of its two
+    # off-diagonal blocks together.  Above L = 256 the site columns'
+    # unreduced phases part the two computations by more than 1e-13 (next
+    # test).
+    model = models.get(L) or ch.build_model(L)
+    arcs = _site_basis_arcs(model)
+    for arc in arcs:
+        parity, full = _parity_and_full_pairing(model, arc)
+        assert np.max(np.abs(parity - full)) < 1e-13
+        if arc in arcs[11:]:
+            continue
+        pairing = ch._parity_pairing(model, arc)
+        p, p_out = (ch._parity_bases(model, a)[1].shape[1] for a in (arc, arc.complement()))
+        assert not pairing[:p, :p_out].any() and not pairing[p:, p_out:].any()
+        blocks = np.concatenate([np.linalg.svd(pairing[:p, p_out:], compute_uv=False),
+                                 np.linalg.svd(pairing[p:, :p_out], compute_uv=False)])
+        union = np.zeros(full.size)
+        union[:blocks.size] = np.sort(blocks)[::-1]
+        assert np.max(np.abs(union - full)) < 1e-13
+    assert ch._parity_bases(model, arcs[11])[0] != ch._parity_bases(model, arcs[12])[0]
+
+
+def test_duality_parity_pairing_with_reduced_phases(monkeypatch):
+    # The two pairings differ by what the site columns' unreduced phases
+    # (3.5e-13 relative at L = 1024) do to their smallest singular values,
+    # which the parity blocks read from half the sites: up to 1.0e-13 at
+    # L = 512 and 3.2e-13 at L = 1024.  With the phases reduced mod L they
+    # agree to rounding.
+    def reduced(model, sites):
+        k = np.arange(1, model.m + 1)
+        z = np.sqrt(2.0 * k)[:, None] * np.exp(
+            2j * np.pi * (np.outer(k, sites) % model.L) / model.L) / model.L
+        return np.vstack([z.real, z.imag])
+
+    monkeypatch.setattr(ch, "_encoded_sites", reduced)
+    parity, full = _parity_and_full_pairing(ch.build_model(1024), ch.half_circle())
+    assert np.max(np.abs(parity - full)) < 1e-14
+
+
+@pytest.mark.parametrize("L", (16, 1024))
+def test_duality_half_circle_phases_are_a_signed_permutation(L):
+    # c = L/2: the phases are (-i)^k exactly, so each row of Re w and of
+    # Im w is a row of the site columns, with its sign, bit for bit
+    model = ch.build_model(L)
+    k = np.arange(1, model.m + 1)
+    phases = ch._mirror_phases(model, L // 2)
+    assert np.array_equal(phases, np.array([1.0, -1j, -1.0, 1j])[k % 4])
+    cols = ch._encoded_sites(model, np.arange(1, L // 2))
+    re, im = cols[:model.m], cols[model.m:]
+    w = phases[:, None] * (re + 1j * im)
+    even = (k % 2 == 0)[:, None]
+    sign = np.where(k % 4 < 2, 1.0, -1.0)[:, None]
+    assert np.array_equal(w.real, np.where(even, sign * re, sign * im))
+    assert np.array_equal(w.imag, np.where(even, sign * im, -sign * re))
 
 
 @pytest.mark.parametrize("L", (64, 128, 256, 512))
@@ -534,9 +625,39 @@ def test_pct_defect_and_conjugation(models):
         model = models[L]
         val = ch.pct_geometry_defect(model, I, probe)
         assert val == pytest.approx(calibration.PCT_DEFECTS[L], abs=1e-9)
-        dat = ch.interval_tomita(model, I)
-        J = md.dense(dat.apply_j_real, 2 * model.m)
-        assert np.max(np.abs(J @ J - np.eye(2 * model.m))) < 1e-6
+        assert dr.involution_residual(ch.interval_tomita(model, I)) < 1e-6
+
+
+@pytest.mark.parametrize("L", (64, 128, 256, 512, 1024))
+def test_involution_bound_covers_dense_residual(L):
+    # the plane-wise bound on ||J^2 - 1||_2 is at least the dense
+    # max |J J - 1| it replaced, and far below the check's 1e-6
+    dat = ch.interval_tomita(ch.build_model(L), ch.half_circle())
+    assert dr.involution_residual(dat) <= cli._involution_bound(dat) < 1e-12
+
+
+@pytest.mark.parametrize("corrupt", ("frame column", "plane"))
+def test_involution_check_fails_on_corrupted_planes(monkeypatch, corrupt):
+    # scaling one frame column, or one plane's sine and cosine, by 1 + 1e-5
+    # breaks J^2 = 1 by about 2e-5: the dense residual sees it, and the
+    # pct suite's check fails
+    def corrupted(model, interval, _fn=ch.interval_tomita):
+        dat = _fn(model, interval)
+        if corrupt == "frame column":
+            frame = dat.frame.copy()
+            frame[:, 0] *= 1.0 + 1e-5
+            return dataclasses.replace(dat, frame=frame)
+        sines, sigmas = dat.sines.copy(), dat.sigmas.copy()
+        k = np.argmin(np.abs(sines - 0.5))
+        sines[k] *= 1.0 + 1e-5
+        sigmas[k] *= 1.0 + 1e-5
+        return dataclasses.replace(dat, sines=sines, sigmas=sigmas)
+
+    assert dr.involution_residual(corrupted(ch.build_model(64), ch.half_circle())) > 1e-6
+    monkeypatch.setattr(ch, "interval_tomita", corrupted)
+    checks = cli.run_pct_suite(cli.SuiteConfig(sizes=(32, 64)))
+    (record,) = [c for c in checks if c["name"] == "pct-conjugation-involution"]
+    assert record["status"] == "fail" and record["value"] > 1e-6
 
 
 def test_reflection_matches_dense_pullback(models):

@@ -156,7 +156,7 @@ def test_ladder_suites_build_each_model_once(monkeypatch):
 
 def test_ladder_suites_factor_each_interval_once(monkeypatch):
     # bw and pct factor the half circle once per size; duality reads its
-    # angle from Householder bases of the arcs and builds no Tomita
+    # angle from QR bases of the arcs' parity blocks and builds no Tomita
     # operators; the modular suite factors each of its 100 random subspaces
     # once, in one stacked call per dimension m, and measures J K = K' from
     # the two bases, never forming K'.  Subspaces are counted, not calls: a

@@ -443,6 +443,31 @@ def test_axis_inversion_subgroup_passes_form_test(d):
             assert np.array_equal(cg.GroupElement(m).matrix, m)
 
 
+def test_axis_inversion_generator_checked_once(monkeypatch):
+    # the axis-inversion stacks share one form-checked generator per
+    # (d, axis): over two group-suite runs each is checked once, its matrix
+    # is read-only, and the two runs give the same records
+    from confmod import cli
+
+    checked = []
+    post_init = cg.LieGenerator.__post_init__
+
+    def counted(self):
+        checked.append(self.matrix.copy())
+        post_init(self)
+
+    cg._axis_inversion_generator.cache_clear()
+    monkeypatch.setattr(cg.LieGenerator, "__post_init__", counted)
+    runs = [cli.run_group_suite(cli.SuiteConfig(suite="group")) for _ in range(2)]
+    assert runs[0] == runs[1]
+    for d in DIMS:
+        y = np.zeros((d + 2, d + 2))
+        y[1, d], y[d, 1] = 2.0, -2.0
+        assert sum(m.shape == y.shape and np.array_equal(m, y) for m in checked) == 1
+        gen = cg._axis_inversion_generator(d, 1)
+        assert np.array_equal(gen.matrix, y) and not gen.matrix.flags.writeable
+
+
 def test_axis_inversion_order_two_mod_sign():
     # R_i squares to the identity as a ray action; the order-4 behavior of
     # its liftings is not visible at the matrix level.
