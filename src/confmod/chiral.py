@@ -202,30 +202,12 @@ def _site_columns(model: LatticeModel, interval: CircleInterval) -> np.ndarray:
 def interval_subspace(model: LatticeModel, interval: CircleInterval) -> md.StandardSubspace:
     """Real span of the retained-mode site indicators inside the interval."""
     # Its basis stays the thin SVD of StandardSubspace: a Householder basis
-    # (_site_basis) moves the Tomita frame, and bw-defect-L1024 by 5.1e-9
-    # relative, beyond the 1e-9 of the recorded references.  It joins
-    # _site_basis once the bw and pct values are pinned to the lattice
-    # rather than to one basis (ROADMAP item 2).
+    # moves the Tomita frame, and bw-defect-L1024 by 5.1e-9 relative, beyond
+    # the 1e-9 of the recorded references.  It moves to the parity bases
+    # (_parity_bases) once the bw and pct values are pinned to the lattice
+    # rather than to one basis (ROADMAP items 2 and 4).
     cols = _site_columns(model, interval)
     return md.StandardSubspace(model.m, (cols[:model.m] + 1j * cols[model.m:]).T)
-
-
-def _site_basis(model: LatticeModel, interval: CircleInterval) -> np.ndarray:
-    """Orthonormal basis of K(interval) in the real encoding: the reduced
-    Householder QR of the encoded site indicators, with no rank decision.
-
-    An arc with n <= 2m = L - 2 sites gives n independent columns.  The
-    retained projection kills only the constant and (-1)^j, and a function
-    on the arc that is a combination a + b (-1)^j vanishes on the arc's
-    complement, whose >= 2 contiguous sites hold both parities, so
-    a = b = 0.  With n = L - 1 the 2m + 1 columns span R^{2m}, the reduced
-    Q is a basis of all of it, as the SVD basis is, and
-    symplectic_complement_angle raises its zero-subspace error.  Principal
-    angles do not depend on which orthonormal basis spans each space
-    (Bjorck-Golub 1973), so the angles read from it are those of the SVD
-    basis of interval_subspace.  symplectic_locality reads it, and the
-    tests compare duality_defect's parity blocks with it."""
-    return np.linalg.qr(_site_columns(model, interval))[0]
 
 
 def _mirror_phases(model: LatticeModel, c: int) -> np.ndarray:
@@ -250,10 +232,14 @@ def _parity_bases(model: LatticeModel, interval: CircleInterval) -> tuple:
     conjugation and sends the site w_j to w_{c-j} = conj(w_j).  So K(I)
     splits into K+, spanned in the Re rows by Re w of the first ceil(n/2)
     sites, and K-, spanned in the Im rows by Im w of the first floor(n/2):
-    two m-row blocks, each given its basis by a reduced QR.  As in
-    _site_basis there is no rank decision: for n <= L - 2 the n site
-    columns are independent, so each block has full column rank, and for
-    n = L - 1 the + block is m x (m + 1) and its basis spans R^m."""
+    two m-row blocks, each given its basis by a reduced QR with no rank
+    decision.  An arc with n <= 2m = L - 2 sites has n independent site
+    columns: the retained projection kills only the constant and (-1)^j,
+    and a combination a + b (-1)^j that vanishes on the arc vanishes on
+    its complement too, whose >= 2 contiguous sites hold both parities, so
+    a = b = 0.  So each block has full column rank.  For n = L - 1 the +
+    block is m x (m + 1), its basis spans R^m, and the symplectic
+    complement of K(interval) is zero."""
     sites = _checked_sites(model, interval)
     sites = sites[np.argsort((model.thetas[sites] - interval.a) % (2.0 * np.pi), kind="stable")]
     m, n = model.m, sites.size
@@ -263,20 +249,24 @@ def _parity_bases(model: LatticeModel, interval: CircleInterval) -> tuple:
     return c, np.linalg.qr(w.real)[0], np.linalg.qr(w.imag[:, :n // 2])[0]
 
 
-def _parity_pairing(model: LatticeModel, interval: CircleInterval) -> np.ndarray:
+def _parity_pairing(model: LatticeModel, interval: CircleInterval,
+                    other: CircleInterval) -> np.ndarray:
     """B_in^T (i B_out), up to the sign of its first block row, for the
-    parity bases (_parity_bases) of the arc, B_in, and of its complement,
-    B_out: blocks P, N and P', N', m rows each, half the rows and about
-    half the columns of the site columns.
+    parity bases (_parity_bases) of interval, B_in, and of other, B_out:
+    blocks P, N and P', N', m rows each, half the rows and about half the
+    columns of the site columns.  Its singular values are the cosines of
+    the principal angles between K(interval) and iK(other), whichever
+    orthonormal bases span the two (Bjorck-Golub 1973): the change to
+    w-coordinates is unitary and commutes with i.
 
-    The complement's blocks are moved to the arc's coordinates by the
-    relative phases u = C + iS, u_k = e^{-i pi k (c_in - c_out) / L}, where
-    B_out reads [[C P', -S N'], [S P', C N']].  When both arcs have the
-    same reflection, as they do unless exactly one endpoint sits on a
-    site, u = 1: multiplication by i swaps the blocks, and the diagonal
-    blocks of the pairing are zero."""
+    Other's blocks are moved to interval's coordinates by the relative
+    phases u = C + iS, u_k = e^{-i pi k (c_in - c_out) / L}, where B_out
+    reads [[C P', -S N'], [S P', C N']].  When the two arcs have the same
+    reflection, as an arc and its complement do unless exactly one
+    endpoint sits on a site, u = 1: multiplication by i swaps the blocks,
+    and the diagonal blocks of the pairing are zero."""
     c, plus, minus = _parity_bases(model, interval)
-    c_out, plus_out, minus_out = _parity_bases(model, interval.complement())
+    c_out, plus_out, minus_out = _parity_bases(model, other)
     u = _mirror_phases(model, c - c_out)[:, None]
     return np.block([[plus.T @ (u.imag * plus_out), plus.T @ (u.real * minus_out)],
                      [minus.T @ (u.real * plus_out), -(minus.T @ (u.imag * minus_out))]])
@@ -298,30 +288,21 @@ def _window_frame(data: md.ModularData) -> np.ndarray:
 
 # --- Moebius flow of an interval ---------------------------------------------
 
-def _interval_chart(interval: CircleInterval):
-    """Homogeneous chart w = sin((theta-a)/2) / sin((b-theta)/2), positive
-    exactly on the interval, 0 at a and infinity at b: num_den(s, c) is its
-    numerator and denominator at s, c = sin, cos(theta/2), lift(num, den, e)
-    a multiple of the sine and cosine of half the angle of chart e num / den.
-    Both are linear, so they map theta-derivatives too: (c/2, -s/2) for (s, c)."""
+def _chart_scaled(interval: CircleInterval, scale: float, theta):
+    """The angles whose chart is scale times the chart of theta.
+
+    The chart is w = sin((theta-a)/2) / sin((b-theta)/2), positive exactly
+    on the interval, 0 at a and infinity at b.  Its numerator and
+    denominator are linear in s, c = sin, cos(theta/2), and the angle of
+    chart num / den is twice the argument of
+    (ca den + cb num) + i (sb num + sa den), with ca, sa and cb, sb the
+    cosines and sines of a/2 and b/2."""
     ca, sa = np.cos(interval.a / 2.0), np.sin(interval.a / 2.0)
     cb, sb = np.cos(interval.b / 2.0), np.sin(interval.b / 2.0)
-
-    def num_den(s, c):
-        return ca * s - sa * c, sb * c - cb * s
-
-    def lift(num, den, e=1.0):
-        return sb * e * num + sa * den, ca * den + cb * e * num
-
-    return num_den, lift
-
-
-def _chart_scaled(interval: CircleInterval, scale: float, theta):
-    """The angles whose chart is scale times the chart of theta."""
-    num_den, lift = _interval_chart(interval)
     theta = np.asarray(theta, dtype=float)
-    n, d = num_den(np.sin(theta / 2.0), np.cos(theta / 2.0))
-    return (2.0 * np.arctan2(*lift(scale * n, d))) % (2.0 * np.pi)
+    s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
+    num, den = scale * (ca * s - sa * c), sb * c - cb * s
+    return (2.0 * np.arctan2(sb * num + sa * den, ca * den + cb * num)) % (2.0 * np.pi)
 
 
 def mobius_point_flow(interval: CircleInterval, t: float, theta):
@@ -331,18 +312,6 @@ def mobius_point_flow(interval: CircleInterval, t: float, theta):
     modular flow Delta^{it} of the interval subspace tracks the flow at the
     same parameter t."""
     return _chart_scaled(interval, np.exp(-2.0 * np.pi * t), theta)
-
-
-def mobius_point_flow_deriv(interval: CircleInterval, t: float, theta):
-    """d/dtheta of the flow map: the derivative of 2 arctan2(y, x), with
-    (y, x) the chart's lift of the flowed point."""
-    num_den, lift = _interval_chart(interval)
-    theta = np.asarray(theta, dtype=float)
-    s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
-    e = np.exp(-2.0 * np.pi * t)
-    y, x = lift(*num_den(s, c), e)
-    dy, dx = lift(*num_den(0.5 * c, -0.5 * s), e)
-    return 2.0 * (dy * x - y * dx) / (y ** 2 + x ** 2)
 
 
 def circle_reflection(interval: CircleInterval, theta):
@@ -375,13 +344,10 @@ def _mode_synthesis(model: LatticeModel, angles: np.ndarray) -> np.ndarray:
     return (high[:, :, None] * low[:, None, :]).reshape(len(angles), -1)[:, :m]
 
 
-def _pull_back(model: LatticeModel, cols: np.ndarray, angles: np.ndarray,
-               rows=(None,)) -> np.ndarray:
+def _pull_back(model: LatticeModel, cols: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Retained-mode pull-back of encoded columns: each column's field is
-    evaluated at the moved site angles, scaled by row weights and encoded
-    again, as matrix-vector products on the columns only.  rows lists the
-    row weightings (None for none); their results come back side by side,
-    all from one synthesis matrix and one product with the columns.
+    evaluated at the moved site angles and encoded again, as matrix-vector
+    products on the columns only, from one synthesis matrix.
 
     The positive-mode coefficients of an encoded column [x; y] are
     (x - i y) / sqrt(2k), and the field at the angles is twice the real
@@ -390,39 +356,25 @@ def _pull_back(model: LatticeModel, cols: np.ndarray, angles: np.ndarray,
     needed."""
     m = model.m
     coeffs = (cols[:m] - 1j * cols[m:]) / np.sqrt(2.0 * np.arange(1, m + 1))[:, None]
-    fields = 2.0 * np.real(_mode_synthesis(model, angles) @ coeffs)
-    return _encode(model, np.hstack(
-        [fields if r is None else r[:, None] * fields for r in rows]))
-
-
-def _flow_sites(model: LatticeModel, interval: CircleInterval, t: float,
-                weights=(0.0,)):
-    """Site angles delta_{-t}(theta_j) at which the geometric flow at t
-    samples a field, and for each weight the row weights
-    delta_{-t}'(theta_j)^weight (None for weight 0)."""
-    phi = mobius_point_flow(interval, -t, model.thetas)
-    deriv = (mobius_point_flow_deriv(interval, -t, model.thetas)
-             if any(weights) else None)
-    return phi, [None if w == 0.0 else deriv ** w for w in weights]
+    return _encode(model, 2.0 * np.real(_mode_synthesis(model, angles) @ coeffs))
 
 
 def mobius_flow_unitary(model: LatticeModel, interval: CircleInterval,
-                        t: float, weight: float = 0.0) -> np.ndarray:
-    """Real L x L matrix of the geometric flow on lattice fields:
+                        t: float) -> np.ndarray:
+    """Real L x L matrix of the geometric flow on lattice fields, the plain
+    pull-back
 
-        (U(t) f)(theta) = f(delta_{-t}(theta)) * (delta_{-t})'(theta)^weight
+        (U(t) f)(theta) = f(delta_{-t}(theta)),
 
     evaluated by retained-mode interpolation and projected back onto the
-    retained modes.  For the |n|-weighted energy form the isometric action
-    is the plain pull-back (weight 0, the invariance of the Dirichlet
-    form); exponents 1/2 and 1 are diagnostics, read only by
-    BWReport.weight_diagnostics.
+    retained modes.  It is the isometric action for the |n|-weighted
+    energy form (the invariance of the Dirichlet form).
 
     It is the pull-back that bw_defect applies to encoded columns, taken
     of the encodings of all site indicators and mapped back to site
     functions by coord_pinv; it costs O(L^3)."""
     return model.coord_pinv @ _pull_back(model, model.coord_map_real,
-                                         *_flow_sites(model, interval, t, (weight,)))
+                                         mobius_point_flow(interval, -t, model.thetas))
 
 
 # --- defect reports -----------------------------------------------------------
@@ -450,8 +402,8 @@ def default_test_family(model: LatticeModel, interval: CircleInterval) -> list[n
 @dataclass(frozen=True)
 class BWReport:
     """Per-interval comparison of the modular flow with the geometric flow:
-    the flow defects and weight diagnostics on the windowed test family and
-    the z-cocycle group-law residuals.  It holds no duality angle; that is
+    the flow defects on the windowed test family and the z-cocycle
+    group-law residuals.  It holds no duality angle; that is
     duality_defect, computed from the interval bases alone."""
 
     L: int
@@ -459,7 +411,6 @@ class BWReport:
     t_grid: np.ndarray
     defects: np.ndarray            # max over the family, per t
     z_residuals: np.ndarray        # group-law residual of z(t), per (s,t) pair
-    weight_diagnostics: dict
 
     def max_z_residual(self) -> float:
         return float(np.max(self.z_residuals)) if self.z_residuals.size else 0.0
@@ -497,16 +448,16 @@ def bw_defect(model: LatticeModel, interval: CircleInterval, t_grid) -> BWReport
     is formed and no other subspace is factored.
 
     The applications are grouped by time.  The family's pull-backs take one
-    synthesis matrix per distinct set of flow sites (the weight diagnostics
-    only reweight the rows of the t_ref fields), z(u) of the family is
+    synthesis matrix per distinct set of flow sites, z(u) of the family is
     formed once per distinct u, and for each s the outer z(s) of the
     group-law residuals acts on all the z(t) blocks it meets in one product.
     Each synthesis matrix is dropped after its one product.  For the grid
     [0, 0.1, 0.25] that is 10 syntheses and 8 applications of Delta^{it},
-    against 15 and 14 when every application is made on its own."""
+    against 15 of each when every application of z or of the two flows is
+    made on its own."""
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size and (np.min(t_grid) < -0.5 or np.max(t_grid) > 0.5):
-        raise ValueError("t grid must stay within [-0.5, 0.5]")
+    if not np.all(np.abs(t_grid) <= 0.5):
+        raise ValueError("t grid must be finite and stay within [-0.5, 0.5]")
     dat = interval_tomita(model, interval)
     fam = _encoded_family(model, default_test_family(model, interval), _window_frame(dat))
     k = fam.shape[1]
@@ -514,10 +465,10 @@ def bw_defect(model: LatticeModel, interval: CircleInterval, t_grid) -> BWReport
     def split(cols):
         return np.hsplit(cols, cols.shape[1] // k)
 
-    def geo(t, blocks, weights=(0.0,)):
-        """U_geo(t) of each block, weight by weight, from one synthesis."""
+    def geo(t, blocks):
+        """U_geo(t) of each block, from one synthesis."""
         return split(_pull_back(model, np.hstack(blocks),
-                                *_flow_sites(model, interval, t, weights)))
+                                mobius_point_flow(interval, -t, model.thetas)))
 
     def flow(t, blocks):
         return split(dat.apply_flow_real(t, np.hstack(blocks)))
@@ -525,32 +476,24 @@ def bw_defect(model: LatticeModel, interval: CircleInterval, t_grid) -> BWReport
     def worst(diff):
         return float(np.max(np.linalg.norm(diff, axis=0)))
 
-    t_ref = float(t_grid[np.argmax(np.abs(t_grid))]) if t_grid.size else 0.25
     ts = [t for t in t_grid if abs(t) > 1e-12][:3]
     pairs = [(s, t) for s in ts for t in ts if abs(s + t) <= 0.5]
     # Delta^{it} fam is compared with U_geo(t) fam at these times, and
     # z(u) fam = Delta^{iu} U_geo(-u) fam is formed at these u
-    flow_times = list(dict.fromkeys([*t_grid, t_ref]))
+    flow_times = list(dict.fromkeys(t_grid))
     z_times = list(dict.fromkeys(ts + [s + t for s, t in pairs]))
-
-    weights = {t: (0.0,) for t in flow_times}
-    weights[t_ref] = (0.0, 0.5, 1.0)
-    for u in z_times:
-        weights.setdefault(-u, (0.0,))
-    pulled = {(g, w): block for g, ws in weights.items()
-              for w, block in zip(ws, geo(g, [fam], ws))}
+    pulled = {g: geo(g, [fam])[0] for g in dict.fromkeys(flow_times + [-u for u in z_times])}
 
     flowed, z_fam = {}, {}
     for t in dict.fromkeys(flow_times + z_times):
         blocks = flow(t, ([fam] if t in flow_times else [])
-                      + ([pulled[-t, 0.0]] if t in z_times else []))
+                      + ([pulled[-t]] if t in z_times else []))
         if t in flow_times:
             flowed[t] = blocks.pop(0)
         if t in z_times:
             z_fam[t] = blocks.pop(0)
 
-    defects = np.array([worst(flowed[t] - pulled[t, 0.0]) for t in t_grid])
-    weight_diagnostics = {w: worst(flowed[t_ref] - pulled[t_ref, w]) for w in (0.5, 1.0)}
+    defects = np.array([worst(flowed[t] - pulled[t]) for t in t_grid])
 
     z_pairs = {}
     for s in dict.fromkeys(ts):
@@ -559,8 +502,7 @@ def bw_defect(model: LatticeModel, interval: CircleInterval, t_grid) -> BWReport
             z_pairs.update(zip([(s, t) for t in partners],
                                flow(s, geo(-s, [z_fam[t] for t in partners]))))
     z_residuals = [worst(z_fam[s + t] - z_pairs[s, t]) for s, t in pairs]
-    return BWReport(model.L, interval, t_grid, defects,
-                    np.asarray(z_residuals), weight_diagnostics)
+    return BWReport(model.L, interval, t_grid, defects, np.asarray(z_residuals))
 
 
 def duality_defect(model: LatticeModel, interval: CircleInterval) -> float:
@@ -574,13 +516,13 @@ def duality_defect(model: LatticeModel, interval: CircleInterval) -> float:
     K(I) and B_out of K(I').  K(I)' itself is never formed, and the one SVD
     is that of the dim K(I) x dim K(I') pairing.  Principal angles do not
     depend on which orthonormal basis spans each space (Bjorck-Golub
-    1973), so the angle equals the one read from _site_basis.
+    1973), so the angle equals the one read from any other bases.
 
     On sharp site lattices this worst-case angle is dominated by the
     boundary-adjacent site pairs, whose symplectic pairing is
     scale-invariant; it does not decay with L (see the test suite for the
     measured ladder)."""
-    pairing = _parity_pairing(model, interval)
+    pairing = _parity_pairing(model, interval, interval.complement())
     return md._complement_angle(np.linalg.svd(pairing, compute_uv=False), 2 * model.m,
                                 *pairing.shape)
 
@@ -627,13 +569,12 @@ def _pct_defect(model: LatticeModel, interval: CircleInterval,
 
 def symplectic_locality(model: LatticeModel, region: CircleInterval,
                         probe: CircleInterval) -> float:
-    """Operator norm of the symplectic pairing between orthonormal bases of
-    K(probe) and K(region) (_site_basis); decays with L for separated
-    intervals."""
-    # pairing matrix of Im<.,.> in the real encoding; the overall sign
-    # convention does not affect the norm
-    return float(np.linalg.norm(_site_basis(model, probe).T
-                                @ md._times_i(_site_basis(model, region)), 2))
+    """Operator norm of the symplectic pairing Im<.,.> between orthonormal
+    bases of K(probe) and K(region), read off their parity bases
+    (_parity_pairing): the largest singular value, which depends neither on
+    the bases nor on the sign of a block row.  It decays with L for
+    separated intervals."""
+    return float(np.linalg.norm(_parity_pairing(model, probe, region), 2))
 
 
 def energy_trace(beta: float, n_max: int) -> float:

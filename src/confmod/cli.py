@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -69,6 +70,8 @@ class SuiteConfig:
             raise ConfigurationError(f"unknown suite {self.suite!r}")
         if not self.dims or not self.sizes:
             raise ConfigurationError("dimensions and lattice sizes must not be empty")
+        if not all(isinstance(v, (int, np.integer)) for v in (*self.dims, *self.sizes, self.seed)):
+            raise ConfigurationError("dimensions, lattice sizes and the seed must be integers")
         if any(d < 2 for d in self.dims):
             raise ConfigurationError("suite dimensions must satisfy d >= 2")
         if len(set(self.dims)) != len(self.dims):
@@ -84,8 +87,10 @@ class SuiteConfig:
             raise ConfigurationError("the seed must be a non-negative integer")
         eps = np.finfo(float).eps
         for name, value in self.tolerances.items():
-            if not np.isfinite(value):
-                raise ConfigurationError(f"tolerance {name} is not finite")
+            if name not in DEFAULT_TOLERANCES:
+                raise ConfigurationError(f"unknown tolerance {name!r}")
+            if not isinstance(value, numbers.Real) or not np.isfinite(value):
+                raise ConfigurationError(f"tolerance {name} is not a finite number")
             if value < eps:
                 raise ConfigurationError(f"tolerance {name} below machine epsilon")
 
@@ -549,8 +554,6 @@ def _parse_tol(items):
         if "=" not in item:
             raise ConfigurationError(f"bad --tol entry {item!r}, expected name=value")
         name, value = item.split("=", 1)
-        if name not in DEFAULT_TOLERANCES:
-            raise ConfigurationError(f"unknown tolerance {name!r}")
         (out[name],) = _parse_numbers(value, float, f"--tol value for {name}", count=1)
     return out
 

@@ -43,12 +43,16 @@ class CanonicalFlow:
     of one time per row; rows(t, X) adapts it to the rows.  matrix(t) is the
     generator's three-term closed-form exponential.
 
-    closed_form and _columns are two bodies of one map on purpose.  As a
-    point adapter over _columns, closed_form is bitwise equal, but the
-    36,000 point calls of a region-sampling pass then take 0.95-1.3 s of
-    CPU (on one-element columns; 1.5-1.9 s through rows) against 0.13-0.18
-    s as written (Intel Xeon, one core).  The fork stays until the point
-    callers move to rows.
+    closed_form and _columns are two bodies of one map on purpose.  A point
+    adapter over _columns is bitwise equal, but slower.  On numpy
+    one-element columns the 36,000 point calls of a region-sampling pass
+    take 0.95-1.3 s of CPU (1.5-1.9 s through rows).  With _columns bodies
+    that also take a point's Python floats, the adapter takes 0.155 s
+    against 0.083 s as written; these calls are about 0.08 s of the 0.12 s
+    pass.  A point-or-columns branch in every body brings it to 0.088 s,
+    but then code shared by both forms branches on its caller (Intel Xeon,
+    one core, one BLAS thread, process_time, min of 9).  The fork stays
+    until the point callers move to rows.
     """
 
     region: Region

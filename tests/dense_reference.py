@@ -125,12 +125,26 @@ def synthesis(model, angles):
     return 2.0 * np.real(ch._mode_synthesis(model, angles) @ mode_analysis(model))
 
 
-def mobius_flow_unitary(model, interval, t, weight=0.0):
-    """Real L x L matrix of the geometric flow on lattice fields,
-    (U(t) f)(theta) = f(delta_{-t}(theta)) * delta_{-t}'(theta)^weight,
-    by retained-mode interpolation projected back onto the retained modes."""
-    phi, (rows,) = ch._flow_sites(model, interval, t, (weight,))
-    pullback = synthesis(model, phi)
-    if rows is not None:
-        pullback = rows[:, None] * pullback
+def mobius_flow_unitary(model, interval, t):
+    """Real L x L matrix of the geometric flow on lattice fields, the plain
+    pull-back (U(t) f)(theta) = f(delta_{-t}(theta)), by retained-mode
+    interpolation projected back onto the retained modes."""
+    pullback = synthesis(model, ch.mobius_point_flow(interval, -t, model.thetas))
     return mode_projector(model) @ pullback
+
+
+# --- interval bases -----------------------------------------------------------------
+
+def site_basis(model, interval):
+    """Orthonormal basis of K(interval) in the real encoding: the reduced
+    Householder QR of the encoded site indicators, with no rank decision
+    (an arc with n <= 2m sites has n independent site columns; with
+    n = L - 1 the reduced Q is a basis of all of R^{2m}, as the thin-SVD
+    basis of interval_subspace is).  It is the reference for the parity
+    bases that duality_defect and symplectic_locality read."""
+    return np.linalg.qr(ch._site_columns(model, interval))[0]
+
+
+def site_pairing(model, interval, other):
+    """B_in^T (i B_out) for the Householder bases of interval and other."""
+    return site_basis(model, interval).T @ md._times_i(site_basis(model, other))

@@ -113,7 +113,8 @@ def test_main_exit_codes(tmp_path):
     # traceback, and writes no report
     for argv in (["--seed", "-1"], ["--tol", "group_identity=abc"],
                  ["--tol", "group_identity=nan"], ["--tol", "group_identity=inf"],
-                 ["--tol", "group_identity=1,2"], ["--d", "x"], ["--sizes", "x"]):
+                 ["--tol", "group_identity=1,2"], ["--tol", "group_identiy=1e-3"],
+                 ["--d", "x"], ["--sizes", "x"]):
         assert cli.main(["--suite", "group", "--d", "2", "--out", str(out)] + argv) == 2, argv
     # the pct probe family vanishes below L = 32, so such a ladder is
     # rejected before any suite runs
@@ -129,7 +130,11 @@ def test_main_exit_codes(tmp_path):
     assert not out.exists() and not csv.exists()
     for bad in (dict(suite="group", seed=-1),
                 dict(suite="group", tolerances={"group_identity": float("nan")}),
-                dict(suite="pct", sizes=(16, 32)), dict(suite="all", sizes=(16,))):
+                dict(suite="pct", sizes=(16, 32)), dict(suite="all", sizes=(16,)),
+                dict(suite="group", tolerances={"group_identiy": 1e-3}),
+                dict(suite="group", tolerances={"group_identity": "1e-3"}),
+                dict(suite="group", dims=(2.5,)), dict(suite="bw", sizes=(64.0, 128)),
+                dict(suite="group", seed=4.0)):
         with pytest.raises(cli.ConfigurationError):
             cli.SuiteConfig(**bad).validate()
 
