@@ -56,10 +56,11 @@ __all__ = [
     "RESOLVABLE_WINDOW",
 ]
 
-# Principal angles below ~1e-8 cannot be distinguished from zero in double
-# precision (cos theta rounds to 1).  Lattice interval subspaces reach that
-# regime, so their Tomita operators are built with angles clamped here;
-# only the corresponding nearly degenerate planes are biased.
+# Lattice interval subspaces have principal angles far below double
+# precision, so their Tomita operators are built with angles clamped here;
+# only the corresponding nearly degenerate planes are biased.  The value
+# was set for cosines, which lose an angle theta to eps / theta^2 relative;
+# interval_tomita reads sines, which lose it to eps / theta (2.2e-9 here).
 LATTICE_CLIP_ANGLE = 1e-7
 
 # Modular planes with angles above this threshold carry eigenvalues
@@ -74,8 +75,9 @@ class LatticeModel:
     only L and the site angles: nothing of size L^2.
 
     The encoding of site functions, [Re z; Im z] with z = coords(u), is
-    never stored.  Encoded site indicators (the bases of interval
-    subspaces) are built per site by _encoded_sites, with the unreduced
+    never stored.  Encoded site indicators, from which every interval's
+    parity bases (_parity_bases) and so its Tomita frame (interval_tomita)
+    are built, come per site from _encoded_sites, with the unreduced
     phase exp(2 pi i k j / L) of the closed form: its error grows like
     L eps (8.4e-14, 3.5e-13, 7.0e-13 relative at L = 256, 1024, 2048),
     and it is kept on purpose, since the recorded reference values were
@@ -201,11 +203,10 @@ def _site_columns(model: LatticeModel, interval: CircleInterval) -> np.ndarray:
 
 def interval_subspace(model: LatticeModel, interval: CircleInterval) -> md.StandardSubspace:
     """Real span of the retained-mode site indicators inside the interval."""
-    # Its basis stays the thin SVD of StandardSubspace: a Householder basis
-    # moves the Tomita frame, and bw-defect-L1024 by 5.1e-9 relative, beyond
-    # the 1e-9 of the recorded references.  It moves to the parity bases
-    # (_parity_bases) once the bw and pct values are pinned to the lattice
-    # rather than to one basis (ROADMAP items 2 and 4).
+    # No lattice check reads this span's thin-SVD basis: interval_tomita and
+    # the parity pairing work on the parity bases (_parity_bases).  It gives
+    # the standardness report of an arc that interval_tomita rejects, and the
+    # tests' references.
     cols = _site_columns(model, interval)
     return md.StandardSubspace(model.m, (cols[:model.m] + 1j * cols[model.m:]).T)
 
@@ -274,10 +275,72 @@ def _parity_pairing(model: LatticeModel, interval: CircleInterval,
 
 def interval_tomita(model: LatticeModel, interval: CircleInterval) -> md.ModularData:
     """Tomita operators of an interval subspace under the lattice clip
-    policy (angles accepted down to numerical zero, clamped in the
-    operator formulas)."""
-    return md.tomita_operators(interval_subspace(model, interval),
-                               clip_angle=LATTICE_CLIP_ANGLE)
+    policy: angles are accepted down to numerical zero and clamped at
+    LATTICE_CLIP_ANGLE in the operator formulas.  Raises StandardnessError,
+    with the report of interval_subspace, unless dim K(interval) = m, that
+    is, unless the arc holds m sites.
+
+    The planes are read off the parity bases (_parity_bases), P of K+ in
+    the Re rows and N of K- in the Im rows of w-coordinates.  i maps the
+    Re rows onto the Im rows, so the Re rows hold K+ against iK- and the
+    Im rows K- against iK+: both times the pair range P, range N.
+    - Re rows.  X = P^T N holds the cosines.  The residual R = N - P X,
+      projected off P once more, has the sines as singular values and the
+      frame partners u as left singular vectors (Bjorck-Golub 1973,
+      Knyazev-Argentati 2002).  A right singular vector v gives the K
+      vector b = P X v / |X v| and the angle arctan2(sine, |X v|).
+    - The right angle.  m is odd and P has one column more than N, so
+      b0 = P y0, y0 orthogonal to range X, is orthogonal to iK-: the plane
+      (b0, i b0) has cosine 0 and sine 1.
+    - Completion.  One complete QR, m x m, orthonormalizes b0 and the
+      healthy pairs (b, u) (sine above 1e-7) in order, then the b of the
+      degenerate planes; its trailing columns become their partners, as
+      in modular.tomita_operators.
+    - Im rows.  With the clamped angle's cosine c and sine s, the plane
+      (b, u) reappears as (c b + s u, s b - c u): its K- vector is N v up
+      to the clamp, and its iK vector is i b.  No second factorization.
+    The frame goes back to z-coordinates by the conjugate phases, which on
+    the half circle are powers of i, an exact signed permutation.  Every
+    factorization has m rows or fewer; only the returned frame is 2m x 2m.
+    Since the clamped angles enter both blocks, the record is the exact
+    Tomita data of the span of its K vectors: i times a K vector lies in
+    the span of the iK vectors.  That span leaves K(interval) only in the
+    clipped planes' Im rows, by angles below twice the clip angle."""
+    c, plus, minus = _parity_bases(model, interval)
+    m, q = model.m, minus.shape[1]
+    if plus.shape[1] + q != m:
+        raise md.StandardnessError("subspace is not standard",
+                                   interval_subspace(model, interval).standardness())
+    x = plus.T @ minus
+    resid = minus - plus @ x
+    resid -= plus @ (plus.T @ resid)
+    u, sines, vt = np.linalg.svd(resid, full_matrices=False)
+    xv = x @ vt.T
+    cosines = np.linalg.norm(xv, axis=0)
+    theta = np.maximum(np.arctan2(sines, cosines), LATTICE_CLIP_ANGLE)
+    # the QR's columns: b0, the g healthy pairs (b, u), the degenerate b
+    g = int(np.sum(sines > 1e-7))
+    cols = np.empty((m, 1 + g + q))
+    cols[:, 0] = plus @ np.linalg.qr(x, mode="complete")[0][:, -1]
+    cols[:, 1:2 * g + 1:2] = plus @ (xv[:, :g] / cosines[:g])
+    cols[:, 2:2 * g + 1:2] = u[:, :g]
+    cols[:, 2 * g + 1:] = plus @ (xv[:, g:] / cosines[g:])
+    qf, r = np.linalg.qr(cols, mode="complete")
+    qf[:, :1 + g + q] *= np.where(np.diagonal(r) >= 0.0, 1.0, -1.0)
+    b = np.concatenate([qf[:, 1:2 * g + 1:2], qf[:, 2 * g + 1:1 + g + q]], axis=1)
+    u = np.concatenate([qf[:, 2:2 * g + 1:2], qf[:, 1 + g + q:]], axis=1)
+    # the frame in complex w-coordinates, an Im-row column y stored as i y:
+    # the plane (b0, i b0), then each Re-row plane and its Im-row image;
+    # then, in place, in z-coordinates
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    w = np.empty((m, 2 * m), dtype=complex)
+    w[:, 0], w[:, 1] = qf[:, 0], 1j * qf[:, 0]
+    w[:, 2::4], w[:, 3::4] = b, u
+    w[:, 4::4], w[:, 5::4] = 1j * (cos_t * b + sin_t * u), 1j * (sin_t * b - cos_t * u)
+    w *= _mirror_phases(model, c).conj()[:, None]
+    return md.ModularData(m, np.concatenate([w.real, w.imag]),
+                          np.concatenate([[0.0], np.repeat(cos_t, 2)]),
+                          np.concatenate([[1.0], np.repeat(sin_t, 2)]))
 
 
 def _window_frame(data: md.ModularData) -> np.ndarray:
@@ -431,7 +494,8 @@ def _encoded_family(model: LatticeModel, family, frame=None) -> np.ndarray:
 def bw_defect(model: LatticeModel, interval: CircleInterval, t_grid) -> BWReport:
     """Relative defect || (Delta^{it} - U_geo(t)) v || / || v || over the
     interval's default_test_family, plus the group-law residual
-    z(s+t) v - z(s) z(t) v of z(t) = Delta^{it} U_geo(-t).
+    z(s+t) v - z(s) z(t) v of z(t) = Delta^{it} U_geo(-t).  A scalar
+    t_grid is a one-point grid.
 
     The family is compared through its component in the modular window
     above RESOLVABLE_WINDOW: the interior content of lattice intervals
@@ -455,7 +519,7 @@ def bw_defect(model: LatticeModel, interval: CircleInterval, t_grid) -> BWReport
     [0, 0.1, 0.25] that is 10 syntheses and 8 applications of Delta^{it},
     against 15 of each when every application of z or of the two flows is
     made on its own."""
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if not np.all(np.abs(t_grid) <= 0.5):
         raise ValueError("t grid must be finite and stay within [-0.5, 0.5]")
     dat = interval_tomita(model, interval)

@@ -62,13 +62,55 @@ def test_site_columns_match_dense_encoding_bytes(L):
 
 
 @pytest.mark.parametrize("L", (64, 256))
-def test_half_circle_frame_matches_dense_columns_bytes(L):
+def test_half_circle_frame_structure_bytes(L):
+    # interval_tomita's frame is orthonormal; its sines come in equal pairs,
+    # one plane per parity block, beside one plane at the right angle; above
+    # the clip its angles are those of the thin-SVD basis of
+    # interval_subspace; and its K vectors span the site columns up to the
+    # clipped planes, whose Im-row K vectors it turns by less than twice the
+    # clip angle.  i times a K vector lies in the span of the iK vectors.
+    # The half circle's conjugate phases are powers of i, so bit for bit
+    # each column holds, for every mode k, Re z_k = 0 or Im z_k = 0; the
+    # half circle turned by three sites takes the same path with phases
+    # that are not, and only that last check is left out for it
     model = ch.build_model(L)
-    I = ch.half_circle()
-    cols = dr.encoding(model)[:, I.sites(model)]
-    K = md.StandardSubspace(model.m, (cols[:model.m] + 1j * cols[model.m:]).T)
-    frame = md.tomita_operators(K, clip_angle=ch.LATTICE_CLIP_ANGLE).frame
-    assert ch.interval_tomita(model, I).frame.tobytes() == frame.tobytes()
+    m, w = model.m, 2 * np.pi / L
+    frames = []
+    for arc in (ch.half_circle(), ch.CircleInterval(3 * w, np.pi + 3 * w)):
+        dat = ch.interval_tomita(model, arc)
+        F = dat.frame
+        frames.append(F)
+        assert np.max(np.abs(F.T @ F - np.eye(2 * m))) <= 1e-13
+        assert np.flatnonzero(dat.sigmas == 0.0).tolist() == [0] and dat.sines[0] == 1.0
+        assert np.array_equal(dat.sines[1::2], dat.sines[2::2])
+        assert np.array_equal(dat.sigmas[1::2], dat.sigmas[2::2])
+        B = ch.interval_subspace(model, arc).basis
+        ref = md.subspace_angles(B, md._times_i(B))
+        angles = np.sort(np.arctan2(dat.sines, dat.sigmas))[::-1]
+        above = ref > ch.LATTICE_CLIP_ANGLE
+        assert np.max(np.abs(angles[above] - ref[above])) <= 1e-12
+        k_vecs, cols = F[:, 0::2], ch._site_columns(model, arc)
+        off = np.linalg.norm(cols - k_vecs @ (k_vecs.T @ cols), axis=0)
+        assert np.max(off / np.linalg.norm(cols, axis=0)) < 2 * ch.LATTICE_CLIP_ANGLE
+        ik_vecs, i_k = dat.sigmas * F[:, 0::2] + dat.sines * F[:, 1::2], md._times_i(k_vecs)
+        assert np.max(np.abs(i_k - ik_vecs @ (ik_vecs.T @ i_k))) <= 1e-13
+    half, turned = frames
+    assert np.all((half[:m] == 0.0) | (half[m:] == 0.0))
+    assert not np.all((turned[:m] == 0.0) | (turned[m:] == 0.0))
+
+
+@pytest.mark.parametrize("b, dim", ((np.pi / 2, 31), (3 * np.pi / 2, 95)),
+                         ids=("quarter_circle", "three_quarter_circle"))
+def test_interval_tomita_rejects_arcs_without_m_sites(b, dim):
+    # only an arc of m sites spans a space of real dimension m; any other
+    # raises with the standardness report of interval_subspace
+    model = ch.build_model(128)
+    arc = ch.CircleInterval(0.0, b)
+    with pytest.raises(md.StandardnessError, match="not standard") as err:
+        ch.interval_tomita(model, arc)
+    report = err.value.report
+    assert (report.ambient_dim, report.real_dim) == (63, dim) == (model.m, arc.sites(model).size)
+    assert not report.standard
 
 
 @pytest.mark.parametrize("L", (16, 1024))
@@ -250,6 +292,16 @@ def test_lattice_rotation_covariance(models):
                       @ g.real + model.coord_pinv[:, model.m:] @ g.imag))
                       for g in K.generators])
     assert md.subspace_angle(md.StandardSubspace(model.m, moved), Kr) < 1e-10
+    # so the checks read the same values off the rotated arc, whose mirror
+    # phases are not powers of i (the z-cocycle to its rounding floor, see
+    # test_lattice_values_invariant_under_generator_mixing)
+    probe = ch.CircleInterval(np.pi + 0.7, np.pi + 1.5)
+    turned = ch.CircleInterval(probe.a + rot.a, probe.b + rot.a)
+    rep, rep_r = (ch.bw_defect(model, arc, [0.0, 0.1, 0.25]) for arc in (I, rot))
+    np.testing.assert_allclose(rep_r.defects, rep.defects, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(rep_r.z_residuals, rep.z_residuals, rtol=5e-9, atol=0)
+    assert abs(ch.pct_geometry_defect(model, rot, turned)
+               - ch.pct_geometry_defect(model, I, probe)) < 1e-11
 
 
 # --- geometric unitary ---------------------------------------------------------------
@@ -324,9 +376,15 @@ def test_bw_defect_zero_at_t_zero(models):
 
 
 def test_bw_defect_grid_validation(models):
-    for grid in ([0.7], [-0.6, 0.1], [np.nan], [0.1, np.inf]):
+    for grid in ([0.7], [-0.6, 0.1], [np.nan], [0.1, np.inf], 0.7):
         with pytest.raises(ValueError, match="t grid"):
             ch.bw_defect(models[64], ch.half_circle(), grid)
+    # a scalar is a one-point grid
+    scalar = ch.bw_defect(models[64], ch.half_circle(), 0.25)
+    grid = ch.bw_defect(models[64], ch.half_circle(), [0.25])
+    assert scalar.t_grid.shape == (1,)
+    assert np.array_equal(scalar.defects, grid.defects)
+    assert np.array_equal(scalar.z_residuals, grid.z_residuals)
 
 
 def test_bw_defect_ladder_decreases(models):
@@ -672,30 +730,38 @@ def test_pct_sign_convention(models):
 
 
 def test_lattice_values_invariant_under_generator_mixing(models, monkeypatch):
-    # the values depend on K(I) only, not on the generators spanning it.
-    # J and the flow on clipped planes come from an arbitrary frame
-    # completion and do; the z-cocycle residuals reach those planes (the
-    # geometric flow moves the family out of the window) and are left out
+    # the values depend on K(I) only, not on the bases of its parity blocks
+    # that interval_tomita and the parity pairing read: mixing each block's
+    # basis by a random orthogonal matrix moves the defects and the duality
+    # angle by rounding only.  The z-cocycle residuals reach the planes just
+    # above the clip, whose sines carry the sine route's relative error
+    # eps / 1e-7 = 2.2e-9; they moved by up to 1.8e-9 relative over 26
+    # mixings at L = 64 and 2.0e-10 at L = 256 (the cosine route: ~1e-3)
     I = ch.half_circle()
     probe = ch.CircleInterval(np.pi + 0.7, np.pi + 1.5)
 
     def values(model):
         rep = ch.bw_defect(model, I, [0.0, 0.1, 0.25])
         return np.concatenate([[ch.pct_geometry_defect(model, I, probe),
-                                ch.duality_defect(model, I)], rep.defects])
+                                ch.duality_defect(model, I)], rep.defects]), rep.z_residuals
 
     base = {L: values(models[L]) for L in LADDER}
     rng = np.random.default_rng(11)
-    unmixed = ch.interval_subspace
+    unmixed, mixings = ch._parity_bases, []
 
     def mixed(model, interval):
-        gens = unmixed(model, interval).generators
-        q, _ = np.linalg.qr(rng.normal(size=(len(gens), len(gens))))
-        return md.StandardSubspace(model.m, q @ gens)
+        c, plus, minus = unmixed(model, interval)
+        qs = [np.linalg.qr(rng.normal(size=(n, n)))[0] for n in (plus.shape[1], minus.shape[1])]
+        mixings.append(qs)
+        return c, plus @ qs[0], minus @ qs[1]
 
-    monkeypatch.setattr(ch, "interval_subspace", mixed)
+    monkeypatch.setattr(ch, "_parity_bases", mixed)
     for L in LADDER:
-        np.testing.assert_allclose(values(models[L]), base[L], rtol=0, atol=1e-9)
+        mixings.clear()
+        checks, z = values(models[L])
+        assert mixings and all(np.max(np.abs(q - np.eye(len(q)))) > 0.5 for qs in mixings for q in qs)
+        np.testing.assert_allclose(checks, base[L][0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(z, base[L][1], rtol=5e-9, atol=0)
 
 
 def test_windowed_tomita_involution(models):

@@ -44,12 +44,13 @@ def test_bw_suite_deterministic_and_green():
 
 
 @pytest.mark.parametrize("suite, tol", (("pct", 1e-9), ("group", 0.0), ("flows", 0.0),
-                                       ("modular", 0.0)),
-                         ids=("pct", "group", "flows", "modular"))
+                                       ("modular", 0.0), ("bw", 1e-11)),
+                         ids=("pct", "group", "flows", "modular", "bw"))
 def test_pct_suite_independent_of_blas_threads(tmp_path, suite, tol):
     # the reports promise identical values for identical configurations;
     # the BLAS thread count must not leak into the checks: the group, flows
-    # and modular values are equal, the pct values within 1e-9
+    # and modular values are equal, the pct values within 1e-9 and the bw
+    # values, defects and z-cocycle, within 1e-11
     src = str(Path(cli.__file__).resolve().parents[1])
     values = []
     for threads in ("1", "2"):
@@ -160,29 +161,39 @@ def test_ladder_suites_build_each_model_once(monkeypatch):
 
 
 def test_ladder_suites_factor_each_interval_once(monkeypatch):
-    # bw and pct factor the half circle once per size; duality reads its
-    # angle from QR bases of the arcs' parity blocks and builds no Tomita
-    # operators; the modular suite factors each of its 100 random subspaces
-    # once, in one stacked call per dimension m, and measures J K = K' from
-    # the two bases, never forming K'.  Subspaces are counted, not calls: a
-    # stacked call factors every subspace of its stack.
-    factored, complements = [], []
+    # bw and pct factor the half circle once per size, in interval_tomita
+    # on its parity blocks, and call no tomita_operators; duality reads its
+    # angle from QR bases of the arcs' parity blocks and factors no
+    # interval; the modular suite factors each of its 100 random subspaces
+    # once, in one stacked tomita_operators call per dimension m, and
+    # measures J K = K' from the two bases, never forming K'.  Subspaces are
+    # counted, not calls: a stacked call factors every subspace of its
+    # stack.
+    intervals, subspaces, complements = [], [], []
+
+    def counted_interval(model, interval, _fn=ch.interval_tomita):
+        intervals.append((model.L, interval))
+        return _fn(model, interval)
 
     def counted(subspace, *args, _fn=md.tomita_operators, **kwargs):
         basis = subspace.basis
-        factored.extend(b.tobytes() for b in basis.reshape((-1,) + basis.shape[-2:]))
+        subspaces.extend(b.tobytes() for b in basis.reshape((-1,) + basis.shape[-2:]))
         return _fn(subspace, *args, **kwargs)
 
     def counted_complement(*args, _fn=md.symplectic_complement, **kwargs):
         complements.append(args)
         return _fn(*args, **kwargs)
 
+    monkeypatch.setattr(ch, "interval_tomita", counted_interval)
     monkeypatch.setattr(md, "tomita_operators", counted)
     monkeypatch.setattr(md, "symplectic_complement", counted_complement)
-    for suite, n in (("bw", 3), ("duality", 0), ("pct", 3), ("modular", 100)):
-        factored.clear()
+    for suite, n_intervals, n_subspaces in (("bw", 3, 0), ("duality", 0, 0), ("pct", 3, 0),
+                                            ("modular", 0, 100)):
+        intervals.clear()
+        subspaces.clear()
         cli.SUITE_RUNNERS[suite](cli.SuiteConfig(sizes=(64, 128, 256)))
-        assert len(factored) == n and len(set(factored)) == n, suite
+        assert len(intervals) == len(set(intervals)) == n_intervals, suite
+        assert len(subspaces) == len(set(subspaces)) == n_subspaces, suite
         assert complements == [], suite
 
 
