@@ -57,11 +57,12 @@ __all__ = [
 ]
 
 # Lattice interval subspaces have principal angles far below double
-# precision, so their Tomita operators are built with angles clamped here;
-# only the corresponding nearly degenerate planes are biased.  The value
-# was set for cosines, which lose an angle theta to eps / theta^2 relative;
-# interval_tomita reads sines, which lose it to eps / theta (2.2e-9 here).
-LATTICE_CLIP_ANGLE = 1e-7
+# precision, so their Tomita operators are built with angles clamped here,
+# at the sine below which a plane is degenerate (modular._DEGENERATE_SINE);
+# only those planes are biased.  The value was set for cosines, which lose
+# an angle theta to eps / theta^2 relative; interval_tomita reads sines,
+# which lose it to eps / theta (2.2e-9 here).
+LATTICE_CLIP_ANGLE = md._DEGENERATE_SINE
 
 # Modular planes with angles above this threshold carry eigenvalues
 # |log lambda| <~ 15 whose flow phases are accurate; the window used for
@@ -293,9 +294,10 @@ def interval_tomita(model: LatticeModel, interval: CircleInterval) -> md.Modular
       b0 = P y0, y0 orthogonal to range X, is orthogonal to iK-: the plane
       (b0, i b0) has cosine 0 and sine 1.
     - Completion.  One complete QR, m x m, orthonormalizes b0 and the
-      healthy pairs (b, u) (sine above 1e-7) in order, then the b of the
-      degenerate planes; its trailing columns become their partners, as
-      in modular.tomita_operators.
+      healthy pairs (b, u) (sine above modular._DEGENERATE_SINE) in order,
+      then the b of the degenerate planes; its trailing columns become
+      their partners.  As QR works left to right, rounding in the
+      degenerate tail cannot leak into the healthy planes.
     - Im rows.  With the clamped angle's cosine c and sine s, the plane
       (b, u) reappears as (c b + s u, s b - c u): its K- vector is N v up
       to the clamp, and its iK vector is i b.  No second factorization.
@@ -319,7 +321,7 @@ def interval_tomita(model: LatticeModel, interval: CircleInterval) -> md.Modular
     cosines = np.linalg.norm(xv, axis=0)
     theta = np.maximum(np.arctan2(sines, cosines), LATTICE_CLIP_ANGLE)
     # the QR's columns: b0, the g healthy pairs (b, u), the degenerate b
-    g = int(np.sum(sines > 1e-7))
+    g = int(np.sum(sines > md._DEGENERATE_SINE))
     cols = np.empty((m, 1 + g + q))
     cols[:, 0] = plus @ np.linalg.qr(x, mode="complete")[0][:, -1]
     cols[:, 1:2 * g + 1:2] = plus @ (xv[:, :g] / cosines[:g])

@@ -19,8 +19,10 @@ orthonormal frame (b, perp) with the iK principal vector at sigma b + s perp)
 
 and Delta^{it} has the real encoding cos(t log lambda) I + i sin(t log
 lambda) G with G = [[-sigma, -s], [-s, sigma]].  All flow and conjugation
-blocks are exactly orthogonal, so the construction stays stable even when
-some angles approach zero; only S and Delta themselves grow like 1/theta.
+blocks are exactly orthogonal; only S and Delta grow like 1/theta.  A plane
+with sine at or below _DEGENERATE_SINE has no accurate partner direction,
+and tomita_operators rejects it: the lattice, whose arcs have such planes,
+completes and clamps them in chiral.interval_tomita.
 
 Stacks.  A StandardSubspace built from a (..., k, m) stack of generator
 sets, tomita_operators of it and the ModularData it returns carry the
@@ -54,6 +56,11 @@ __all__ = [
 
 DEFAULT_ANGLE_FLOOR = 1e-6
 RANK_TOL = 1e-10
+# Principal planes with sine at or below this are numerically degenerate:
+# their cosines round alike, so the SVD mixes them and their residuals carry
+# no direction.  tomita_operators rejects them; the lattice's interval_tomita
+# completes their partners and clamps their angles here (LATTICE_CLIP_ANGLE).
+_DEGENERATE_SINE = 1e-7
 
 
 @dataclass(frozen=True)
@@ -150,9 +157,8 @@ def _principal_planes(b: np.ndarray):
     c = _times_i(b)
     u, sig, vt = svd(_tr(b) @ c)
     sig = np.clip(sig, 0.0, 1.0)
-    # Singular values descend, so angles ascend; process planes healthiest
-    # first so that rounding in nearly degenerate planes cannot leak into
-    # well-separated ones.
+    # Singular values descend, so angles ascend; planes are returned
+    # healthiest first, the order in which tomita_operators' QR takes them.
     order = np.argsort(sig, axis=-1)
     sig = np.take_along_axis(sig, order, axis=-1)
     bu = np.take_along_axis(b @ u, order[..., None, :], axis=-1)
@@ -380,20 +386,16 @@ def _not_standard(subspace: StandardSubspace, angle_floor: float, failing) -> No
 
 
 def tomita_operators(subspace: StandardSubspace,
-                     angle_floor: float = DEFAULT_ANGLE_FLOOR,
-                     clip_angle: float | None = None) -> ModularData:
+                     angle_floor: float = DEFAULT_ANGLE_FLOOR) -> ModularData:
     """Build the Tomita operators of a standard subspace, or of each
     subspace of a stack (a ModularData with the same stack dimensions; each
     subspace is factored with the arithmetic of its one-subspace call).
 
-    Raises StandardnessError when a subspace fails the dimension test or
-    its smallest principal angle is at or below angle_floor; for a stack
-    the error reports the first failing subspace.  When clip_angle is
-    given, angles are accepted down to numerical degeneracy and any angle
-    below clip_angle is clamped to it in the operator formulas; this biases
-    only the corresponding nearly-degenerate planes and keeps every flow
-    block exactly orthogonal (used by the lattice field, whose extreme
-    modular modes are far below double precision).
+    Raises StandardnessError when a subspace fails the dimension test, its
+    smallest principal angle is at or below angle_floor, or a plane's sine
+    is at or below _DEGENERATE_SINE, whatever angle_floor is; for a stack
+    the error reports the first failing subspace.  The frame is one
+    complete QR of each subspace's (b, perp) pairs in plane order.
     """
     m = subspace.ambient_dim
     shape = subspace.stack_shape
@@ -403,54 +405,27 @@ def tomita_operators(subspace: StandardSubspace,
     # The body works on a flat (n, ...) stack, one subspace being n = 1.
     sig, bu, resid = _principal_planes(subspace.basis.reshape(-1, 2 * m, m))
     resid_norm = np.linalg.norm(resid, axis=-2)
+    sines = np.sqrt((1.0 - sig) * (1.0 + sig))
     # Standardness from the same SVD: the residual of plane k has norm
     # sin(theta_k), accurate for small angles where the cosine rounds to 1.
-    # The SVD mixes planes whose cosines round alike (angles below ~1e-7),
-    # which can only raise the smallest residual norm, so the test is exact
-    # for floors above that regime.  A failure reports standardness().
-    if clip_angle is None:
-        low = np.min(np.arctan2(resid_norm, sig), axis=-1) <= angle_floor
-        if np.any(low):
-            _not_standard(subspace, angle_floor, low.reshape(shape))
-    # One complete QR per subspace orthonormalizes the healthy (b, perp)
-    # pairs in plane order, then the b's of angle-degenerate planes; as QR
-    # works left to right, rounding in the degenerate tail cannot leak into
-    # the healthy planes.  The trailing columns of Q complete the frame and
-    # become the degenerate partners (any orthonormal completion will do).
-    # Subspaces with g healthy planes share a QR width, m + g, and one
-    # stacked QR; the frame is allocated once the QRs are done and their
-    # inputs freed.
-    healthy = resid_norm > 1e-7
-    order = np.argsort(~healthy, axis=-1, kind="stable")
-    n_healthy = np.sum(healthy, axis=-1)
-    groups = []
-    # (a set, not np.unique, which imports numpy.ma, a megabyte of RSS)
-    for g in sorted(set(n_healthy.tolist())):
-        rows = np.flatnonzero(n_healthy == g)[:, None]
-        good, deg = order[rows[:, 0], :g], order[rows[:, 0], g:]
-        # bu[rows, :, good] is (subspaces, planes, 2m): the chosen columns
-        x = np.empty((rows.size, 2 * m, m + g))
-        x[..., 0:2 * g:2] = _tr(bu[rows, :, good])
-        x[..., 1:2 * g:2] = _tr(resid[rows, :, good] / resid_norm[rows, good][..., None])
-        x[..., 2 * g:] = _tr(bu[rows, :, deg])
-        q, r = np.linalg.qr(x, mode="complete")
-        q[..., :m + g] *= np.where(np.diagonal(r, axis1=-2, axis2=-1) >= 0.0, 1.0, -1.0)[:, None, :]
-        groups.append((rows, good, deg, q))
-        del x, r
-    frame = np.empty(sig.shape[:-1] + (2 * m, 2 * m))
-    for rows, good, deg, q in groups:
-        g = good.shape[-1]
-        frame[rows, :, 2 * good] = _tr(q[..., 0:2 * g:2])
-        frame[rows, :, 2 * good + 1] = _tr(q[..., 1:2 * g:2])
-        frame[rows, :, 2 * deg] = _tr(q[..., 2 * g:m + g])
-        frame[rows, :, 2 * deg + 1] = _tr(q[..., m + g:])
-
-    sines = np.sqrt((1.0 - sig) * (1.0 + sig))
-    if clip_angle is not None:
-        lo = np.sin(clip_angle)
-        bad = sines < lo
-        sines = np.where(bad, lo, sines)
-        sig = np.where(bad, np.cos(clip_angle), sig)
+    # The SVD mixes planes whose cosines round alike (sines at or below
+    # _DEGENERATE_SINE), and their residuals carry no direction, so such
+    # planes are rejected at any floor.  Near that bound the sines read
+    # from the cosines differ from the residual norms by up to ~10%, and
+    # both must clear it: the record's S divides by the one, the frame by
+    # the other.  A failure reports standardness().
+    low = ((np.min(np.arctan2(resid_norm, sig), axis=-1) <= angle_floor)
+           | np.any(np.minimum(resid_norm, sines) <= _DEGENERATE_SINE, axis=-1))
+    if np.any(low):
+        _not_standard(subspace, max(angle_floor, _DEGENERATE_SINE), low.reshape(shape))
+    # One complete QR per subspace orthonormalizes the (b, perp) pairs in
+    # plane order, healthiest first; the signs of R's diagonal fix the
+    # orientation of each column.
+    x = np.empty(sig.shape[:-1] + (2 * m, 2 * m))
+    x[..., 0::2] = bu
+    x[..., 1::2] = resid / resid_norm[..., None, :]
+    frame, r = np.linalg.qr(x, mode="complete")
+    frame *= np.where(np.diagonal(r, axis1=-2, axis2=-1) >= 0.0, 1.0, -1.0)[:, None, :]
     return ModularData(m, frame.reshape(shape + (2 * m, 2 * m)),
                        sig.reshape(shape + (m,)), sines.reshape(shape + (m,)))
 

@@ -426,36 +426,18 @@ def test_complement_angle_matches_complement_svd():
 
 # --- modular frame ------------------------------------------------------------------------
 
-def _svd_completion_frame(K):
-    """Reference frame built the earlier way: the partners of degenerate
-    planes from a full SVD of the healthy columns, then a QR over all 2m
-    columns with the healthy pairs first and the degenerate pairs after."""
-    m = K.ambient_dim
-    _, bu, resid = md._principal_planes(K.basis)
-    resid_norm = np.linalg.norm(resid, axis=0)
-    healthy = resid_norm > 1e-7
-    frame = np.zeros((2 * m, 2 * m))
-    frame[:, 0::2] = bu
-    frame[:, 1::2][:, healthy] = resid[:, healthy] / resid_norm[healthy]
-    n_deg = int(np.sum(~healthy))
-    if n_deg:
-        uu, ss, _ = np.linalg.svd(np.hstack([bu, frame[:, 1::2][:, healthy]]))
-        frame[:, 1::2][:, ~healthy] = uu[:, np.sum(ss > 0.5):][:, :n_deg]
-    cols = np.concatenate([np.flatnonzero(healthy), np.flatnonzero(~healthy)])
-    perm = np.stack([2 * cols, 2 * cols + 1], axis=1).ravel()
-    q, r = np.linalg.qr(frame[:, perm])
-    frame[:, perm] = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
-    return frame
+def _lattice_tomita(L):
+    """Tomita data of the half circle at L, whose clipped planes need
+    partners (chiral.interval_tomita)."""
+    model = ch.build_model(L)
+    return ch.interval_subspace(model, ch.half_circle()), ch.interval_tomita(model, ch.half_circle())
 
 
 def _frame_subjects():
-    """(subspace, modular data): lattice half circles, whose clipped planes
-    need partners, a nearly degenerate pair and random standard subspaces."""
+    """(subspace, modular data): lattice half circles and random standard
+    subspaces."""
     for L in (64, 256):
-        K = ch.interval_subspace(ch.build_model(L), ch.half_circle())
-        yield K, md.tomita_operators(K, clip_angle=ch.LATTICE_CLIP_ANGLE)
-    K = md.StandardSubspace(2, [[1.0, 0.0], [1j * (1 + 1e-9), 1e-9]])
-    yield K, md.tomita_operators(K, clip_angle=1e-7)
+        yield _lattice_tomita(L)
     rng = np.random.default_rng(14)
     for _ in range(20):
         K = md.random_standard_subspace(int(rng.integers(1, 9)), rng)
@@ -481,16 +463,6 @@ def test_frame_orthogonal_and_planes_invariant():
             S = brute_force_tomita(K)[0]
             leak = np.max(np.abs((F.T @ S @ F)[off]), initial=0.0)
             assert leak / max(1.0, np.max(np.abs(S))) < 1e-12
-
-
-def test_frame_window_matches_svd_completion():
-    # the one-QR completion changes only the partners of degenerate planes
-    for K, dat in _frame_subjects():
-        window = np.repeat(np.arcsin(dat.sines) > ch.RESOLVABLE_WINDOW, 2)
-        if K.ambient_dim > 2:
-            assert window.any()
-        ref = _svd_completion_frame(K)
-        np.testing.assert_allclose(dat.frame[:, window], ref[:, window], rtol=0, atol=1e-13)
 
 
 # --- subspace angles --------------------------------------------------------------------
@@ -556,17 +528,53 @@ def test_subspace_angles_right_angle_of_odd_m(m):
 # --- clip policy ---------------------------------------------------------------------------
 
 def test_clip_policy_keeps_flows_orthogonal():
-    # nearly degenerate subspace: the clipped construction still produces
-    # exactly orthogonal flow and conjugation blocks
-    eps = 1e-9
-    K = md.StandardSubspace(2, [[1.0, 0.0], [1j * (1 + eps), eps]])
-    with pytest.raises(md.StandardnessError):
-        md.tomita_operators(K)          # below the default angle floor
-    dat = md.tomita_operators(K, clip_angle=1e-7)
-    u = flow_real(dat, 0.7)
-    assert np.max(np.abs(u.T @ u - np.eye(4))) < 1e-10
-    J = md.dense(dat.apply_j_real, 4)
-    assert np.max(np.abs(J @ J - np.eye(4))) < 1e-10
+    # the lattice's clipped construction still produces exactly orthogonal
+    # flow and conjugation blocks
+    for L in (64, 256):
+        _, dat = _lattice_tomita(L)
+        n = 2 * dat.ambient_dim
+        assert dat.sines.min() <= ch.LATTICE_CLIP_ANGLE
+        u = flow_real(dat, 0.7)
+        assert np.max(np.abs(u.T @ u - np.eye(n))) < 1e-10
+        J = md.dense(dat.apply_j_real, n)
+        assert np.max(np.abs(J @ J - np.eye(n))) < 1e-10
+
+
+@pytest.mark.parametrize("eps", (1e-8, 1e-9, 1e-12, 0.0))
+def test_tomita_rejects_degenerate_sines_at_any_floor(eps):
+    # a plane with sine at or below 1e-7 has no partner direction: it is
+    # rejected even at angle floor 0, where it once gave zero sines and a
+    # non-finite S
+    K = md.StandardSubspace(2, [[1.0, 0.0], [1j, eps]])
+    for floor in (md.DEFAULT_ANGLE_FLOOR, 0.0):
+        with pytest.raises(md.StandardnessError, match="subspace is not standard"):
+            md.tomita_operators(K, angle_floor=floor)
+    # in a stack the error names the first failing member
+    rng = np.random.default_rng(31)
+    gens = np.stack([md.random_standard_subspace(2, rng).generators, K.generators,
+                     [[1.0, 0.0], [1j, 0.0]]])
+    with pytest.raises(md.StandardnessError, match=r"subspace \(1,\) of the stack") as err:
+        md.tomita_operators(md.StandardSubspace(2, gens), angle_floor=0.0)
+    assert err.value.report.angles.tobytes() == K.standardness().angles.tobytes()
+
+
+def test_accepted_records_clear_the_degenerate_sine():
+    # near the bound the sines read from the cosines and the residual norms
+    # differ by up to ~10%; a record accepted at angle floor 0 has every
+    # sine above the bound, whichever way they fall
+    rng = np.random.default_rng(5)
+    accepted = rejected = 0
+    for _ in range(300):
+        gens = _degenerate_generators(int(rng.integers(2, 9)), 1, rng.uniform(0.5e-7, 2e-7), rng)
+        try:
+            dat = md.tomita_operators(md.StandardSubspace(gens.shape[-1], gens), angle_floor=0.0)
+        except md.StandardnessError:
+            rejected += 1
+            continue
+        accepted += 1
+        assert dat.sines.min() > md._DEGENERATE_SINE
+        assert np.isfinite(operator(dat, "S")).all()
+    assert accepted and rejected
 
 
 # --- stacks of subspaces -----------------------------------------------------------
@@ -587,18 +595,18 @@ def _degenerate_generators(m, k, eps, rng):
     return gens @ u
 
 
-def _assert_stack_matches_one_calls(gens, **kwargs):
+def _assert_stack_matches_one_calls(gens):
     m = gens.shape[-1]
     rng = np.random.default_rng(m)
     K = md.StandardSubspace(m, gens)
-    dat = md.tomita_operators(K, **kwargs)
+    dat = md.tomita_operators(K)
     assert K.stack_shape == gens.shape[:1] and dat.frame.shape == gens.shape[:1] + (2 * m, 2 * m)
     shared, own = rng.normal(size=(2 * m, 3)), rng.normal(size=(len(gens), 2 * m, 3))
     stacked = (dat.apply_planes(STACK_KINDS, shared), dat.apply_planes(STACK_KINDS, own),
                dat.apply_flow_real(0.4, own), dat.apply_j_real(own), dat.apply_s(gens),
                dat.apply_flow(0.4, gens), dat.apply_j(gens))
     for i, g in enumerate(gens):
-        one = md.tomita_operators(md.StandardSubspace(m, g), **kwargs)
+        one = md.tomita_operators(md.StandardSubspace(m, g))
         for a, b in ((dat.frame[i], one.frame), (dat.sigmas[i], one.sigmas),
                      (dat.sines[i], one.sines), (K.basis[i], md.StandardSubspace(m, g).basis)):
             assert a.tobytes() == b.tobytes()
@@ -617,18 +625,6 @@ def test_stacked_tomita_matches_one_subspace_calls():
     for m in range(1, 9):
         gens = np.stack([md.random_standard_subspace(m, rng).generators for _ in range(6)])
         _assert_stack_matches_one_calls(gens)
-
-
-def test_stacked_tomita_matches_one_calls_with_degenerate_planes():
-    # members with 0, 2 and 4 angle-degenerate planes (residual norm at
-    # most 1e-7; each nearly complex pair in K makes two) take QRs of
-    # different widths within one stack
-    rng = np.random.default_rng(23)
-    gens = np.stack([_degenerate_generators(5, k, 1e-9, rng) for k in (2, 0, 1, 2, 1)])
-    n_deg = [int(np.sum(np.linalg.norm(md._principal_planes(
-        md.StandardSubspace(5, g).basis)[2], axis=0) <= 1e-7)) for g in gens]
-    assert n_deg == [4, 0, 2, 4, 2]
-    _assert_stack_matches_one_calls(gens, clip_angle=1e-7)
 
 
 def test_stacked_standardness_is_per_subspace():
