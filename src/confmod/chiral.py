@@ -77,7 +77,7 @@ class LatticeModel:
 
     The encoding of site functions, [Re z; Im z] with z = coords(u), is
     never stored.  Encoded site indicators, from which every interval's
-    parity bases (_parity_bases) and so its Tomita frame (interval_tomita)
+    parity bases (_parity_bases) and so its Tomita record (interval_tomita)
     are built, come per site from _encoded_sites, with the unreduced
     phase exp(2 pi i k j / L) of the closed form: its error grows like
     L eps (8.4e-14, 3.5e-13, 7.0e-13 relative at L = 256, 1024, 2048),
@@ -274,7 +274,60 @@ def _parity_pairing(model: LatticeModel, interval: CircleInterval,
                      [minus.T @ (u.real * plus_out), -(minus.T @ (u.imag * minus_out))]])
 
 
-def interval_tomita(model: LatticeModel, interval: CircleInterval) -> md.ModularData:
+@dataclass(frozen=True)
+class _ArcRecord(md._PlaneOperators):
+    """Tomita operators of an arc with m sites (interval_tomita), whose
+    frame is kept as one orthogonal m x m factor.
+
+    In the arc's w-coordinates, w = phases z (_mirror_phases), the frame's
+    Re-row columns are the factor A, with columns b0, b_1, u_1, b_2, u_2,
+    ..., and its Im-row columns are A R, R = 1 for b0 and the symmetric
+    block [[c, s], [s, -c]] for each later (b, u) pair.  The planes are
+    those of the frame: (b0, i b0), which couples the two halves, then for
+    each pair the Re-row plane (b, u) and its Im-row image, of equal
+    angle, whose cos and sin c and s are the sigmas and sines.  So columns
+    reach plane coordinates by the phases, one product of A^T with
+    [Re w, Im w] and R on the Im half, and come back the same way: half the
+    flops of two products with a dense 2m x 2m frame."""
+
+    ambient_dim: int
+    factor: np.ndarray
+    phases: np.ndarray
+    sigmas: np.ndarray
+    sines: np.ndarray
+
+    def _turn(self, pairs: np.ndarray) -> np.ndarray:
+        """R on the coordinate pairs (n, 2, k) of the first n Im-row planes."""
+        c = self.sigmas[2:2 * len(pairs) + 1:2, None]
+        s = self.sines[2:2 * len(pairs) + 1:2, None]
+        x, y = pairs[:, 0], pairs[:, 1]
+        return np.stack([c * x + s * y, s * x - c * y], axis=1)
+
+    def _to_planes(self, cols: np.ndarray) -> np.ndarray:
+        m, k = self.ambient_dim, cols.shape[-1]
+        w = self.phases[:, None] * (cols[:m] + 1j * cols[m:])
+        y = self.factor.T @ np.concatenate([w.real, w.imag], axis=1)
+        planes = np.empty((m, 2, k))
+        planes[0] = y[0].reshape(2, k)
+        planes[1::2] = y[1:, :k].reshape(-1, 2, k)
+        planes[2::2] = self._turn(y[1:, k:].reshape(-1, 2, k))
+        return planes
+
+    def _from_planes(self, z: np.ndarray) -> np.ndarray:
+        """Columns from the coordinates (n, 2, k) of the first n planes, n
+        odd (every pair of planes whole), which read only the first n
+        columns of A."""
+        n, k = z.shape[0], z.shape[-1]
+        y = np.empty((n, 2 * k))
+        y[0] = z[0].reshape(2 * k)
+        y[1:, :k] = z[1::2].reshape(-1, k)
+        y[1:, k:] = self._turn(z[2::2]).reshape(-1, k)
+        w = self.factor[:, :n] @ y
+        w = self.phases.conj()[:, None] * (w[:, :k] + 1j * w[:, k:])
+        return np.concatenate([w.real, w.imag])
+
+
+def interval_tomita(model: LatticeModel, interval: CircleInterval) -> _ArcRecord:
     """Tomita operators of an interval subspace under the lattice clip
     policy: angles are accepted down to numerical zero and clamped at
     LATTICE_CLIP_ANGLE in the operator formulas.  Raises StandardnessError,
@@ -301,9 +354,13 @@ def interval_tomita(model: LatticeModel, interval: CircleInterval) -> md.Modular
     - Im rows.  With the clamped angle's cosine c and sine s, the plane
       (b, u) reappears as (c b + s u, s b - c u): its K- vector is N v up
       to the clamp, and its iK vector is i b.  No second factorization.
-    The frame goes back to z-coordinates by the conjugate phases, which on
-    the half circle are powers of i, an exact signed permutation.  Every
-    factorization has m rows or fewer; only the returned frame is 2m x 2m.
+    The record (_ArcRecord) keeps the QR's orthogonal factor, its columns
+    reordered b0, b_1, u_1, b_2, u_2, ..., the clamped angles' cosines and
+    sines, and the mirror phases that take the frame back to
+    z-coordinates; on the half circle those are powers of i, an exact
+    signed permutation.  Every factorization has m rows or fewer, and
+    nothing 2m x 2m is formed: the record is one m x m matrix.  Its planes
+    come in descending angle, so those of the resolvable window lead.
     Since the clamped angles enter both blocks, the record is the exact
     Tomita data of the span of its K vectors: i times a K vector lies in
     the span of the iK vectors.  That span leaves K(interval) only in the
@@ -329,26 +386,23 @@ def interval_tomita(model: LatticeModel, interval: CircleInterval) -> md.Modular
     cols[:, 2 * g + 1:] = plus @ (xv[:, g:] / cosines[g:])
     qf, r = np.linalg.qr(cols, mode="complete")
     qf[:, :1 + g + q] *= np.where(np.diagonal(r) >= 0.0, 1.0, -1.0)
-    b = np.concatenate([qf[:, 1:2 * g + 1:2], qf[:, 2 * g + 1:1 + g + q]], axis=1)
-    u = np.concatenate([qf[:, 2:2 * g + 1:2], qf[:, 1 + g + q:]], axis=1)
-    # the frame in complex w-coordinates, an Im-row column y stored as i y:
-    # the plane (b0, i b0), then each Re-row plane and its Im-row image;
-    # then, in place, in z-coordinates
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    w = np.empty((m, 2 * m), dtype=complex)
-    w[:, 0], w[:, 1] = qf[:, 0], 1j * qf[:, 0]
-    w[:, 2::4], w[:, 3::4] = b, u
-    w[:, 4::4], w[:, 5::4] = 1j * (cos_t * b + sin_t * u), 1j * (sin_t * b - cos_t * u)
-    w *= _mirror_phases(model, c).conj()[:, None]
-    return md.ModularData(m, np.concatenate([w.real, w.imag]),
-                          np.concatenate([[0.0], np.repeat(cos_t, 2)]),
-                          np.concatenate([[1.0], np.repeat(sin_t, 2)]))
+    # each plane's b, then its u: a healthy pair's, or a degenerate b's
+    # and a trailing column
+    b = np.r_[1:2 * g + 1:2, 2 * g + 1:1 + g + q]
+    u = np.r_[2:2 * g + 1:2, 1 + g + q:m]
+    return _ArcRecord(m, qf[:, np.r_[0, np.stack([b, u], axis=1).ravel()]],
+                      _mirror_phases(model, c),
+                      np.concatenate([[0.0], np.repeat(np.cos(theta), 2)]),
+                      np.concatenate([[1.0], np.repeat(np.sin(theta), 2)]))
 
 
-def _window_frame(data: md.ModularData) -> np.ndarray:
+def _window_frame(data: _ArcRecord) -> np.ndarray:
     """Orthonormal frame (real encoding) of the modular planes with principal
-    angle above RESOLVABLE_WINDOW; frame @ frame.T projects onto them."""
-    return data.frame[:, np.repeat(np.arcsin(data.sines) > RESOLVABLE_WINDOW, 2)]
+    angle above RESOLVABLE_WINDOW; frame @ frame.T projects onto them.  The
+    window planes lead (interval_tomita), and their 2n frame columns are
+    the images of the unit plane coordinates."""
+    n = int(np.sum(np.arcsin(data.sines) > RESOLVABLE_WINDOW))
+    return data._from_planes(np.eye(2 * n).reshape(n, 2, 2 * n))
 
 
 # --- Moebius flow of an interval ---------------------------------------------
@@ -392,36 +446,58 @@ def reflect_interval(interval: CircleInterval, probe: CircleInterval) -> CircleI
                           float(circle_reflection(interval, probe.a)))
 
 
-def _mode_synthesis(model: LatticeModel, angles: np.ndarray) -> np.ndarray:
-    """Complex matrix e^{i k phi_j}, k = 1..m, evaluating the positive
-    retained modes at angles; twice the real part of its product with the
-    coefficients is the field.
+def _mode_synthesis(model: LatticeModel, angles: np.ndarray) -> tuple:
+    """The two tables whose products e^{i k phi_j}, k = 1..m, evaluate the
+    positive retained modes at angles (twice the real part of their sum
+    against the coefficients is the field).
 
-    With B = ceil(sqrt(m)) and k = q B + r, it is the product of two small
-    tables, e^{i r phi} for r = 1..B and e^{i q B phi} for q = 0..ceil(m/B)-1:
-    about 2 sqrt(m) exponentials and m complex products per angle instead
-    of m exponentials.  Its error, like that of the direct exponential, is
-    set by rounding k phi (<= 2 pi L eps)."""
+    With B = ceil(sqrt(m)) and k = q B + r, e^{i k phi} is
+    e^{i q B phi} e^{i r phi}: the tables are low = e^{i r phi} for
+    r = 1..B and high = e^{i q B phi} for q = 0..ceil(m/B)-1: about
+    2 sqrt(m) cosines and sines per angle instead of m exponentials.
+    _pull_back contracts them with the coefficients without forming the
+    len(angles) x m product.
+    The products' error, like that of the direct exponential, is set by
+    rounding k phi (<= 2 pi L eps)."""
     m = model.m
     B = int(np.ceil(np.sqrt(m)))
-    low = np.exp(1j * np.outer(angles, np.arange(1, B + 1)))
-    high = np.exp(1j * np.outer(angles, B * np.arange(-(-m // B))))
-    return (high[:, :, None] * low[:, None, :]).reshape(len(angles), -1)[:, :m]
+    tables = []
+    for k in (np.arange(1, B + 1), B * np.arange(-(-m // B))):
+        phase = np.outer(angles, k)
+        table = np.empty(phase.shape, dtype=complex)
+        table.real, table.imag = np.cos(phase), np.sin(phase)
+        tables.append(table)
+    return tuple(tables)
 
 
 def _pull_back(model: LatticeModel, cols: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Retained-mode pull-back of encoded columns: each column's field is
-    evaluated at the moved site angles and encoded again, as matrix-vector
-    products on the columns only, from one synthesis matrix.
+    evaluated at the moved site angles and encoded again, as products on
+    the columns only, from one pair of synthesis tables.
 
     The positive-mode coefficients of an encoded column [x; y] are
-    (x - i y) / sqrt(2k), and the field at the angles is twice the real
-    part of their _mode_synthesis; the encoding of a field equals that of
-    its retained part, so no projection onto the retained modes is
-    needed."""
-    m = model.m
-    coeffs = (cols[:m] - 1j * cols[m:]) / np.sqrt(2.0 * np.arange(1, m + 1))[:, None]
-    return _encode(model, 2.0 * np.real(_mode_synthesis(model, angles) @ coeffs))
+    c_k = (x - i y) / sqrt(2k), and the field at the angles is twice the
+    real part of sum_k c_k e^{i k phi} =
+    sum_q e^{i q B phi} (sum_r c_{qB+r} e^{i r phi}) (_mode_synthesis).
+    The inner sums, for every q and column, are one product of the
+    len(angles) x B table with the coefficients arranged as a
+    B x (ceil(m/B) n) matrix for n columns; the outer sum weights them by
+    the other table, one small product per angle.  The columns go in
+    chunks of at most B, so the inner sums take no more memory than the
+    len(angles) x m synthesis matrix that is never formed.
+    The encoding of a field equals that of its retained part, so no
+    projection onto the retained modes is needed."""
+    m, n = model.m, cols.shape[1]
+    low, high = _mode_synthesis(model, angles)
+    B, Q = low.shape[1], high.shape[1]
+    coeffs = np.zeros((Q * B, n), dtype=complex)
+    coeffs[:m] = (cols[:m] - 1j * cols[m:]) / np.sqrt(2.0 * np.arange(1, m + 1))[:, None]
+    coeffs = coeffs.reshape(Q, B, n).transpose(1, 0, 2)
+    field = np.empty((len(angles), n))
+    for j in range(0, n, B):
+        inner = (low @ coeffs[:, :, j:j + B].reshape(B, -1)).reshape(len(angles), Q, -1)
+        field[:, j:j + B] = 2.0 * (high[:, None, :] @ inner)[:, 0].real
+    return _encode(model, field)
 
 
 def mobius_flow_unitary(model: LatticeModel, interval: CircleInterval,
@@ -445,7 +521,13 @@ def mobius_flow_unitary(model: LatticeModel, interval: CircleInterval,
 # --- defect reports -----------------------------------------------------------
 
 def bump_vector(model: LatticeModel, center: float, width: float) -> np.ndarray:
-    """Smooth compactly supported bump on the circle, sampled at the sites."""
+    """Smooth compactly supported bump on the circle, sampled at the sites:
+    exp(-1 / (1 - s^2)) at angular distance s width from the center, |s| < 1.
+    Raises ValueError unless the center is finite and 0 < width <= pi; a
+    wider support would wrap past the antipode, where the bump is not
+    smooth."""
+    if not (np.isfinite(center) and 0.0 < width <= np.pi):
+        raise ValueError("a bump needs a finite center and a width in (0, pi]")
     s = (model.thetas - center + np.pi) % (2.0 * np.pi) - np.pi
     s = s / width
     u = np.zeros(model.L)
@@ -507,20 +589,20 @@ def bw_defect(model: LatticeModel, interval: CircleInterval, t_grid) -> BWReport
     arithmetic).
 
     Every operator is applied to the k family columns as a chain of
-    matrix-vector products: Delta^{it} plane by plane in the modular frame
-    (ModularData.apply_flow_real) and U_geo as the retained-mode pull-back
-    (_pull_back).  The interval is factored once, in interval_tomita, and
+    matrix-vector products: Delta^{it} plane by plane in the factored
+    record (_ArcRecord.apply_flow_real) and U_geo as the retained-mode
+    pull-back (_pull_back).  The interval is factored once, in interval_tomita, and
     every application after it costs O(L^2 k); no 2m x 2m or L x L operator
     is formed and no other subspace is factored.
 
     The applications are grouped by time.  The family's pull-backs take one
-    synthesis matrix per distinct set of flow sites, z(u) of the family is
-    formed once per distinct u, and for each s the outer z(s) of the
-    group-law residuals acts on all the z(t) blocks it meets in one product.
-    Each synthesis matrix is dropped after its one product.  For the grid
-    [0, 0.1, 0.25] that is 10 syntheses and 8 applications of Delta^{it},
-    against 15 of each when every application of z or of the two flows is
-    made on its own."""
+    pair of synthesis tables per distinct set of flow sites, z(u) of the
+    family is formed once per distinct u, and for each s the outer z(s) of
+    the group-law residuals acts on all the z(t) blocks it meets in one
+    pull-back.  Each pair of tables is dropped after its one pull-back.
+    For the grid [0, 0.1, 0.25] that is 10 pairs of tables and 8
+    applications of Delta^{it}, against 15 of each when every application
+    of z or of the two flows is made on its own."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if not np.all(np.abs(t_grid) <= 0.5):
         raise ValueError("t grid must be finite and stay within [-0.5, 0.5]")
@@ -626,7 +708,7 @@ def pct_geometry_defect(model: LatticeModel, interval: CircleInterval,
 
 
 def _pct_defect(model: LatticeModel, interval: CircleInterval,
-                probe: CircleInterval, dat: md.ModularData) -> float:
+                probe: CircleInterval, dat: _ArcRecord) -> float:
     """pct_geometry_defect from the interval's modular data dat."""
     fam = _encoded_family(model, default_test_family(model, probe), _window_frame(dat))
     diff = dat.apply_j_real(fam) + _reflect_encoded(model, interval, fam)

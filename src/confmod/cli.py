@@ -451,19 +451,31 @@ def run_pct_suite(config: SuiteConfig) -> list:
     return checks
 
 
-def _involution_bound(dat: md.ModularData) -> float:
+def _involution_bound(dat: ch._ArcRecord) -> float:
     """Upper bound on ||J^2 - 1||_2, hence on max |J J - 1|, read off the
-    modular planes without forming J.
+    lattice record of interval_tomita (chiral._ArcRecord) without forming
+    J or its frame.
 
-    J = F B F^T with F the frame and B the plane blocks
-    B_k = [[s, -c], [-c, -s]], so B_k^2 = (s^2 + c^2) I.  With
-    e = ||F^T F - 1||_F and b = max_k |s_k^2 + c_k^2 - 1|,
-    J^2 - 1 = (F F^T - 1) + F (B^2 - 1) F^T + F B (F^T F - 1) B F^T, and
-    ||J^2 - 1||_2 <= e + (1 + e)(b + (1 + b) e)."""
-    gram = dat.frame.T @ dat.frame
+    J = F B F^T with B the plane blocks B_k = [[s, -c], [-c, -s]], so
+    B_k^2 = (s^2 + c^2) I, and F = P^T G the frame: G = blockdiag(A, A R)
+    up to the order of its columns, with A the factor and R the blocks
+    [[c, s], [s, -c]] (R_k^2 = (s^2 + c^2) I too), and P the mirror phases
+    as a real 2m x 2m map, P P^T = diag(|phase_k|^2).  With
+    a = ||A^T A - 1||_F, b = max_k |s_k^2 + c_k^2 - 1| and
+    p = max_k ||phase_k|^2 - 1|:
+    - G^T G - 1 = blockdiag(A^T A - 1, R (A^T A - 1) R + R^2 - 1) has norm
+      at most g = (1 + b) a + b;
+    - F^T F - 1 = G^T (P P^T - 1) G + G^T G - 1 has norm at most
+      e = g + (1 + g) p;
+    - J^2 - 1 = (F F^T - 1) + F (B^2 - 1) F^T + F B (F^T F - 1) B F^T,
+      so ||J^2 - 1||_2 <= e + (1 + e)(b + (1 + b) e)."""
+    gram = dat.factor.T @ dat.factor
     gram[np.diag_indices_from(gram)] -= 1.0
-    e = float(np.linalg.norm(gram))
+    a = float(np.linalg.norm(gram))
     b = float(np.max(np.abs(dat.sines ** 2 + dat.sigmas ** 2 - 1.0)))
+    p = float(np.max(np.abs(np.abs(dat.phases) ** 2 - 1.0)))
+    g = (1.0 + b) * a + b
+    e = g + (1.0 + g) * p
     return e + (1.0 + e) * (b + (1.0 + b) * e)
 
 

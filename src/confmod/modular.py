@@ -212,33 +212,29 @@ class StandardSubspace:
             self.basis, _times_i(self.basis)), angle_floor)
 
 
-@dataclass(frozen=True)
-class ModularData:
-    """Tomita operators of a standard subspace, or of each subspace of a
-    stack.
+class _PlaneOperators:
+    """Tomita operators applied plane by plane, for any record of the
+    modular planes.
 
-    frame: orthogonal 2m x 2m matrix whose column pairs (2k, 2k+1) span the
-    S-invariant principal planes; sigmas/sines hold cos/sin of the principal
-    angle of each plane.  For a stack, frame is (..., 2m, 2m) and sigmas
-    and sines are (..., m), with the stack dimensions of the subspace.
-    These four fields are the whole record; nothing is cached.
+    A record holds ambient_dim m, sigmas and sines, the cos/sin of the
+    principal angle of each plane, (..., m), and the orthogonal change
+    between real-encoded columns and plane coordinates: _to_planes takes
+    columns (..., 2m, k) to coordinates (..., m, 2, k), one pair per plane,
+    and _from_planes takes them back.  ModularData holds the change as a
+    dense frame; the lattice record of chiral.interval_tomita holds it as
+    one m x m factor.
 
     Each operator has one form, its application to real-encoded columns
-    plane by plane, frame (blocks (frame^T cols)), in O(m^2 k) for k
-    columns: apply_planes for any kinds and flow times side by side,
-    apply_flow_real and apply_j_real, and apply_s, apply_j and apply_flow
-    on complex vectors or (k, m) stacks of row vectors.  Columns of shape
-    (..., 2m, k) broadcast against the stack: each subspace's operators
-    act on its own columns, or all on the same ones.  A caller that needs
-    the 2m x 2m matrix applies the operator to the identity, dense(apply,
-    2m).  flow_real(t) is that matrix for Delta^{it}, kept as a name the
+    plane by plane, _from_planes (blocks (_to_planes cols)): apply_planes
+    for any kinds and flow times side by side, apply_flow_real and
+    apply_j_real, and apply_s, apply_j and apply_flow on complex vectors or
+    (k, m) stacks of row vectors.  Columns of shape (..., 2m, k) broadcast
+    against a stacked record: each subspace's operators act on its own
+    columns, or all on the same ones.  A caller that needs the 2m x 2m
+    matrix applies the operator to the identity, dense(apply, 2m).
+    flow_real(t) is that matrix for Delta^{it}, kept as a name the
     benchmark tracer wraps.
     """
-
-    ambient_dim: int
-    frame: np.ndarray
-    sigmas: np.ndarray
-    sines: np.ndarray
 
     def _plane_blocks(self, entry, log_eigs: np.ndarray) -> np.ndarray:
         """The 2x2 blocks, (..., m, 2, 2), of one apply_planes entry: "S",
@@ -287,35 +283,31 @@ class ModularData:
     # -- real-encoded operators (act on [Re v; Im v]) --
 
     def apply_planes(self, kinds, cols: np.ndarray) -> np.ndarray:
-        """frame (blocks (frame^T cols)) for each entry of kinds, side by
-        side: O(m^2 k) for k columns, no 2m x 2m operator formed.  An entry
-        is a block kind, "S", "delta", "delta_sqrt" or "J", or a flow kind
-        with its own time, ("flow_cos", t) or ("flow_sin", t), so one call
-        serves any mix of operators and times with one product by frame^T
-        and one by frame.  cols is one column (2m,) or (..., 2m, k); the
-        result is (..., 2m, k len(kinds)), a column counting as k = 1."""
+        """_from_planes (blocks (_to_planes cols)) for each entry of kinds,
+        side by side: no 2m x 2m operator formed.  An entry is a block
+        kind, "S", "delta", "delta_sqrt" or "J", or a flow kind with its own
+        time, ("flow_cos", t) or ("flow_sin", t), so one call serves any mix
+        of operators and times with one change to plane coordinates and one
+        back.  cols is one column (2m,) or (..., 2m, k); the result is
+        (..., 2m, k len(kinds)), a column counting as k = 1."""
         m = self.ambient_dim
         cols = cols.reshape(2 * m, 1) if cols.ndim == 1 else cols
-        y = _tr(self.frame) @ cols
-        lead, k = y.shape[:-2], y.shape[-1]
-        y = y.reshape(lead + (m, 2, k))
+        y = self._to_planes(cols)
+        lead, k = y.shape[:-3], y.shape[-1]
         log_eigs = self.log_eigenvalues()
-        # each entry's blocks write straight into its k columns of the
-        # product's right factor (viewed as (..., m, 2, k len(kinds)))
-        z = np.empty(lead + (2 * m, k * len(kinds)))
-        z_planes = z.reshape(lead + (m, 2, k * len(kinds)))
+        # each entry's blocks write straight into its k columns
+        z = np.empty(lead + (m, 2, k * len(kinds)))
         for i, entry in enumerate(kinds):
             np.einsum("...kij,...kjn->...kin", self._plane_blocks(entry, log_eigs), y,
-                      out=z_planes[..., i * k:(i + 1) * k])
-        return self.frame @ z
+                      out=z[..., i * k:(i + 1) * k])
+        return self._from_planes(z)
 
     def apply_flow_real(self, t: float, cols: np.ndarray) -> np.ndarray:
         """Delta^{it} of real-encoded columns.
 
-        The columns are taken into frame coordinates y = frame^T cols, each
-        principal plane gets cos(t log lambda) y and sin(t log lambda) G y,
-        and both parts are mapped back as frame (cos part) + i frame (sin
-        part)."""
+        The columns are taken into plane coordinates y, each principal
+        plane gets cos(t log lambda) y and sin(t log lambda) G y, and both
+        parts are mapped back, the cos part plus i times the sin part."""
         cols = np.asarray(cols, dtype=float)
         (u,) = _flow_images(_split(self.apply_planes(_flow_entries((t,)), cols), 2))
         return u[..., 0] if cols.ndim == 1 else u
@@ -348,6 +340,32 @@ class ModularData:
 
     def apply_flow(self, t: float, v: np.ndarray) -> np.ndarray:
         return self._apply(lambda cols: self.apply_flow_real(t, cols), v)
+
+
+@dataclass(frozen=True)
+class ModularData(_PlaneOperators):
+    """Tomita operators of a standard subspace, or of each subspace of a
+    stack (_PlaneOperators).
+
+    frame: orthogonal 2m x 2m matrix whose column pairs (2k, 2k+1) span the
+    S-invariant principal planes; sigmas/sines hold cos/sin of the principal
+    angle of each plane.  For a stack, frame is (..., 2m, 2m) and sigmas
+    and sines are (..., m), with the stack dimensions of the subspace.
+    These four fields are the whole record; nothing is cached.  The plane
+    coordinates of columns are frame^T cols, in O(m^2 k) for k columns.
+    """
+
+    ambient_dim: int
+    frame: np.ndarray
+    sigmas: np.ndarray
+    sines: np.ndarray
+
+    def _to_planes(self, cols: np.ndarray) -> np.ndarray:
+        y = _tr(self.frame) @ cols
+        return y.reshape(y.shape[:-2] + (self.ambient_dim, 2, y.shape[-1]))
+
+    def _from_planes(self, z: np.ndarray) -> np.ndarray:
+        return self.frame @ z.reshape(z.shape[:-3] + (2 * self.ambient_dim, z.shape[-1]))
 
 
 def _split(a: np.ndarray, n: int) -> list:

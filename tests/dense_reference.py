@@ -3,9 +3,10 @@
 confmod applies each Tomita operator plane by plane and each geometric flow
 as a pull-back of encoded columns; it never assembles them.  The tests
 compare those applications with the matrices built here independently:
-the plane blocks assembled as frame @ blockdiag(blocks) @ frame^T, their
-complex forms, and the lattice operators formed from explicit Fourier
-matrices.
+the dense 2m x 2m frame of a lattice record, the plane blocks assembled as
+frame @ blockdiag(blocks) @ frame^T, their complex forms, and the lattice
+operators formed from explicit Fourier matrices and the full synthesis
+matrix.
 """
 
 import numpy as np
@@ -24,14 +25,35 @@ def std_i(m):
     return j
 
 
+def frame(dat):
+    """The orthogonal 2m x 2m frame of modular data: dat.frame of a
+    ModularData, and for the lattice record of chiral.interval_tomita the
+    frame it factors, assembled column by column from the factor A, the
+    angles and the mirror phases.  In complex w-coordinates, an Im-row
+    column y stored as i y, it holds the plane (b0, i b0), then each
+    Re-row plane (b, u) and its Im-row image i (c b + s u), i (s b - c u);
+    the conjugate phases take it to z-coordinates."""
+    if isinstance(dat, md.ModularData):
+        return dat.frame
+    m, a = dat.ambient_dim, dat.factor
+    b, u = a[:, 1::2], a[:, 2::2]
+    cos_t, sin_t = dat.sigmas[2::2], dat.sines[2::2]
+    w = np.empty((m, 2 * m), dtype=complex)
+    w[:, 0], w[:, 1] = a[:, 0], 1j * a[:, 0]
+    w[:, 2::4], w[:, 3::4] = b, u
+    w[:, 4::4], w[:, 5::4] = 1j * (cos_t * b + sin_t * u), 1j * (sin_t * b - cos_t * u)
+    w *= dat.phases.conj()[:, None]
+    return np.concatenate([w.real, w.imag])
+
+
 def assemble(dat, entry):
     """frame @ blockdiag(blocks) @ frame^T for one apply_planes entry, a
     block kind or a flow kind with its time."""
-    m = dat.ambient_dim
+    m, f = dat.ambient_dim, frame(dat)
     # Apply each 2x2 block to its column pair in one batched product.
-    paired = dat.frame.reshape(2 * m, m, 2)
+    paired = f.reshape(2 * m, m, 2)
     mixed = np.einsum("nkj,kji->nki", paired, dat._plane_blocks(entry, dat.log_eigenvalues()))
-    return mixed.reshape(2 * m, 2 * m) @ dat.frame.T
+    return mixed.reshape(2 * m, 2 * m) @ f.T
 
 
 def s_real(dat):
@@ -120,9 +142,26 @@ def mode_analysis(model):
     return np.exp(-2j * np.pi * np.outer(k, np.arange(model.L)) / model.L) / model.L
 
 
+def mode_synthesis(model, angles):
+    """Complex matrix e^{i k phi_j}, k = 1..m, of the positive retained
+    modes at angles: the products of chiral._mode_synthesis's two tables,
+    e^{i q B phi} e^{i r phi} at k = q B + r."""
+    low, high = ch._mode_synthesis(model, angles)
+    return (high[:, :, None] * low[:, None, :]).reshape(len(angles), -1)[:, :model.m]
+
+
 def synthesis(model, angles):
     """Real matrix evaluating the retained-mode interpolation at angles."""
-    return 2.0 * np.real(ch._mode_synthesis(model, angles) @ mode_analysis(model))
+    return 2.0 * np.real(mode_synthesis(model, angles) @ mode_analysis(model))
+
+
+def pull_back(model, cols, angles):
+    """The retained-mode pull-back of encoded columns (chiral._pull_back)
+    through the full synthesis matrix: the field at the angles is twice
+    the real part of its product with the positive-mode coefficients."""
+    m = model.m
+    coeffs = (cols[:m] - 1j * cols[m:]) / np.sqrt(2.0 * np.arange(1, m + 1))[:, None]
+    return ch._encode(model, 2.0 * np.real(mode_synthesis(model, angles) @ coeffs))
 
 
 def mobius_flow_unitary(model, interval, t):

@@ -78,7 +78,7 @@ def test_half_circle_frame_structure_bytes(L):
     frames = []
     for arc in (ch.half_circle(), ch.CircleInterval(3 * w, np.pi + 3 * w)):
         dat = ch.interval_tomita(model, arc)
-        F = dat.frame
+        F = dr.frame(dat)
         frames.append(F)
         assert np.max(np.abs(F.T @ F - np.eye(2 * m))) <= 1e-13
         assert np.flatnonzero(dat.sigmas == 0.0).tolist() == [0] and dat.sines[0] == 1.0
@@ -94,9 +94,41 @@ def test_half_circle_frame_structure_bytes(L):
         assert np.max(off / np.linalg.norm(cols, axis=0)) < 2 * ch.LATTICE_CLIP_ANGLE
         ik_vecs, i_k = dat.sigmas * F[:, 0::2] + dat.sines * F[:, 1::2], md._times_i(k_vecs)
         assert np.max(np.abs(i_k - ik_vecs @ (ik_vecs.T @ i_k))) <= 1e-13
+        # the record's own change of coordinates is this frame, and the
+        # window planes lead, so the window frame is the frame's first
+        # 2n columns
+        assert np.max(np.abs(dat._from_planes(np.eye(2 * m).reshape(m, 2, 2 * m)) - F)) <= 1e-15
+        assert np.max(np.abs(dat._to_planes(F).reshape(2 * m, 2 * m) - np.eye(2 * m))) <= 1e-13
+        window = np.arcsin(dat.sines) > ch.RESOLVABLE_WINDOW
+        n = int(window.sum())
+        assert window[:n].all() and n % 2 == 1
+        assert np.max(np.abs(ch._window_frame(dat) - F[:, :2 * n])) <= 1e-15
     half, turned = frames
     assert np.all((half[:m] == 0.0) | (half[m:] == 0.0))
     assert not np.all((turned[:m] == 0.0) | (turned[m:] == 0.0))
+
+
+@pytest.mark.parametrize("L", (64, 256))
+def test_record_rebuilds_half_circle_frame_bytes(L):
+    # the dense frame of the record (A, angles, phases): in w-coordinates
+    # its Re-row columns are the factor A and its Im-row columns A R, the
+    # pairs (b, u) turned to (c b + s u, s b - c u).  The half circle's
+    # phases are powers of i, so undoing them is exact and gives back these
+    # columns bit for bit, every Re-row column with zero Im rows and every
+    # Im-row column with zero Re rows
+    model = ch.build_model(L)
+    m = model.m
+    dat = ch.interval_tomita(model, ch.half_circle())
+    F = dr.frame(dat)
+    w = dat.phases[:, None] * (F[:m] + 1j * F[m:])
+    a, c, s = dat.factor, dat.sigmas[2::2], dat.sines[2::2]
+    b, u = a[:, 1::2], a[:, 2::2]
+    re_rows = np.concatenate([a[:, :1], b, u], axis=1)
+    im_rows = np.concatenate([a[:, :1], c * b + s * u, s * b - c * u], axis=1)
+    re_cols, im_cols = np.r_[0, 2:2 * m:4, 3:2 * m:4], np.r_[1, 4:2 * m:4, 5:2 * m:4]
+    assert w.real[:, re_cols].tobytes() == re_rows.tobytes()
+    assert w.imag[:, im_cols].tobytes() == im_rows.tobytes()
+    assert not w.imag[:, re_cols].any() and not w.real[:, im_cols].any()
 
 
 @pytest.mark.parametrize("b, dim", ((np.pi / 2, 31), (3 * np.pi / 2, 95)),
@@ -452,7 +484,7 @@ def test_bw_defect_groups_its_applications(models, monkeypatch):
     # z(s), and one modular flow per time and column stage: 15 of each when
     # every application of z or of the two flows is made on its own
     calls = {"synthesis": 0, "flow": 0}
-    synthesis, flow = ch._mode_synthesis, md.ModularData.apply_flow_real
+    synthesis, flow = ch._mode_synthesis, md._PlaneOperators.apply_flow_real
 
     def counted_synthesis(model, angles):
         calls["synthesis"] += 1
@@ -463,7 +495,7 @@ def test_bw_defect_groups_its_applications(models, monkeypatch):
         return flow(self, t, cols)
 
     monkeypatch.setattr(ch, "_mode_synthesis", counted_synthesis)
-    monkeypatch.setattr(md.ModularData, "apply_flow_real", counted_flow)
+    monkeypatch.setattr(md._PlaneOperators, "apply_flow_real", counted_flow)
     ch.bw_defect(models[64], ch.half_circle(), [0.0, 0.1, 0.25])
     assert calls == {"synthesis": 10, "flow": 8}
 
@@ -478,8 +510,26 @@ def test_mode_synthesis_matches_long_double_reference(L):
     two_pi = 2 * np.arccos(np.longdouble(-1))
     phase = np.fmod(np.outer(phi.astype(np.longdouble), np.arange(1, model.m + 1)), two_pi)
     exact = np.cos(phase).astype(float) + 1j * np.sin(phase).astype(float)
-    err = np.max(np.abs(ch._mode_synthesis(model, phi) - exact))
+    err = np.max(np.abs(dr.mode_synthesis(model, phi) - exact))
     assert err <= 2 * np.pi * L * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("L", (64, 256, 1024))
+def test_pull_back_matches_full_synthesis(L):
+    # the pull-back contracts the two synthesis tables without forming the
+    # L x m synthesis matrix: it equals the product through that matrix
+    # (dense_reference.pull_back) for 1, 3, 9 and 2m columns, and the
+    # columns of one chunk, at most ceil(sqrt(m)) of them, come out bit for
+    # bit as when that chunk is pulled back alone
+    model = ch.build_model(L)
+    m, B = model.m, int(np.ceil(np.sqrt(model.m)))
+    angles = ch.mobius_point_flow(ch.half_circle(), -0.25, model.thetas)
+    cols = np.random.default_rng(L).normal(size=(2 * m, 2 * m))
+    for k in (1, 3, 9, 2 * m):
+        pulled = ch._pull_back(model, cols[:, :k], angles)
+        assert np.max(np.abs(pulled - dr.pull_back(model, cols[:, :k], angles))) <= 1e-13
+    chunk = ch._pull_back(model, cols[:, B:2 * B], angles)
+    assert pulled[:, B:2 * B].tobytes() == chunk.tobytes()
 
 
 def test_duality_defect_lattice_symmetries(models):
@@ -682,17 +732,17 @@ def test_involution_bound_covers_dense_residual(L):
     assert dr.involution_residual(dat) <= cli._involution_bound(dat) < 1e-12
 
 
-@pytest.mark.parametrize("corrupt", ("frame column", "plane"))
+@pytest.mark.parametrize("corrupt", ("factor column", "plane"))
 def test_involution_check_fails_on_corrupted_planes(monkeypatch, corrupt):
-    # scaling one frame column, or one plane's sine and cosine, by 1 + 1e-5
-    # breaks J^2 = 1 by about 2e-5: the dense residual sees it, and the
-    # pct suite's check fails
+    # scaling one column of the record's factor, or one plane's sine and
+    # cosine, by 1 + 1e-5 breaks J^2 = 1 by about 2e-5: the dense residual
+    # sees it, and the pct suite's check fails
     def corrupted(model, interval, _fn=ch.interval_tomita):
         dat = _fn(model, interval)
-        if corrupt == "frame column":
-            frame = dat.frame.copy()
-            frame[:, 0] *= 1.0 + 1e-5
-            return dataclasses.replace(dat, frame=frame)
+        if corrupt == "factor column":
+            factor = dat.factor.copy()
+            factor[:, 0] *= 1.0 + 1e-5
+            return dataclasses.replace(dat, factor=factor)
         sines, sigmas = dat.sines.copy(), dat.sigmas.copy()
         k = np.argmin(np.abs(sines - 0.5))
         sines[k] *= 1.0 + 1e-5
@@ -831,3 +881,14 @@ def test_bump_vector_support(models):
     inside = np.abs((model.thetas - np.pi / 2 + np.pi) % (2 * np.pi) - np.pi) < np.pi / 8
     assert np.all(u[~inside] == 0)
     assert u.max() > 0
+
+
+@pytest.mark.parametrize("center, width", ((1.0, -0.5), (1.0, 0.0), (np.nan, 0.5),
+                                           (np.inf, 0.5), (1.0, np.nan), (1.0, 3.2)))
+def test_bump_vector_rejects_bad_arguments(models, center, width):
+    # a negative width would pass for its absolute value, a zero width
+    # divides by zero and a NaN centre gives zeros; past pi the support
+    # wraps beyond the antipode, where the bump is not smooth
+    with pytest.raises(ValueError, match="bump"):
+        ch.bump_vector(models[64], center, width)
+    ch.bump_vector(models[64], 1.0, np.pi)

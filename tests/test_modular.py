@@ -447,7 +447,7 @@ def _frame_subjects():
 def test_frame_orthogonal_and_planes_invariant():
     rng = np.random.default_rng(17)
     for K, dat in _frame_subjects():
-        F = dat.frame
+        F = dr.frame(dat)
         n = F.shape[0]
         assert np.max(np.abs(F.T @ F - np.eye(n))) < 1e-14
         # in frame coordinates every operator is block diagonal, one 2x2

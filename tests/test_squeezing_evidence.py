@@ -5,11 +5,15 @@ motivate the resolvable-window policy and the two expected failures in the
 acceptance suite: the principal angles between an interval's site span and
 its image under the complex structure collapse exponentially, and smooth
 mid-interval vectors carry order-one mass on planes whose angles lie far
-below double precision.  Small lattice only; the structure is scale free.
+below double precision.  At 60 digits they check the sines that
+interval_tomita reads, above and below the clip.  Small lattices only; the
+structure is scale free.
 """
 
 import numpy as np
 import pytest
+
+import confmod.chiral as ch
 
 mp_mod = pytest.importorskip("mpmath")
 from mpmath import mp, mpf, matrix, eigsy  # noqa: E402
@@ -109,3 +113,28 @@ def test_smooth_vector_occupies_squeezed_planes(precise_setup):
     # accelerating collapse above, interior content at larger L occupies
     # eigenvalues beyond double-precision resolution
     assert float(deep / total) > 0.3
+
+
+def test_lattice_sines_against_60_digits():
+    # The half circle's plane sines at L = 64 (sites 1..31, mirror centre
+    # c = L/2), recomputed at 60 digits: the parity blocks of w-coordinates,
+    # Re w of sites 1..16 and Im w of sites 1..15 with the phases
+    # e^{i pi (2 k j - k c) / L} reduced mod 2L, orthonormalized by QR, and
+    # the singular values of N - P (P^T N).  Above the clip the sine route
+    # loses a sine s to about eps / s relative (at most 2.4 eps / s
+    # measured, from 6.4e-7 to 0.17); below it interval_tomita clamps.
+    L = 64
+    m, c = L // 2 - 1, L // 2
+    dat = ch.interval_tomita(ch.build_model(L), ch.half_circle())
+    with mp.workdps(60):
+        def block(part, sites):
+            rows = [[part(mp.sqrt(2 * k) / L * mp.expjpi(mpf((2 * k * j - k * c) % (2 * L)) / L))
+                     for j in sites] for k in range(1, m + 1)]
+            return mp.qr(matrix(rows), mode="skinny")[0]
+        P, N = block(mp.re, range(1, 17)), block(mp.im, range(1, 16))
+        exact = np.sort([float(s) for s in mp.svd_r(N - P * (P.T * N), compute_uv=False)])[::-1]
+    sines = dat.sines[2::2]
+    above = exact > ch.LATTICE_CLIP_ANGLE
+    assert above.sum() == 9 and (~above).sum() == 6
+    assert np.all(np.abs(sines[above] - exact[above]) <= 8 * np.finfo(float).eps)
+    assert np.all(sines[~above] == np.sin(ch.LATTICE_CLIP_ANGLE))
