@@ -76,10 +76,11 @@ class LatticeModel:
     only L and the site angles: nothing of size L^2.
 
     The encoding of site functions, [Re z; Im z] with z = coords(u), is
-    never stored.  Encoded site indicators, from which every interval's
-    parity bases (_parity_bases) and so its Tomita record (interval_tomita)
-    are built, come per site from _encoded_sites, with the unreduced
-    phase exp(2 pi i k j / L) of the closed form: its error grows like
+    never stored.  The coordinates z of site indicators, from which every
+    interval's parity bases (_parity_bases) and so its Tomita record
+    (interval_tomita) are built, come per site from _site_coords, and their
+    real encodings from _encoded_sites, with the unreduced phase
+    exp(2 pi i k j / L) of the closed form: its error grows like
     L eps (8.4e-14, 3.5e-13, 7.0e-13 relative at L = 256, 1024, 2048),
     and it is kept on purpose, since the recorded reference values were
     computed from it (ROADMAP item 2 will switch to reduced phases).
@@ -103,8 +104,7 @@ class LatticeModel:
     @property
     def coord_map(self) -> np.ndarray:
         """Site functions -> C^m, complex m x L."""
-        tr = self.coord_map_real
-        return tr[:self.m] + 1j * tr[self.m:]
+        return _site_coords(self, np.arange(self.L))
 
     @property
     def coord_pinv(self) -> np.ndarray:
@@ -124,17 +124,24 @@ class LatticeModel:
         return float(np.linalg.norm(self.coords(u)))
 
 
-def _encoded_sites(model: LatticeModel, sites: np.ndarray) -> np.ndarray:
-    """Real encodings [Re z; Im z] of the indicators of the given sites,
-    2m x len(sites), each entry the closed form evaluated at its site.
+def _site_coords(model: LatticeModel, sites: np.ndarray) -> np.ndarray:
+    """Complex coordinates z of the indicators of the given sites,
+    m x len(sites), each entry the closed form evaluated at its site.
 
     z_k = sqrt(2k) c_{-k},  c_{-k}(u) = (1/L) sum_j u_j e^{+2 pi i k j / L};
     the negative-mode coefficients are the complex-linear ones for the
     -i sign(n) complex structure."""
     L = model.L
     k = np.arange(1, model.m + 1)
-    phases = np.exp(2j * np.pi * np.outer(k, sites) / L)
-    z = np.sqrt(2.0 * k)[:, None] * phases / L
+    z = np.sqrt(2.0 * k)[:, None] * np.exp(2j * np.pi * np.outer(k, sites) / L)
+    z /= L
+    return z
+
+
+def _encoded_sites(model: LatticeModel, sites: np.ndarray) -> np.ndarray:
+    """Real encodings [Re z; Im z] of the indicators of the given sites
+    (_site_coords), 2m x len(sites)."""
+    z = _site_coords(model, sites)
     return np.vstack([z.real, z.imag])
 
 
@@ -208,8 +215,7 @@ def interval_subspace(model: LatticeModel, interval: CircleInterval) -> md.Stand
     # the parity pairing work on the parity bases (_parity_bases).  It gives
     # the standardness report of an arc that interval_tomita rejects, and the
     # tests' references.
-    cols = _site_columns(model, interval)
-    return md.StandardSubspace(model.m, (cols[:model.m] + 1j * cols[model.m:]).T)
+    return md.StandardSubspace(model.m, _site_coords(model, _checked_sites(model, interval)).T)
 
 
 def _mirror_phases(model: LatticeModel, c: int) -> np.ndarray:
@@ -244,10 +250,11 @@ def _parity_bases(model: LatticeModel, interval: CircleInterval) -> tuple:
     complement of K(interval) is zero."""
     sites = _checked_sites(model, interval)
     sites = sites[np.argsort((model.thetas[sites] - interval.a) % (2.0 * np.pi), kind="stable")]
-    m, n = model.m, sites.size
+    n = sites.size
     c = int(sites[0] + sites[-1]) % model.L
-    cols = _encoded_sites(model, sites[:(n + 1) // 2])
-    w = _mirror_phases(model, c)[:, None] * (cols[:m] + 1j * cols[m:])
+    # phases first: with its operands swapped the complex product rounds
+    # differently, and the recorded lattice values would move
+    w = _mirror_phases(model, c)[:, None] * _site_coords(model, sites[:(n + 1) // 2])
     return c, np.linalg.qr(w.real)[0], np.linalg.qr(w.imag[:, :n // 2])[0]
 
 
@@ -325,6 +332,33 @@ class _ArcRecord(md._PlaneOperators):
         w = self.factor[:, :n] @ y
         w = self.phases.conj()[:, None] * (w[:, :k] + 1j * w[:, k:])
         return np.concatenate([w.real, w.imag])
+
+
+def _involution_bound(dat: _ArcRecord) -> float:
+    """Upper bound on ||J^2 - 1||_2, hence on max |J J - 1|, read off the
+    lattice record of interval_tomita without forming J or its frame.
+
+    J = F B F^T with B the plane blocks B_k = [[s, -c], [-c, -s]], so
+    B_k^2 = (s^2 + c^2) I, and F = P^T G the frame: G = blockdiag(A, A R)
+    up to the order of its columns, with A the factor and R the blocks
+    [[c, s], [s, -c]] (R_k^2 = (s^2 + c^2) I too), and P the mirror phases
+    as a real 2m x 2m map, P P^T = diag(|phase_k|^2).  With
+    a = ||A^T A - 1||_F, b = max_k |s_k^2 + c_k^2 - 1| and
+    p = max_k ||phase_k|^2 - 1|:
+    - G^T G - 1 = blockdiag(A^T A - 1, R (A^T A - 1) R + R^2 - 1) has norm
+      at most g = (1 + b) a + b;
+    - F^T F - 1 = G^T (P P^T - 1) G + G^T G - 1 has norm at most
+      e = g + (1 + g) p;
+    - J^2 - 1 = (F F^T - 1) + F (B^2 - 1) F^T + F B (F^T F - 1) B F^T,
+      so ||J^2 - 1||_2 <= e + (1 + e)(b + (1 + b) e)."""
+    gram = dat.factor.T @ dat.factor
+    gram[np.diag_indices_from(gram)] -= 1.0
+    a = float(np.linalg.norm(gram))
+    b = float(np.max(np.abs(dat.sines ** 2 + dat.sigmas ** 2 - 1.0)))
+    p = float(np.max(np.abs(np.abs(dat.phases) ** 2 - 1.0)))
+    g = (1.0 + b) * a + b
+    e = g + (1.0 + g) * p
+    return e + (1.0 + e) * (b + (1.0 + b) * e)
 
 
 def interval_tomita(model: LatticeModel, interval: CircleInterval) -> _ArcRecord:
@@ -429,8 +463,14 @@ def mobius_point_flow(interval: CircleInterval, t: float, theta):
     endpoints: the chart w is scaled by e^{-2 pi t}, so the flow drifts
     toward the endpoint a for t > 0.  The orientation is fixed so that the
     modular flow Delta^{it} of the interval subspace tracks the flow at the
-    same parameter t."""
-    return _chart_scaled(interval, np.exp(-2.0 * np.pi * t), theta)
+    same parameter t.  Raises ValueError unless e^{-2 pi t} is a finite,
+    normal, positive float (-112.9 < t < 112.7 about): an overflowing or
+    subnormal scale moves the endpoints."""
+    with np.errstate(over="ignore", under="ignore"):
+        scale = np.exp(-2.0 * np.pi * t)
+    if not np.finfo(float).tiny <= scale <= np.finfo(float).max:
+        raise ValueError(f"e^(-2 pi t) is not a normal float at t = {t!r}")
+    return _chart_scaled(interval, scale, theta)
 
 
 def circle_reflection(interval: CircleInterval, theta):
@@ -701,7 +741,7 @@ def pct_geometry_defect(model: LatticeModel, interval: CircleInterval,
     J - Theta_r stays near 2).  Because K(r probe) is a real-linear space,
     J K(probe) = K(r probe) holds for either sign.
 
-    J is applied plane by plane (ModularData.apply_j_real) and Theta_r as
+    J is applied plane by plane (_ArcRecord.apply_j_real) and Theta_r as
     a pull-back of the family columns, so after the one factorization in
     interval_tomita no 2m x 2m or L x L operator is formed."""
     return _pct_defect(model, interval, probe, interval_tomita(model, interval))

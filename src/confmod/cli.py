@@ -294,48 +294,46 @@ def run_flows_suite(config: SuiteConfig) -> list:
 
 
 def _modular_draws(rng: np.random.Generator, n: int,
-                   angle_floor: float = md.DEFAULT_ANGLE_FLOOR) -> list:
+                   angle_floor: float = md.DEFAULT_ANGLE_FLOOR) -> tuple:
     """The modular suite's n draws, (m, generators, x, y) each, in the
     stream order of a loop of m = integers(1, 9), random_standard_subspace
-    (m, rng, angle_floor) and x, y = normal(2m) twice.
-
-    The standardness tests run on stacks, one per m: every draw is taken
-    first as accepted, and the first one rejected is drawn again by
-    random_standard_subspace from the generator state before it, which
-    repeats the rejected generators and draws on until one is accepted;
-    the draws after it are then taken afresh."""
-    draws = []
-    while len(draws) < n:
-        start, states = len(draws), []
-        for _ in range(start, n):
+    (m, rng, angle_floor) and x, y = normal(2m) twice, and their subspaces,
+    one StandardSubspace stack per m.  The draws are first all taken as
+    accepted; if a stack rejects one, or its spans differ in dimension, the
+    generator goes back to its state before the first draw and the loop
+    draws all n."""
+    def draw(generators):
+        draws = []
+        for _ in range(n):
             m = int(rng.integers(1, 9))
-            states.append(rng.bit_generator.state)
-            gens = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-            draws.append((m, gens, rng.normal(size=2 * m), rng.normal(size=2 * m)))
-        ms = np.array([d[0] for d in draws[start:]])
-        ok = np.empty(ms.size, dtype=bool)
-        for m in set(ms.tolist()):
-            (at,) = np.nonzero(ms == m)
-            ok[at] = md._standard_draws(m, np.stack([draws[start + i][1] for i in at]),
-                                        angle_floor)
-        if ok.all():
-            break
-        j = int(np.argmin(ok))
-        m = draws[start + j][0]
-        del draws[start + j:]
-        rng.bit_generator.state = states[j]
-        gens = md.random_standard_subspace(m, rng, angle_floor).generators
-        draws.append((m, gens, rng.normal(size=2 * m), rng.normal(size=2 * m)))
-    return draws
+            draws.append((m, generators(m), rng.normal(size=2 * m), rng.normal(size=2 * m)))
+        return draws
+
+    def stacks(draws):
+        return {m: md.StandardSubspace(m, np.stack([d[1] for d in draws if d[0] == m]))
+                for m in sorted({d[0] for d in draws})}
+
+    state = rng.bit_generator.state
+    draws = draw(lambda m: rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    try:
+        subspaces = stacks(draws)
+        accepted = all(np.all(K.standardness(angle_floor).standard) for K in subspaces.values())
+    except ValueError:      # the spans of a stack differ in dimension
+        accepted = False
+    if accepted:
+        return draws, subspaces
+    rng.bit_generator.state = state
+    draws = draw(lambda m: md.random_standard_subspace(m, rng, angle_floor).generators)
+    return draws, stacks(draws)
 
 
 _DENSE_ENTRIES = ("S", "delta", "J", "delta_sqrt", *md._flow_entries((0.4, 0.9, 1.3)))
 _FLOW_ENTRIES = md._flow_entries((0.3, 1.0, 2.7))
 
 
-def _modular_stack_checks(m: int, stack: list) -> dict:
+def _modular_stack_checks(K: md.StandardSubspace, stack: list) -> dict:
     """The modular suite's check values, each the worst over the draws
-    (m, generators, x, y) of one dimension m, factored as one stack.  The
+    (m, generators, x, y) of one dimension m, factored as their stack K.  The
     stack makes two frame products, one dense call for S, Delta, J,
     Delta^{1/2} and the cocycle's flows and one on the bases for the flow
     check's times, and applies S to the stacked generators once."""
@@ -344,7 +342,7 @@ def _modular_stack_checks(m: int, stack: list) -> dict:
     def amax(a):
         return np.max(np.abs(a), axis=(-2, -1))
 
-    K = md.StandardSubspace(m, np.stack([d[1] for d in stack]))
+    m = K.ambient_dim
     dat = md.tomita_operators(K)
     S, D, J, sq, *cocycle = md._split(md.dense(
         lambda cols: dat.apply_planes(_DENSE_ENTRIES, cols), 2 * m), len(_DENSE_ENTRIES))
@@ -386,9 +384,9 @@ def run_modular_suite(config: SuiteConfig) -> list:
     rng = _suite_rng(config, "modular")
     checks = []
     tol = config.tol("modular_residual")
-    draws = _modular_draws(rng, 100)
-    stacks = [_modular_stack_checks(m, [d for d in draws if d[0] == m])
-              for m in sorted({d[0] for d in draws})]
+    draws, subspaces = _modular_draws(rng, 100)
+    stacks = [_modular_stack_checks(K, [d for d in draws if d[0] == m])
+              for m, K in subspaces.items()]
     worst = {name: max(values[name] for values in stacks) for name in stacks[0]}
     _check(checks, "tomita-involutions", "tomita-involutions", worst["involution"], tol)
     _check(checks, "modular-conjugation-inverts", "modular-conjugation-inverts",
@@ -447,36 +445,8 @@ def run_pct_suite(config: SuiteConfig) -> list:
     angles.append(ch._pct_defect(model, interval, probe, dat))
     _ladder(checks, "pct-angle", config.sizes, angles)
     _check(checks, "pct-conjugation-involution", "pct-conjugation-involution",
-           _involution_bound(dat), config.tol("modular_residual"))
+           ch._involution_bound(dat), config.tol("modular_residual"))
     return checks
-
-
-def _involution_bound(dat: ch._ArcRecord) -> float:
-    """Upper bound on ||J^2 - 1||_2, hence on max |J J - 1|, read off the
-    lattice record of interval_tomita (chiral._ArcRecord) without forming
-    J or its frame.
-
-    J = F B F^T with B the plane blocks B_k = [[s, -c], [-c, -s]], so
-    B_k^2 = (s^2 + c^2) I, and F = P^T G the frame: G = blockdiag(A, A R)
-    up to the order of its columns, with A the factor and R the blocks
-    [[c, s], [s, -c]] (R_k^2 = (s^2 + c^2) I too), and P the mirror phases
-    as a real 2m x 2m map, P P^T = diag(|phase_k|^2).  With
-    a = ||A^T A - 1||_F, b = max_k |s_k^2 + c_k^2 - 1| and
-    p = max_k ||phase_k|^2 - 1|:
-    - G^T G - 1 = blockdiag(A^T A - 1, R (A^T A - 1) R + R^2 - 1) has norm
-      at most g = (1 + b) a + b;
-    - F^T F - 1 = G^T (P P^T - 1) G + G^T G - 1 has norm at most
-      e = g + (1 + g) p;
-    - J^2 - 1 = (F F^T - 1) + F (B^2 - 1) F^T + F B (F^T F - 1) B F^T,
-      so ||J^2 - 1||_2 <= e + (1 + e)(b + (1 + b) e)."""
-    gram = dat.factor.T @ dat.factor
-    gram[np.diag_indices_from(gram)] -= 1.0
-    a = float(np.linalg.norm(gram))
-    b = float(np.max(np.abs(dat.sines ** 2 + dat.sigmas ** 2 - 1.0)))
-    p = float(np.max(np.abs(np.abs(dat.phases) ** 2 - 1.0)))
-    g = (1.0 + b) * a + b
-    e = g + (1.0 + g) * p
-    return e + (1.0 + e) * (b + (1.0 + b) * e)
 
 
 SUITE_RUNNERS = {

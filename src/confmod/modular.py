@@ -517,17 +517,7 @@ def random_standard_subspace(m: int, rng: np.random.Generator,
     """Random standard subspace: m generators with independent standard
     normal real and imaginary parts, resampled until comfortably standard."""
     for _ in range(256):
-        gens = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        if _standard_draws(m, gens, angle_floor):
-            return StandardSubspace(m, gens)
+        K = StandardSubspace(m, rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        if K.standardness(angle_floor).standard:
+            return K
     raise RuntimeError("failed to draw a standard subspace")
-
-
-def _standard_draws(m: int, gens: np.ndarray, angle_floor: float):
-    """The acceptance test of random_standard_subspace on a (..., m, m)
-    stack of generator sets: whether each spans a standard subspace, as
-    StandardSubspace(m, gens).standardness(angle_floor).standard, with the
-    rank of each set taken on its own."""
-    u, ranks = _span(_realify(_tr(gens)))
-    return StandardnessReport(m, ranks, subspace_angles(u, _times_i(u)),
-                              angle_floor).standard

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,23 @@ def test_point_flow_fixes_endpoints():
     for t in (-1.0, 0.2, 3.0):
         assert ch.mobius_point_flow(I, t, I.a) == pytest.approx(I.a % (2 * np.pi))
         assert ch.mobius_point_flow(I, t, I.b) == pytest.approx(I.b % (2 * np.pi))
+
+
+def test_point_flow_needs_a_normal_scale():
+    # the endpoints stay put while e^{-2 pi t} is a normal float, from
+    # about 1e308 at t = -112.9 to 3e-308 at t = 112.7; beyond, it
+    # overflows or goes subnormal and the endpoints would move, so the flow
+    # raises, without a RuntimeWarning
+    for I in (ch.half_circle(), ch.CircleInterval(0.5, 2.0), ch.CircleInterval(5.9, 1.3)):
+        for t in (-112.9, 112.7):
+            for end in (I.a, I.b):
+                turn = np.exp(1j * ch.mobius_point_flow(I, t, end)) / np.exp(1j * end)
+                assert abs(np.angle(turn)) <= 4 * np.finfo(float).eps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (-113.0, 118.0, 120.0, np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="not a normal float"):
+                    ch.mobius_point_flow(I, t, I.b)
 
 
 def test_point_flow_group_law():
@@ -643,11 +661,10 @@ def test_duality_parity_pairing_with_reduced_phases(monkeypatch):
     # agree to rounding.
     def reduced(model, sites):
         k = np.arange(1, model.m + 1)
-        z = np.sqrt(2.0 * k)[:, None] * np.exp(
+        return np.sqrt(2.0 * k)[:, None] * np.exp(
             2j * np.pi * (np.outer(k, sites) % model.L) / model.L) / model.L
-        return np.vstack([z.real, z.imag])
 
-    monkeypatch.setattr(ch, "_encoded_sites", reduced)
+    monkeypatch.setattr(ch, "_site_coords", reduced)
     parity, full = _parity_and_full_pairing(ch.build_model(1024), ch.half_circle())
     assert np.max(np.abs(parity - full)) < 1e-14
 
@@ -729,14 +746,14 @@ def test_involution_bound_covers_dense_residual(L):
     # the plane-wise bound on ||J^2 - 1||_2 is at least the dense
     # max |J J - 1| it replaced, and far below the check's 1e-6
     dat = ch.interval_tomita(ch.build_model(L), ch.half_circle())
-    assert dr.involution_residual(dat) <= cli._involution_bound(dat) < 1e-12
+    assert dr.involution_residual(dat) <= ch._involution_bound(dat) < 1e-12
 
 
 @pytest.mark.parametrize("corrupt", ("factor column", "plane"))
 def test_involution_check_fails_on_corrupted_planes(monkeypatch, corrupt):
     # scaling one column of the record's factor, or one plane's sine and
     # cosine, by 1 + 1e-5 breaks J^2 = 1 by about 2e-5: the dense residual
-    # sees it, and the pct suite's check fails
+    # sees it, the bound covers it, and the pct suite's check fails
     def corrupted(model, interval, _fn=ch.interval_tomita):
         dat = _fn(model, interval)
         if corrupt == "factor column":
@@ -749,7 +766,8 @@ def test_involution_check_fails_on_corrupted_planes(monkeypatch, corrupt):
         sigmas[k] *= 1.0 + 1e-5
         return dataclasses.replace(dat, sines=sines, sigmas=sigmas)
 
-    assert dr.involution_residual(corrupted(ch.build_model(64), ch.half_circle())) > 1e-6
+    dat = corrupted(ch.build_model(64), ch.half_circle())
+    assert ch._involution_bound(dat) >= dr.involution_residual(dat) > 1e-6
     monkeypatch.setattr(ch, "interval_tomita", corrupted)
     checks = cli.run_pct_suite(cli.SuiteConfig(sizes=(32, 64)))
     (record,) = [c for c in checks if c["name"] == "pct-conjugation-involution"]

@@ -208,35 +208,100 @@ def _reference_draws(seed, n, angle_floor):
     return draws, rng
 
 
+def _assert_draws_equal_loop(rng, n, angle_floor, ref, ref_rng):
+    """_modular_draws equals the loop bit for bit, draws and final
+    generator state, and hands on each m's draws as one subspace stack."""
+    draws, stacks = cli._modular_draws(rng, n, angle_floor)
+    assert len(draws) == n
+    for a, b in zip(draws, ref):
+        assert a[0] == b[0]
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a[1:], b[1:]))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert list(stacks) == sorted({d[0] for d in draws})
+    for m, K in stacks.items():
+        gens = np.stack([d[1] for d in draws if d[0] == m])
+        assert K.generators.tobytes() == gens.tobytes()
+        assert K.basis.tobytes() == md.StandardSubspace(m, gens).basis.tobytes()
+
+
+def _spy_on_draws(monkeypatch):
+    """Lists that record the standardness verdict of every subspace tested
+    alone, the stack shape of every stack tested, and the m of every
+    random_standard_subspace call."""
+    verdicts, stacks, loops = [], [], []
+
+    def tested(self, angle_floor=md.DEFAULT_ANGLE_FLOOR, _fn=md.StandardSubspace.standardness):
+        report = _fn(self, angle_floor)
+        if self.stack_shape:
+            stacks.append(self.stack_shape)
+        else:
+            verdicts.append(bool(report.standard))
+        return report
+
+    def loop(m, *args, _fn=md.random_standard_subspace):
+        loops.append(m)
+        return _fn(m, *args)
+
+    monkeypatch.setattr(md.StandardSubspace, "standardness", tested)
+    monkeypatch.setattr(md, "random_standard_subspace", loop)
+    return verdicts, stacks, loops
+
+
 def test_stacked_draws_replay_random_standard_subspace(monkeypatch):
-    # at a floor of 0.2 rad about one draw in six is rejected; each
-    # rejection is replayed from the generator state before it, so the
-    # stacked draws and the rest of the stream equal the one-at-a-time loop
+    # at a floor of 0.2 rad about one draw in six is rejected; a rejection
+    # sends the stacked draws back to the generator state before the first
+    # draw, and the loop draws them all, so the stream equals the loop's
     floor = 0.2
-    tested = []
-
-    def counted(m, gens, angle_floor, _fn=md._standard_draws):
-        ok = _fn(m, gens, angle_floor)
-        if np.ndim(ok) == 0:
-            tested.append(bool(ok))
-        return ok
-
-    monkeypatch.setattr(md, "_standard_draws", counted)
+    verdicts, _, loops = _spy_on_draws(monkeypatch)
     for seed in (3, 4):
-        tested.clear()
+        verdicts.clear()
         ref, ref_rng = _reference_draws(seed, 60, floor)
-        assert tested.count(False) >= 5
-        rng = np.random.default_rng(seed)
-        draws = cli._modular_draws(rng, 60, floor)
-        assert len(draws) == 60
-        for a, b in zip(draws, ref):
-            assert a[0] == b[0]
-            assert all(x.tobytes() == y.tobytes() for x, y in zip(a[1:], b[1:]))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-    # at the suite's floor the stacked draws equal the loop as well
-    draws = cli._modular_draws(np.random.default_rng(5), 100)
-    ref, _ = _reference_draws(5, 100, md.DEFAULT_ANGLE_FLOOR)
-    assert all(a[1].tobytes() == b[1].tobytes() for a, b in zip(draws, ref))
+        assert verdicts.count(False) >= 5
+        loops.clear()
+        _assert_draws_equal_loop(np.random.default_rng(seed), 60, floor, ref, ref_rng)
+        assert len(loops) == 60
+    # at the suite's floor every stack is accepted as drawn: no loop runs
+    for seed in (5, 6, 7):
+        ref, ref_rng = _reference_draws(seed, 100, md.DEFAULT_ANGLE_FLOOR)
+        loops.clear()
+        _assert_draws_equal_loop(np.random.default_rng(seed), 100, md.DEFAULT_ANGLE_FLOOR,
+                                 ref, ref_rng)
+        assert loops == []
+
+
+class _RepeatedRowRng:
+    """A generator whose first draw of m >= 2 generators repeats its first
+    row, so that the draw spans a real subspace of dimension m - 1; the
+    rest of the stream, and every draw after a rewind, is the seed's own."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
+        self.parts, self.m = 2, None
+
+    def integers(self, *args):
+        return self._rng.integers(*args)
+
+    def normal(self, size):
+        x = self._rng.normal(size=size)
+        if np.ndim(x) == 2 and len(x) >= 2 and self.parts:
+            x[1] = x[0]
+            self.parts -= 1
+            self.m = len(x)
+        return x
+
+
+def test_draws_with_a_lower_dimensional_span_replay_the_loop(monkeypatch):
+    # the repeated row's stack holds spans of two dimensions, so
+    # StandardSubspace raises before any stack is tested, and the loop
+    # draws all n afresh
+    _, stacks, loops = _spy_on_draws(monkeypatch)
+    ref, ref_rng = _reference_draws(8, 40, md.DEFAULT_ANGLE_FLOOR)
+    rng = _RepeatedRowRng(8)
+    loops.clear()
+    _assert_draws_equal_loop(rng, 40, md.DEFAULT_ANGLE_FLOOR, ref, ref_rng)
+    assert [d[0] for d in ref].count(rng.m) >= 2
+    assert len(loops) == 40 and stacks == []
 
 
 def test_modular_suite_passes_at_ill_conditioned_seed():

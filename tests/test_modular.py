@@ -635,7 +635,11 @@ def test_stacked_standardness_is_per_subspace():
     report = md.StandardSubspace(3, gens).standardness()
     assert report.standard.tolist() == [True, False, True]
     assert report.min_angle.shape == (3,) and report.min_angle[1] < 1e-8
-    assert md._standard_draws(3, gens, md.DEFAULT_ANGLE_FLOOR).tolist() == [True, False, True]
+    # each member's verdict and angles are those of its one-subspace call,
+    # so a stack accepts exactly the draws random_standard_subspace accepts
+    for g, angles, standard in zip(gens, report.angles, report.standard):
+        one = md.StandardSubspace(3, g).standardness()
+        assert angles.tobytes() == one.angles.tobytes() and standard == one.standard
     # the error names the first failing subspace and carries its own report
     with pytest.raises(md.StandardnessError, match=r"subspace \(1,\) of the stack") as err:
         md.tomita_operators(md.StandardSubspace(3, gens))
@@ -650,4 +654,6 @@ def test_stack_of_different_dimensions_raises():
     gens[1, 1, 0] = 2.0          # parallel to the first: real dimension 1
     with pytest.raises(ValueError, match="one real dimension"):
         md.StandardSubspace(2, gens)
-    assert md._standard_draws(2, gens, md.DEFAULT_ANGLE_FLOOR).tolist() == [True, False]
+    # alone, the first is standard and the second fails the dimension test
+    reports = [md.StandardSubspace(2, g).standardness() for g in gens]
+    assert [(r.real_dim, r.standard) for r in reports] == [(2, True), (1, False)]
