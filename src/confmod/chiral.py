@@ -130,10 +130,17 @@ def _site_coords(model: LatticeModel, sites: np.ndarray) -> np.ndarray:
 
     z_k = sqrt(2k) c_{-k},  c_{-k}(u) = (1/L) sum_j u_j e^{+2 pi i k j / L};
     the negative-mode coefficients are the complex-linear ones for the
-    -i sign(n) complex structure."""
+    -i sign(n) complex structure.  The phase table is the cosine and sine
+    of the real argument 2 pi k j / L, which give the bits of np.exp of i
+    times it at less cost (test_site_columns_match_dense_encoding_bytes
+    compares them with the np.exp table)."""
     L = model.L
     k = np.arange(1, model.m + 1)
-    z = np.sqrt(2.0 * k)[:, None] * np.exp(2j * np.pi * np.outer(k, sites) / L)
+    arg = 2 * np.pi * np.outer(k, sites) / L
+    z = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=z.real)
+    np.sin(arg, out=z.imag)
+    z *= np.sqrt(2.0 * k)[:, None]
     z /= L
     return z
 
@@ -203,12 +210,6 @@ def _checked_sites(model: LatticeModel, interval: CircleInterval) -> np.ndarray:
     return sites
 
 
-def _site_columns(model: LatticeModel, interval: CircleInterval) -> np.ndarray:
-    """Encoded indicators of the sites inside the interval, 2m x n; raises
-    when the interval or its complement holds no site."""
-    return _encoded_sites(model, _checked_sites(model, interval))
-
-
 def interval_subspace(model: LatticeModel, interval: CircleInterval) -> md.StandardSubspace:
     """Real span of the retained-mode site indicators inside the interval."""
     # No lattice check reads this span's thin-SVD basis: interval_tomita and
@@ -227,9 +228,9 @@ def _mirror_phases(model: LatticeModel, c: int) -> np.ndarray:
     return np.array([1.0, -1j, -1.0, 1j])[turns] * np.exp(-1j * np.pi * rest / L)
 
 
-def _parity_bases(model: LatticeModel, interval: CircleInterval) -> tuple:
-    """(c, basis of K+, basis of K-): the arc's mirror reflection and
-    orthonormal bases of the two parity blocks of K(interval) under it.
+def _parity_blocks(model: LatticeModel, interval: CircleInterval) -> tuple:
+    """(c, Re block, Im block): the arc's mirror reflection and the two
+    parity blocks of K(interval) under it, which span K+ and K-.
 
     Take the sites in arc order, (theta_j - a) mod 2 pi ascending, so that
     an arc across theta = 0 pairs its ends.  The reflection j -> c - j,
@@ -240,45 +241,130 @@ def _parity_bases(model: LatticeModel, interval: CircleInterval) -> tuple:
     conjugation and sends the site w_j to w_{c-j} = conj(w_j).  So K(I)
     splits into K+, spanned in the Re rows by Re w of the first ceil(n/2)
     sites, and K-, spanned in the Im rows by Im w of the first floor(n/2):
-    two m-row blocks, each given its basis by a reduced QR with no rank
-    decision.  An arc with n <= 2m = L - 2 sites has n independent site
-    columns: the retained projection kills only the constant and (-1)^j,
-    and a combination a + b (-1)^j that vanishes on the arc vanishes on
-    its complement too, whose >= 2 contiguous sites hold both parities, so
-    a = b = 0.  So each block has full column rank.  For n = L - 1 the +
-    block is m x (m + 1), its basis spans R^m, and the symplectic
-    complement of K(interval) is zero."""
+    two m-row blocks, views of one complex array.  An arc with
+    n <= 2m = L - 2 sites has n independent site columns: the retained
+    projection kills only the constant and (-1)^j, and a combination
+    a + b (-1)^j that vanishes on the arc vanishes on its complement too,
+    whose >= 2 contiguous sites hold both parities, so a = b = 0.  So each
+    block has full column rank, and its QR needs no rank decision.  For
+    n = L - 1 the Re block is m x (m + 1), it spans R^m, and the
+    symplectic complement of K(interval) is zero."""
     sites = _checked_sites(model, interval)
     sites = sites[np.argsort((model.thetas[sites] - interval.a) % (2.0 * np.pi), kind="stable")]
     n = sites.size
     c = int(sites[0] + sites[-1]) % model.L
     # phases first: with its operands swapped the complex product rounds
     # differently, and the recorded lattice values would move
-    w = _mirror_phases(model, c)[:, None] * _site_coords(model, sites[:(n + 1) // 2])
-    return c, np.linalg.qr(w.real)[0], np.linalg.qr(w.imag[:, :n // 2])[0]
+    w = _site_coords(model, sites[:(n + 1) // 2])
+    np.multiply(_mirror_phases(model, c)[:, None], w, out=w)
+    return c, w.real, w.imag[:, :n // 2]
+
+
+def _parity_bases(model: LatticeModel, interval: CircleInterval) -> tuple:
+    """(c, basis of K+, basis of K-): the arc's mirror reflection and
+    orthonormal bases of its two parity blocks (_parity_blocks), each from
+    a reduced QR."""
+    c, re, im = _parity_blocks(model, interval)
+    return c, np.linalg.qr(re)[0], np.linalg.qr(im)[0]
+
+
+def _pairing_maps(model: LatticeModel, interval: CircleInterval,
+                  other: CircleInterval) -> tuple:
+    """(M, M^T, (d1, d2)): the pairing M = B_in^T (i B_out), up to the sign
+    of its first block row, as maps of column blocks, and its shape, for
+    the parity bases (_parity_bases) of interval, B_in, and of other,
+    B_out: blocks P, N and P', N', m rows each, half the rows and about
+    half the columns of the site columns.  Its singular values are the
+    cosines of the principal angles between K(interval) and iK(other),
+    whichever orthonormal bases span the two (Bjorck-Golub 1973): the
+    change to w-coordinates is unitary and commutes with i.
+
+    Other's blocks are moved to interval's coordinates by the relative
+    phases u = C + iS, u_k = e^{-i pi k (c_in - c_out) / L}, where B_out
+    reads [[C P', -S N'], [S P', C N']], so
+    M = [[P^T S P', P^T C N'], [N^T C P', -N^T S N']], and M^T has the same
+    form with the two arcs' blocks swapped.  Each map costs four products
+    with the blocks.  When the two arcs have the same reflection, as an arc
+    and its complement do unless exactly one endpoint sits on a site,
+    u = 1: multiplication by i swaps the blocks, and the diagonal blocks
+    of the pairing are zero."""
+    c, plus, minus = _parity_bases(model, interval)
+    c_out, plus_out, minus_out = _parity_bases(model, other)
+    u = _mirror_phases(model, c - c_out)[:, None]
+
+    def pair(rows, cols, x):
+        a, b = cols[0] @ x[:cols[0].shape[1]], cols[1] @ x[cols[0].shape[1]:]
+        return np.concatenate([rows[0].T @ (u.imag * a + u.real * b),
+                               rows[1].T @ (u.real * a - u.imag * b)])
+
+    ins, outs = (plus, minus), (plus_out, minus_out)
+    return (lambda x: pair(ins, outs, x), lambda y: pair(outs, ins, y),
+            (plus.shape[1] + minus.shape[1], plus_out.shape[1] + minus_out.shape[1]))
 
 
 def _parity_pairing(model: LatticeModel, interval: CircleInterval,
                     other: CircleInterval) -> np.ndarray:
-    """B_in^T (i B_out), up to the sign of its first block row, for the
-    parity bases (_parity_bases) of interval, B_in, and of other, B_out:
-    blocks P, N and P', N', m rows each, half the rows and about half the
-    columns of the site columns.  Its singular values are the cosines of
-    the principal angles between K(interval) and iK(other), whichever
-    orthonormal bases span the two (Bjorck-Golub 1973): the change to
-    w-coordinates is unitary and commutes with i.
+    """The pairing of _pairing_maps as a dense d1 x d2 matrix, for
+    symplectic_locality and the tests' references."""
+    apply, _, (_, d2) = _pairing_maps(model, interval, other)
+    return md.dense(apply, d2)
 
-    Other's blocks are moved to interval's coordinates by the relative
-    phases u = C + iS, u_k = e^{-i pi k (c_in - c_out) / L}, where B_out
-    reads [[C P', -S N'], [S P', C N']].  When the two arcs have the same
-    reflection, as an arc and its complement do unless exactly one
-    endpoint sits on a site, u = 1: multiplication by i swaps the blocks,
-    and the diagonal blocks of the pairing are zero."""
-    c, plus, minus = _parity_bases(model, interval)
-    c_out, plus_out, minus_out = _parity_bases(model, other)
-    u = _mirror_phases(model, c - c_out)[:, None]
-    return np.block([[plus.T @ (u.imag * plus_out), plus.T @ (u.real * minus_out)],
-                     [minus.T @ (u.real * plus_out), -(minus.T @ (u.imag * minus_out))]])
+
+def _top_singular_values(apply, apply_t, shape: tuple, r: int) -> np.ndarray:
+    """The r largest singular values, descending, of a d1 x d2 matrix M
+    given as the maps M and M^T of column blocks; fewer when the Krylov
+    space is exhausted first, the missing ones being zero (as
+    modular._complement_angle reads them).
+
+    One block Krylov solve: block Golub-Kahan-Lanczos (Golub-Kahan 1965),
+    run as block Lanczos on the Gram matrix of the smaller side, M^T M for
+    d2 <= d1, with blocks of r + 5 columns, which on the lattice's
+    pairings converge after three or four blocks.
+    - The start block is the closed form cos(i j), i = 0..d2-1,
+      j = 1..r+5: dense and aperiodic columns, which meet the top singular
+      vectors of every pairing tested, and no random numbers drawn.  A
+      start of unit vectors misses them on some lattice pairings, and the
+      solve then converges to smaller values.
+    - Each next block, M^T M times the last, is projected off the basis,
+      orthonormalized by its SVD with the directions below 1e-12 of its
+      norm deflated, projected off the basis once more and orthonormalized
+      again (full reorthogonalization: a direction that cancelled in the
+      first projection comes back unit length with the rounding of the
+      cancellation, which the second removes).
+    - The Ritz values are the singular values of M Q for the basis Q, and
+      a Ritz triple (s, x = Q w, y = M x / s) has the residual
+      |M^T y - s x| = |M^T M x - s^2 x| / s, read from the kept product
+      M^T M Q; it bounds the distance from s to a singular value of M.  The
+      solve stops when that is at most 1e-12 for each of the top r, from
+      the second block on, or when a whole block deflates: the basis then
+      spans an invariant subspace, whose Ritz values are singular values.
+    Where the wanted values are separated from the rest, as on the
+    lattice, the Ritz values' error is about the square of the residual,
+    and the solve agrees with a full SVD to rounding."""
+    tol = 1e-12
+    d1, d2 = shape
+    if d1 < d2:
+        apply, apply_t, d1, d2 = apply_t, apply, d2, d1
+    basis, images, grams = np.empty((d2, 0)), np.empty((d1, 0)), np.empty((d2, 0))
+    block = np.cos(np.outer(np.arange(d2), np.arange(1, min(r + 5, d2) + 1)))
+    while True:
+        scale = np.linalg.norm(block)
+        u, s, _ = np.linalg.svd(block - basis @ (basis.T @ block), full_matrices=False)
+        v = u[:, s > tol * scale]
+        if not v.shape[1]:
+            return np.linalg.svd(images, compute_uv=False)[:r]
+        v = np.linalg.svd(v - basis @ (basis.T @ v), full_matrices=False)[0]
+        w = apply(v)
+        block = apply_t(w)
+        basis, images, grams = (np.hstack([basis, v]), np.hstack([images, w]),
+                                np.hstack([grams, block]))
+        if basis.shape[1] == v.shape[1]:   # the start block alone
+            continue
+        _, sig, wt = np.linalg.svd(images, full_matrices=False)
+        x = wt[:r].T
+        resid = np.linalg.norm(grams @ x - (basis @ x) * sig[:r] ** 2, axis=0)
+        if np.all(resid <= tol * sig[:r]):
+            return sig[:r]
 
 
 @dataclass(frozen=True)
@@ -368,64 +454,62 @@ def interval_tomita(model: LatticeModel, interval: CircleInterval) -> _ArcRecord
     with the report of interval_subspace, unless dim K(interval) = m, that
     is, unless the arc holds m sites.
 
-    The planes are read off the parity bases (_parity_bases), P of K+ in
-    the Re rows and N of K- in the Im rows of w-coordinates.  i maps the
-    Re rows onto the Im rows, so the Re rows hold K+ against iK- and the
-    Im rows K- against iK+: both times the pair range P, range N.
-    - Re rows.  X = P^T N holds the cosines.  The residual R = N - P X,
-      projected off P once more, has the sines as singular values and the
-      frame partners u as left singular vectors (Bjorck-Golub 1973,
-      Knyazev-Argentati 2002).  A right singular vector v gives the K
-      vector b = P X v / |X v| and the angle arctan2(sine, |X v|).
-    - The right angle.  m is odd and P has one column more than N, so
-      b0 = P y0, y0 orthogonal to range X, is orthogonal to iK-: the plane
-      (b0, i b0) has cosine 0 and sine 1.
-    - Completion.  One complete QR, m x m, orthonormalizes b0 and the
-      healthy pairs (b, u) (sine above modular._DEGENERATE_SINE) in order,
-      then the b of the degenerate planes; its trailing columns become
-      their partners.  As QR works left to right, rounding in the
-      degenerate tail cannot leak into the healthy planes.
+    The planes are read off the two parity blocks (_parity_blocks), which
+    span K+ in the Re rows and K- in the Im rows of w-coordinates.  i maps
+    the Re rows onto the Im rows, so the Re rows hold K+ against iK- and
+    the Im rows K- against iK+: both times the pair range P, range N for
+    orthonormal bases P of K+ and N of K-.
+    - Re rows.  One complete QR of the Re block gives [P | P_perp], m x m;
+      m is odd, P has p = (m + 1) / 2 columns and P_perp q = p - 1.  One
+      reduced QR of [P | P_perp]^T (Im block) gives N's coordinates
+      [x; y], N = P x + P_perp y, with no N formed.  The sines are the
+      singular values of y, q x q, as P_perp y is the part of N off P; for
+      y = U S V^T each right vector v gives the partner u = P_perp U_v,
+      the K vector b = P x v / |x v| and the angle arctan2(sine, |x v|)
+      (Bjorck-Golub 1973, Knyazev-Argentati 2002).  The partners of the
+      degenerate planes (sine at or below modular._DEGENERATE_SINE) are
+      the rest of P_perp U, so every plane is whole without a completion.
+    - The right angle.  The columns x V / |x v| span q dimensions of R^p;
+      the one left, y0, gives b0 = P y0, orthogonal to iK-: the plane
+      (b0, i b0) has cosine 0 and sine 1.  The complete p x p QR of
+      x V / |x v| orthonormalizes the b's and gives y0 as its last column.
     - Im rows.  With the clamped angle's cosine c and sine s, the plane
       (b, u) reappears as (c b + s u, s b - c u): its K- vector is N v up
       to the clamp, and its iK vector is i b.  No second factorization.
-    The record (_ArcRecord) keeps the QR's orthogonal factor, its columns
-    reordered b0, b_1, u_1, b_2, u_2, ..., the clamped angles' cosines and
-    sines, and the mirror phases that take the frame back to
-    z-coordinates; on the half circle those are powers of i, an exact
-    signed permutation.  Every factorization has m rows or fewer, and
-    nothing 2m x 2m is formed: the record is one m x m matrix.  Its planes
-    come in descending angle, so those of the resolvable window lead.
-    Since the clamped angles enter both blocks, the record is the exact
-    Tomita data of the span of its K vectors: i times a K vector lies in
-    the span of the iK vectors.  That span leaves K(interval) only in the
-    clipped planes' Im rows, by angles below twice the clip angle."""
-    c, plus, minus = _parity_bases(model, interval)
-    m, q = model.m, minus.shape[1]
-    if plus.shape[1] + q != m:
+    The record (_ArcRecord) keeps the orthogonal factor with columns
+    b0, b_1, u_1, b_2, u_2, ..., the clamped angles' cosines and sines,
+    and the mirror phases that take the frame back to z-coordinates; on
+    the half circle those are powers of i, an exact signed permutation.
+    Every factorization has m rows or fewer, and nothing 2m x 2m is
+    formed: the record is one m x m matrix.  Its planes come in descending
+    angle, so those of the resolvable window lead.  Since the clamped
+    angles enter both blocks, the record is the exact Tomita data of the
+    span of its K vectors: i times a K vector lies in the span of the iK
+    vectors.  That span leaves K(interval) only in the clipped planes' Im
+    rows, by angles below twice the clip angle."""
+    c, re, im = _parity_blocks(model, interval)
+    m, p, q = model.m, re.shape[1], im.shape[1]
+    if p + q != m:
         raise md.StandardnessError("subspace is not standard",
                                    interval_subspace(model, interval).standardness())
-    x = plus.T @ minus
-    resid = minus - plus @ x
-    resid -= plus @ (plus.T @ resid)
-    u, sines, vt = np.linalg.svd(resid, full_matrices=False)
-    xv = x @ vt.T
+    full = np.linalg.qr(re, mode="complete")[0]
+    coords = full.T @ im
+    del re, im
+    coords = np.linalg.qr(coords)[0]
+    u, sines, vt = np.linalg.svd(coords[p:])
+    xv = coords[:p] @ vt.T
+    del coords, vt
     cosines = np.linalg.norm(xv, axis=0)
     theta = np.maximum(np.arctan2(sines, cosines), LATTICE_CLIP_ANGLE)
-    # the QR's columns: b0, the g healthy pairs (b, u), the degenerate b
-    g = int(np.sum(sines > md._DEGENERATE_SINE))
-    cols = np.empty((m, 1 + g + q))
-    cols[:, 0] = plus @ np.linalg.qr(x, mode="complete")[0][:, -1]
-    cols[:, 1:2 * g + 1:2] = plus @ (xv[:, :g] / cosines[:g])
-    cols[:, 2:2 * g + 1:2] = u[:, :g]
-    cols[:, 2 * g + 1:] = plus @ (xv[:, g:] / cosines[g:])
-    qf, r = np.linalg.qr(cols, mode="complete")
-    qf[:, :1 + g + q] *= np.where(np.diagonal(r) >= 0.0, 1.0, -1.0)
-    # each plane's b, then its u: a healthy pair's, or a degenerate b's
-    # and a trailing column
-    b = np.r_[1:2 * g + 1:2, 2 * g + 1:1 + g + q]
-    u = np.r_[2:2 * g + 1:2, 1 + g + q:m]
-    return _ArcRecord(m, qf[:, np.r_[0, np.stack([b, u], axis=1).ravel()]],
-                      _mirror_phases(model, c),
+    b, r = np.linalg.qr(xv / cosines, mode="complete")
+    b[:, :q] *= np.where(np.diagonal(r) >= 0.0, 1.0, -1.0)
+    del xv, r
+    # the factor's columns b0, b_1, u_1, ..., one product at a time
+    factor = np.empty((m, m))
+    factor[:, 0] = full[:, :p] @ b[:, q]
+    factor[:, 1::2] = full[:, :p] @ b[:, :q]
+    factor[:, 2::2] = full[:, p:] @ u
+    return _ArcRecord(m, factor, _mirror_phases(model, c),
                       np.concatenate([[0.0], np.repeat(np.cos(theta), 2)]),
                       np.concatenate([[1.0], np.repeat(np.sin(theta), 2)]))
 
@@ -698,21 +782,26 @@ def duality_defect(model: LatticeModel, interval: CircleInterval) -> float:
     K(I)' = (iK(I))^perp and K(I'), I' the interior of the complement.
 
     It is arcsin of the q-th smallest singular value of the pairing
-    B_in^T (i B_out) (_parity_pairing), the sines padded with zeros to
+    B_in^T (i B_out) (_pairing_maps), the sines padded with zeros to
     dim K(I'), q = min(2m - dim K(I), dim K(I')) (modular._complement_angle,
     the rule of symplectic_complement_angle), for orthonormal bases B_in of
-    K(I) and B_out of K(I').  K(I)' itself is never formed, and the one SVD
-    is that of the dim K(I) x dim K(I') pairing.  Principal angles do not
-    depend on which orthonormal basis spans each space (Bjorck-Golub
-    1973), so the angle equals the one read from any other bases.
+    K(I) and B_out of K(I').  That is the r-th largest, r = d1 + d2 - 2m + 1
+    for d1 + d2 > 2m and 1 otherwise (d1 = dim K(I), d2 = dim K(I')): 1
+    when both endpoints sit on sites, 2 when one does and 3 when neither
+    does.  One block Krylov solve (_top_singular_values) reads the top r
+    from the pairing applied as maps: K(I)' is never formed, and neither
+    is the pairing.  Principal angles do not depend on which orthonormal
+    basis spans each space (Bjorck-Golub 1973), so the angle equals the one
+    read from any other bases.
 
     On sharp site lattices this worst-case angle is dominated by the
     boundary-adjacent site pairs, whose symplectic pairing is
     scale-invariant; it does not decay with L (see the test suite for the
     measured ladder)."""
-    pairing = _parity_pairing(model, interval, interval.complement())
-    return md._complement_angle(np.linalg.svd(pairing, compute_uv=False), 2 * model.m,
-                                *pairing.shape)
+    apply, apply_t, (d1, d2) = _pairing_maps(model, interval, interval.complement())
+    r = max(d1 + d2 - 2 * model.m, 0) + 1
+    return md._complement_angle(_top_singular_values(apply, apply_t, (d1, d2), r),
+                                2 * model.m, d1, d2)
 
 
 def _reflect_encoded(model: LatticeModel, interval: CircleInterval,
@@ -733,7 +822,7 @@ def pct_geometry_defect(model: LatticeModel, interval: CircleInterval,
 
     As in bw_defect, the family is compared through its unit-normalised
     component in the resolvable modular window of the interval: on clipped
-    planes J comes from an arbitrary frame completion, so J of the raw
+    planes J comes from an arbitrary choice of partners, so J of the raw
     probe span depends on rounding (BLAS threads, kernels, generator
     order), while the windowed comparison is a function of the lattice.
 

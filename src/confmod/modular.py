@@ -22,7 +22,8 @@ lambda) G with G = [[-sigma, -s], [-s, sigma]].  All flow and conjugation
 blocks are exactly orthogonal; only S and Delta grow like 1/theta.  A plane
 with sine at or below _DEGENERATE_SINE has no accurate partner direction,
 and tomita_operators rejects it: the lattice, whose arcs have such planes,
-completes and clamps them in chiral.interval_tomita.
+takes their partners from a complete basis and clamps them in
+chiral.interval_tomita.
 
 Stacks.  A StandardSubspace built from a (..., k, m) stack of generator
 sets, tomita_operators of it and the ModularData it returns carry the
@@ -59,7 +60,8 @@ RANK_TOL = 1e-10
 # Principal planes with sine at or below this are numerically degenerate:
 # their cosines round alike, so the SVD mixes them and their residuals carry
 # no direction.  tomita_operators rejects them; the lattice's interval_tomita
-# completes their partners and clamps their angles here (LATTICE_CLIP_ANGLE).
+# takes their partners from a complete basis and clamps their angles here
+# (LATTICE_CLIP_ANGLE).
 _DEGENERATE_SINE = 1e-7
 
 

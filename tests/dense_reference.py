@@ -174,6 +174,13 @@ def mobius_flow_unitary(model, interval, t):
 
 # --- interval bases -----------------------------------------------------------------
 
+def site_columns(model, interval):
+    """Encoded indicators of the sites inside the interval, 2m x n, built
+    per site (chiral._encoded_sites); raises when the interval or its
+    complement holds no site."""
+    return ch._encoded_sites(model, ch._checked_sites(model, interval))
+
+
 def site_basis(model, interval):
     """Orthonormal basis of K(interval) in the real encoding: the reduced
     Householder QR of the encoded site indicators, with no rank decision
@@ -181,7 +188,7 @@ def site_basis(model, interval):
     n = L - 1 the reduced Q is a basis of all of R^{2m}, as the thin-SVD
     basis of interval_subspace is).  It is the reference for the parity
     bases that duality_defect and symplectic_locality read."""
-    return np.linalg.qr(ch._site_columns(model, interval))[0]
+    return np.linalg.qr(site_columns(model, interval))[0]
 
 
 def site_pairing(model, interval, other):

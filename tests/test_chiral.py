@@ -1,5 +1,10 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,7 +63,7 @@ def test_site_columns_match_dense_encoding_bytes(L):
             ch.CircleInterval(-0.5 * w, 0.5 * w), ch.CircleInterval(0.5 * w, -0.5 * w))
     assert [arc.sites(model).size for arc in arcs[-2:]] == [1, L - 1]
     for arc in arcs:
-        cols = ch._site_columns(model, arc)
+        cols = dr.site_columns(model, arc)
         assert cols.tobytes() == dense[:, arc.sites(model)].tobytes()
 
 
@@ -90,7 +95,7 @@ def test_half_circle_frame_structure_bytes(L):
         angles = np.sort(np.arctan2(dat.sines, dat.sigmas))[::-1]
         above = ref > ch.LATTICE_CLIP_ANGLE
         assert np.max(np.abs(angles[above] - ref[above])) <= 1e-12
-        k_vecs, cols = F[:, 0::2], ch._site_columns(model, arc)
+        k_vecs, cols = F[:, 0::2], dr.site_columns(model, arc)
         off = np.linalg.norm(cols - k_vecs @ (k_vecs.T @ cols), axis=0)
         assert np.max(off / np.linalg.norm(cols, axis=0)) < 2 * ch.LATTICE_CLIP_ANGLE
         ik_vecs, i_k = dat.sigmas * F[:, 0::2] + dat.sines * F[:, 1::2], md._times_i(k_vecs)
@@ -130,6 +135,22 @@ def test_record_rebuilds_half_circle_frame_bytes(L):
     assert w.real[:, re_cols].tobytes() == re_rows.tobytes()
     assert w.imag[:, im_cols].tobytes() == im_rows.tobytes()
     assert not w.imag[:, re_cols].any() and not w.real[:, im_cols].any()
+
+
+def test_interval_tomita_traced_peak_bytes():
+    # interval_tomita frees the site table and both parity blocks once
+    # [P | P_perp]^T (Im block) is formed, and writes the factor's b and u
+    # columns one product at a time: its traced peak is 3.1 m x m float
+    # arrays at L = 1024 (97.9 MiB at L = 4096), against 5.4 (171.0 MiB)
+    # with the residual SVD and the completion QR
+    model = ch.build_model(1024)
+    tracemalloc.start()
+    try:
+        ch.interval_tomita(model, ch.half_circle())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 8 * model.m ** 2
 
 
 @pytest.mark.parametrize("b, dim", ((np.pi / 2, 31), (3 * np.pi / 2, 95)),
@@ -686,6 +707,82 @@ def test_duality_half_circle_phases_are_a_signed_permutation(L):
     assert np.array_equal(w.imag, np.where(even, sign * im, -sign * re))
 
 
+def _krylov_and_dense(apply, apply_t, shape, r, dense):
+    """The block Krylov solve's top r singular values beside the dense
+    matrix's, padded with zeros to r as duality_defect reads them."""
+    top = ch._top_singular_values(apply, apply_t, shape, r)
+    ref = np.zeros(r)
+    ref[:min(r, min(shape))] = np.linalg.svd(dense, compute_uv=False)[:r]
+    got = np.zeros(r)
+    got[:top.size] = top
+    return got, ref
+
+
+@pytest.mark.parametrize("L", (16, 32, 64, 128, 256, 512, 1024, 2048))
+def test_duality_krylov_matches_dense_svd(models, L):
+    # the block Krylov solve that duality_defect reads gives the top
+    # r = max(d1 + d2 - 2m, 0) + 1 singular values of the parity pairing
+    # (1, 2 or 3 as both, one or neither endpoint sits on a site) as the
+    # pairing's full SVD does, to 1e-13, for every arc of _site_basis_arcs
+    # and its complement up to L = 1024 and the half circle's three arcs
+    # at 2048.
+    # Off the sites d1 != d2; the half circle's top value is double; and
+    # at L = 16 the two sites of (0.3, 1.0) pair to rank 2, below r = 3,
+    # where the third value is zero
+    model = models.get(L) or ch.build_model(L)
+    arcs = _site_basis_arcs(model)
+    seen = set()
+    for arc in arcs[:3] if L == 2048 else arcs:
+        apply, apply_t, (d1, d2) = ch._pairing_maps(model, arc, arc.complement())
+        if d1 == 2 * model.m:
+            continue
+        r = max(d1 + d2 - 2 * model.m, 0) + 1
+        got, ref = _krylov_and_dense(apply, apply_t, (d1, d2), r,
+                                     ch._parity_pairing(model, arc, arc.complement()))
+        assert np.max(np.abs(got - ref)) <= 1e-13
+        seen.add((r, d1 == d2, min(d1, d2) < r))
+    assert {r for r, _, _ in seen} == ({1} if L == 2048 else {1, 2, 3})
+    assert (1, True, False) in seen and (L == 2048 or (3, False, False) in seen)
+    assert (L == 16) == ((3, False, True) in seen)
+    if L in (64, 1024):
+        top = np.linalg.svd(ch._parity_pairing(model, arcs[0], arcs[2]), compute_uv=False)
+        assert top[0] - top[1] <= 1e-14 < top[1] - top[2]
+
+
+@pytest.mark.parametrize("shape", ((40, 25), (25, 40), (30, 30)))
+def test_duality_krylov_on_repeated_values_and_low_rank(shape):
+    # pairings of rank below min(d1, d2), with a double or triple top value
+    # and with fewer nonzero values than r: the solve stops on an
+    # invariant subspace or on its residual bound and matches the full
+    # SVD to 1e-13, the missing values read as zeros
+    rng = np.random.default_rng(sum(shape))
+    d1, d2 = shape
+    for values in ([0.9, 0.9, 0.5, 0.5, 0.2], [1.0, 1.0, 1.0, 0.3], [0.7, 0.4], [0.6]):
+        u = np.linalg.qr(rng.normal(size=(d1, len(values))))[0]
+        v = np.linalg.qr(rng.normal(size=(d2, len(values))))[0]
+        pairing = (u * values) @ v.T
+        for r in (1, 2, 3):
+            got, ref = _krylov_and_dense(lambda x: pairing @ x, lambda y: pairing.T @ y,
+                                         shape, r, pairing)
+            assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+def test_duality_run_never_imports_numpy_random():
+    # the solve's start block is a closed form: a duality run draws no
+    # random numbers, and never imports numpy.random, whose import alone
+    # costs about 6 MB of resident memory
+    src = str(Path(ch.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    code = ("import sys\n"
+            "from confmod import cli\n"
+            "cli.run(cli.SuiteConfig(suite='duality', sizes=(64, 128)))\n"
+            "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                         timeout=300, check=True)
+    assert out.stdout.split() == ["False"]
+
+
 @pytest.mark.parametrize("L", (64, 128, 256, 512))
 def test_site_basis_spans_interval_subspace(models, L):
     # the Householder basis is orthonormal, one column per site, and spans
@@ -798,13 +895,15 @@ def test_pct_sign_convention(models):
 
 
 def test_lattice_values_invariant_under_generator_mixing(models, monkeypatch):
-    # the values depend on K(I) only, not on the bases of its parity blocks
-    # that interval_tomita and the parity pairing read: mixing each block's
-    # basis by a random orthogonal matrix moves the defects and the duality
-    # angle by rounding only.  The z-cocycle residuals reach the planes just
-    # above the clip, whose sines carry the sine route's relative error
-    # eps / 1e-7 = 2.2e-9; they moved by up to 1.8e-9 relative over 26
-    # mixings at L = 64 and 2.0e-10 at L = 256 (the cosine route: ~1e-3)
+    # the values depend on K(I) only, not on the spanning sets of its parity
+    # blocks that interval_tomita and the parity pairing factor: mixing each
+    # block's site columns by a random orthogonal matrix changes every basis
+    # factored from them, and moves the defects and the duality angle by
+    # rounding only (at most 2.3e-13 over 26 mixings at L = 64 and 256).
+    # The z-cocycle residuals reach the planes just above the clip, whose
+    # sines carry the sine route's relative error eps / 1e-7 = 2.2e-9; they
+    # moved by up to 1.0e-11 relative over those mixings at L = 64 and
+    # 9.0e-11 at L = 256 (the cosine route: ~1e-3)
     I = ch.half_circle()
     probe = ch.CircleInterval(np.pi + 0.7, np.pi + 1.5)
 
@@ -815,15 +914,15 @@ def test_lattice_values_invariant_under_generator_mixing(models, monkeypatch):
 
     base = {L: values(models[L]) for L in LADDER}
     rng = np.random.default_rng(11)
-    unmixed, mixings = ch._parity_bases, []
+    unmixed, mixings = ch._parity_blocks, []
 
     def mixed(model, interval):
-        c, plus, minus = unmixed(model, interval)
-        qs = [np.linalg.qr(rng.normal(size=(n, n)))[0] for n in (plus.shape[1], minus.shape[1])]
+        c, re, im = unmixed(model, interval)
+        qs = [np.linalg.qr(rng.normal(size=(n, n)))[0] for n in (re.shape[1], im.shape[1])]
         mixings.append(qs)
-        return c, plus @ qs[0], minus @ qs[1]
+        return c, re @ qs[0], im @ qs[1]
 
-    monkeypatch.setattr(ch, "_parity_bases", mixed)
+    monkeypatch.setattr(ch, "_parity_blocks", mixed)
     for L in LADDER:
         mixings.clear()
         checks, z = values(models[L])
