@@ -518,39 +518,28 @@ def test_bw_defect_matches_dense_reference(models):
         np.testing.assert_allclose(rep.z_residuals, z, rtol=0, atol=1e-12)
 
 
-def test_bw_defect_groups_its_applications(models, monkeypatch):
+def test_bw_defect_groups_its_applications(models, bw_applications):
     # one synthesis matrix per distinct set of flow sites and per outer
     # z(s), and one modular flow per time and column stage: 15 of each when
     # every application of z or of the two flows is made on its own
-    calls = {"synthesis": 0, "flow": 0}
-    synthesis, flow = ch._mode_synthesis, md._PlaneOperators.apply_flow_real
-
-    def counted_synthesis(model, angles):
-        calls["synthesis"] += 1
-        return synthesis(model, angles)
-
-    def counted_flow(self, t, cols):
-        calls["flow"] += 1
-        return flow(self, t, cols)
-
-    monkeypatch.setattr(ch, "_mode_synthesis", counted_synthesis)
-    monkeypatch.setattr(md._PlaneOperators, "apply_flow_real", counted_flow)
     ch.bw_defect(models[64], ch.half_circle(), [0.0, 0.1, 0.25])
-    assert calls == {"synthesis": 10, "flow": 8}
+    assert bw_applications == {"synthesis": 10, "flow": 8}
 
 
 @pytest.mark.parametrize("L", (256, 1024, 2048))
 def test_mode_synthesis_matches_long_double_reference(L):
-    # e^{i k phi} from the two exponential tables against k phi formed
-    # exactly in long double and reduced mod 2 pi; rounding k phi in double
-    # precision alone costs up to ~k phi eps, hence the bound 2 pi L eps
+    # e^{i k phi} from the two tables of running products against k phi
+    # formed exactly in long double and reduced mod 2 pi: the recurrence
+    # rounds one cosine and sine per angle and about 2 sqrt(m) products, and
+    # measures 0.19-0.20 L eps here; cosines and sines of the rounded k phi
+    # would reach 1.02-1.13 L eps, over the bound L eps / 2
     model = ch.build_model(L)
     phi = ch.mobius_point_flow(ch.half_circle(), -0.25, model.thetas)
     two_pi = 2 * np.arccos(np.longdouble(-1))
     phase = np.fmod(np.outer(phi.astype(np.longdouble), np.arange(1, model.m + 1)), two_pi)
     exact = np.cos(phase).astype(float) + 1j * np.sin(phase).astype(float)
     err = np.max(np.abs(dr.mode_synthesis(model, phi) - exact))
-    assert err <= 2 * np.pi * L * np.finfo(float).eps
+    assert err <= L * np.finfo(float).eps / 2
 
 
 @pytest.mark.parametrize("L", (64, 256, 1024))

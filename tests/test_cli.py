@@ -160,6 +160,22 @@ def test_ladder_suites_build_each_model_once(monkeypatch):
         assert sorted(built) == [64, 128, 256], suite
 
 
+def test_bw_suite_computes_what_its_checks_read(bw_applications):
+    # bw_defect is asked for t = 0.25 below the top size and for 0.1, 0.25
+    # at the top: every ladder value and the z-cocycle come out bit for bit
+    # as from the grid 0, 0.1, 0.25, from 17 pairs of synthesis tables and
+    # 13 modular flows instead of 30 and 24
+    sizes = (64, 128, 256)
+    checks = cli.run_bw_suite(cli.SuiteConfig(sizes=sizes))
+    assert bw_applications == {"synthesis": 17, "flow": 13}
+    expected = {}
+    for L in sizes:
+        rep = ch.bw_defect(ch.build_model(L), ch.half_circle(), [0.0, 0.1, 0.25])
+        expected[f"bw-defect-L{L}"] = float(rep.defects[-1]).hex()
+    expected["z-cocycle-group-law"] = rep.max_z_residual().hex()
+    assert {c["name"]: c["value"].hex() for c in checks if c["name"] in expected} == expected
+
+
 def test_ladder_suites_factor_each_interval_once(monkeypatch):
     # bw and pct factor the half circle once per size, in interval_tomita
     # on its parity blocks, and call no tomita_operators; duality reads its
