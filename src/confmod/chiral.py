@@ -76,14 +76,14 @@ class LatticeModel:
     only L and the site angles: nothing of size L^2.
 
     The encoding of site functions, [Re z; Im z] with z = coords(u), is
-    never stored.  The coordinates z of site indicators, from which every
+    never stored.  The coordinates of site indicators, from which every
     interval's parity bases (_parity_bases) and so its Tomita record
     (interval_tomita) are built, come per site from _site_coords, and their
-    real encodings from _encoded_sites, with the unreduced phase
-    exp(2 pi i k j / L) of the closed form: its error grows like
-    L eps (8.4e-14, 3.5e-13, 7.0e-13 relative at L = 256, 1024, 2048),
-    and it is kept on purpose, since the recorded reference values were
-    computed from it (ROADMAP item 2 will switch to reduced phases).
+    real encodings from _encoded_sites: each phase is read from one table
+    of the 2L-th roots of unity (_roots_of_unity), built per call, at its
+    index reduced exactly mod 2L.  So its error is about one ulp at every
+    L, and the table's exact symmetries make an arc turned by whole sites
+    and a complement of the arc's size give the same bits up to sign.
     Products with site functions (coords, and the encodings in
     _encoded_family and _pull_back) go through np.fft.rfft and are exact
     to FFT rounding.  coord_map_real, coord_map and coord_pinv build the
@@ -124,22 +124,44 @@ class LatticeModel:
         return float(np.linalg.norm(self.coords(u)))
 
 
-def _site_coords(model: LatticeModel, sites: np.ndarray) -> np.ndarray:
-    """Complex coordinates z of the indicators of the given sites,
-    m x len(sites), each entry the closed form evaluated at its site.
+def _roots_of_unity(L: int) -> np.ndarray:
+    """The 2L-th roots of unity t[x] = e^{i pi x / L}, x = 0..2L-1, exact
+    under the circle's symmetries.
+
+    The first octant, x < L/4, is the cosine and sine of pi x / L, and
+    e^{i pi / 4} is sqrt(1/2) (1 + i); the second octant is its conjugate
+    swap, t[L/2 - x] = i conj(t[x]), and the other three quadrants are the
+    first times i, -1 and -i.  Each is a swap or a negation of parts, so
+    t[x + L/2] == 1j * t[x] and t[x + L] == -t[x] hold bit for bit, and
+    every entry is a cosine and sine of an argument below pi / 4, within
+    about one ulp of the exact root."""
+    q, h = L // 4, L // 2
+    x = np.pi * np.arange(q) / L
+    t = np.empty(2 * L, dtype=complex)
+    t.real[:q], t.imag[:q] = np.cos(x), np.sin(x)
+    t[q] = np.sqrt(0.5) * (1.0 + 1.0j)
+    t.real[q + 1:h], t.imag[q + 1:h] = t.imag[q - 1:0:-1], t.real[q - 1:0:-1]
+    t.real[h:L], t.imag[h:L] = -t.imag[:h], t.real[:h]
+    t[L:] = -t[:L]
+    return t
+
+
+def _site_coords(model: LatticeModel, sites: np.ndarray, c: int = 0) -> np.ndarray:
+    """Coordinates of the indicators of the given sites, m x len(sites):
+    z of each site for c = 0, and w = e^{-i pi k c / L} z, the coordinates
+    of a mirror reflection j -> c - j (_parity_blocks), otherwise.
 
     z_k = sqrt(2k) c_{-k},  c_{-k}(u) = (1/L) sum_j u_j e^{+2 pi i k j / L};
     the negative-mode coefficients are the complex-linear ones for the
-    -i sign(n) complex structure.  The phase table is the cosine and sine
-    of the real argument 2 pi k j / L, which give the bits of np.exp of i
-    times it at less cost (test_site_columns_match_dense_encoding_bytes
-    compares them with the np.exp table)."""
+    -i sign(n) complex structure.  So w_k(j) = sqrt(2k) / L times the
+    2L-th root of unity at index k (2j - c) mod 2L (_roots_of_unity): the
+    phase is reduced exactly, and sites whose indices agree get the same
+    bits."""
     L = model.L
     k = np.arange(1, model.m + 1)
-    arg = 2 * np.pi * np.outer(k, sites) / L
-    z = np.empty(arg.shape, dtype=complex)
-    np.cos(arg, out=z.real)
-    np.sin(arg, out=z.imag)
+    index = np.multiply.outer(k, 2 * np.asarray(sites) - c)
+    index %= 2 * L
+    z = _roots_of_unity(L)[index]
     z *= np.sqrt(2.0 * k)[:, None]
     z /= L
     return z
@@ -220,20 +242,24 @@ def interval_subspace(model: LatticeModel, interval: CircleInterval) -> md.Stand
 
 
 def _mirror_phases(model: LatticeModel, c: int) -> np.ndarray:
-    """e^{-i pi k c / L}, k = 1..m.  k c is reduced mod 2L and split into
-    whole quarter turns, taken exactly as powers of -i, and a remainder
-    below a quarter turn; so c = L/2 gives the phases (-i)^k exactly."""
-    L = model.L
-    turns, rest = np.divmod(np.arange(1, model.m + 1) * c % (2 * L), L // 2)
-    return np.array([1.0, -1j, -1.0, 1j])[turns] * np.exp(-1j * np.pi * rest / L)
+    """e^{-i pi k c / L}, k = 1..m: the roots of unity (_roots_of_unity) at
+    index -k c mod 2L, so c = L/2 gives the phases (-i)^k exactly."""
+    return _roots_of_unity(model.L)[-np.arange(1, model.m + 1) * c % (2 * model.L)]
+
+
+def _arc_sites(model: LatticeModel, interval: CircleInterval) -> np.ndarray:
+    """The sites inside the interval (_checked_sites) in arc order,
+    (theta_j - a) mod 2 pi ascending, so that an arc across theta = 0
+    pairs its ends."""
+    sites = _checked_sites(model, interval)
+    return sites[np.argsort((model.thetas[sites] - interval.a) % (2.0 * np.pi), kind="stable")]
 
 
 def _parity_blocks(model: LatticeModel, interval: CircleInterval) -> tuple:
     """(c, Re block, Im block): the arc's mirror reflection and the two
     parity blocks of K(interval) under it, which span K+ and K-.
 
-    Take the sites in arc order, (theta_j - a) mod 2 pi ascending, so that
-    an arc across theta = 0 pairs its ends.  The reflection j -> c - j,
+    With the sites in arc order (_arc_sites), the reflection j -> c - j,
     c = (first + last) mod L, maps the arc onto itself; on C^m it is
     z_k -> e^{2 pi i k c / L} conj(z_k).  In the coordinates
     w_k = e^{-i pi k c / L} z_k (_mirror_phases; a unitary change that
@@ -241,7 +267,11 @@ def _parity_blocks(model: LatticeModel, interval: CircleInterval) -> tuple:
     conjugation and sends the site w_j to w_{c-j} = conj(w_j).  So K(I)
     splits into K+, spanned in the Re rows by Re w of the first ceil(n/2)
     sites, and K-, spanned in the Im rows by Im w of the first floor(n/2):
-    two m-row blocks, views of one complex array.  An arc with
+    two m-row blocks, views of one complex array, each entry one root of
+    unity at index k (2j - c) mod 2L (_site_coords).  An arc turned by r
+    whole sites has the reflection c' = c + 2r - eps L, eps in {0, 1, 2},
+    and the same indices up to k eps L: its blocks are bit for bit
+    (-1)^{k eps} times these.  An arc with
     n <= 2m = L - 2 sites has n independent site columns: the retained
     projection kills only the constant and (-1)^j, and a combination
     a + b (-1)^j that vanishes on the arc vanishes on its complement too,
@@ -249,14 +279,10 @@ def _parity_blocks(model: LatticeModel, interval: CircleInterval) -> tuple:
     block has full column rank, and its QR needs no rank decision.  For
     n = L - 1 the Re block is m x (m + 1), it spans R^m, and the
     symplectic complement of K(interval) is zero."""
-    sites = _checked_sites(model, interval)
-    sites = sites[np.argsort((model.thetas[sites] - interval.a) % (2.0 * np.pi), kind="stable")]
+    sites = _arc_sites(model, interval)
     n = sites.size
     c = int(sites[0] + sites[-1]) % model.L
-    # phases first: with its operands swapped the complex product rounds
-    # differently, and the recorded lattice values would move
-    w = _site_coords(model, sites[:(n + 1) // 2])
-    np.multiply(_mirror_phases(model, c)[:, None], w, out=w)
+    w = _site_coords(model, sites[:(n + 1) // 2], c)
     return c, w.real, w.imag[:, :n // 2]
 
 
@@ -284,13 +310,26 @@ def _pairing_maps(model: LatticeModel, interval: CircleInterval,
     reads [[C P', -S N'], [S P', C N']], so
     M = [[P^T S P', P^T C N'], [N^T C P', -N^T S N']], and M^T has the same
     form with the two arcs' blocks swapped.  Each map costs four products
-    with the blocks.  When the two arcs have the same reflection, as an arc
-    and its complement do unless exactly one endpoint sits on a site,
-    u = 1: multiplication by i swaps the blocks, and the diagonal blocks
-    of the pairing are zero."""
+    with the blocks.
+
+    When other holds as many sites as interval, it is interval turned by
+    some r whole sites, and its parity blocks are bit for bit
+    (-1)^{k eps} times interval's (_parity_blocks).  So are its bases:
+    other is not factored, B_out is B_in, and the sign joins the relative
+    phases, which become e^{-i pi k (c_in - c_out - eps L) / L} =
+    e^{2 pi i k r / L}.  An arc and its complement share their reflection
+    unless exactly one endpoint sits on a site.  Then u is real, (-1)^k
+    when the complement has the arc's size (r = L/2) and 1 otherwise:
+    multiplication by i swaps the blocks, and the diagonal blocks of the
+    pairing are zero."""
+    sites, sites_out = _arc_sites(model, interval), _arc_sites(model, other)
     c, plus, minus = _parity_bases(model, interval)
-    c_out, plus_out, minus_out = _parity_bases(model, other)
-    u = _mirror_phases(model, c - c_out)[:, None]
+    if sites_out.size == sites.size:
+        plus_out, minus_out = plus, minus
+        u = _mirror_phases(model, -2 * int(sites_out[0] - sites[0]))[:, None]
+    else:
+        c_out, plus_out, minus_out = _parity_bases(model, other)
+        u = _mirror_phases(model, c - c_out)[:, None]
 
     def pair(rows, cols, x):
         a, b = cols[0] @ x[:cols[0].shape[1]], cols[1] @ x[cols[0].shape[1]:]
@@ -793,7 +832,12 @@ def duality_defect(model: LatticeModel, interval: CircleInterval) -> float:
     from the pairing applied as maps: K(I)' is never formed, and neither
     is the pairing.  Principal angles do not depend on which orthonormal
     basis spans each space (Bjorck-Golub 1973), so the angle equals the one
-    read from any other bases.
+    read from any other bases.  When I' holds as many sites as I, as for
+    the half circle, it is I turned by whole sites, and its bases are I's
+    up to the sign of each row (_pairing_maps): only I is factored.  An arc
+    turned by whole sites whose parity blocks are bit for bit I's (eps even
+    in _parity_blocks, as for the half circle turned by L/8) gets the same
+    pairing, and so the same angle.
 
     On sharp site lattices this worst-case angle is dominated by the
     boundary-adjacent site pairs, whose symplectic pairing is

@@ -111,14 +111,23 @@ def flow(dat, t):
 
 # --- lattice operators --------------------------------------------------------------
 
+def roots_of_unity(L):
+    """The 2L-th roots of unity e^{i pi x / L}, x = 0..2L-1, each part
+    evaluated to 30 digits by mpmath and rounded to double: the correctly
+    rounded table, the reference for chiral._roots_of_unity."""
+    import mpmath
+    with mpmath.workdps(30):
+        return np.array([complex(mpmath.expjpi(mpmath.mpf(x) / L)) for x in range(2 * L)])
+
+
 def encoding(model):
     """The real encoding [Re z; Im z] of all site functions, 2m x L, from
     the closed form z_k = sqrt(2k) (1/L) sum_j u_j e^{2 pi i k j / L} with
-    the phase k j left unreduced, in the order of operations whose bits the
-    recorded reference values were computed from."""
+    the phase reduced exactly, read from the correctly rounded roots of
+    unity at index 2 k j mod 2L."""
     k = np.arange(1, model.m + 1)
-    phases = np.exp(2j * np.pi * np.outer(k, np.arange(model.L)) / model.L)
-    z = np.sqrt(2.0 * k)[:, None] * phases / model.L
+    z = roots_of_unity(model.L)[np.outer(k, 2 * np.arange(model.L)) % (2 * model.L)]
+    z = np.sqrt(2.0 * k)[:, None] * z / model.L
     return np.vstack([z.real, z.imag])
 
 

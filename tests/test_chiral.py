@@ -35,11 +35,12 @@ def test_coord_pinv_closed_form(models):
     # imaginary stack, and coord_pinv the transpose scaled by L/k: it equals
     # the SVD pseudo-inverse and is a right inverse of the real coordinate map
     for L, model in models.items():
-        # phases reduced mod L exactly; build_model's unreduced phases round
-        # at ~eps * pi L
+        # phases reduced mod L exactly, as the model's table of roots of
+        # unity reduces them: they agree to rounding, at most 8.1e-17 here
+        # (phases left unreduced would round at ~eps * pi L)
         k = np.arange(1, model.m + 1)[:, None]
         closed = np.sqrt(2.0 * k) * np.exp(2j * np.pi * (k * np.arange(L) % L) / L) / L
-        np.testing.assert_allclose(model.coord_map, closed, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(model.coord_map, closed, rtol=0, atol=2e-16)
         np.testing.assert_array_equal(model.coord_map_real,
                                       np.vstack([model.coord_map.real, model.coord_map.imag]))
         tr = model.coord_map_real
@@ -50,13 +51,22 @@ def test_coord_pinv_closed_form(models):
 
 @pytest.mark.parametrize("L", (16, 32, 64, 128, 256, 512, 1024))
 def test_site_columns_match_dense_encoding_bytes(L):
-    # the site columns, built per site, are the bits of the dense encoding's
+    # the table of roots of unity is within one ulp of the correctly rounded
+    # one, part by part, so the dense encoding is within 1.5 eps of its
+    # entries' size sqrt(2k) / L of the closed form with correctly rounded
+    # phases (dense_reference.encoding; 0.99 eps at L = 1024).  The site
+    # columns, built per site, are the bits of the dense encoding's
     # columns, so every interval basis and Tomita frame factors the same
     # input: the half circle, its complement, the pct probe, a rotated half
     # circle, and arcs holding one site and all but one site
     model = ch.build_model(L)
-    dense = dr.encoding(model)
-    assert model.coord_map_real.tobytes() == dense.tobytes()
+    table, exact = ch._roots_of_unity(L), dr.roots_of_unity(L)
+    for got, ref in ((table.real, exact.real), (table.imag, exact.imag)):
+        assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref)))
+    dense = model.coord_map_real
+    k = np.arange(1, model.m + 1)
+    size = np.sqrt(2.0 * np.concatenate([k, k]))[:, None] / L
+    assert np.all(np.abs(dense - dr.encoding(model)) <= 1.5 * np.finfo(float).eps * size)
     I, w = ch.half_circle(), 2 * np.pi / L
     arcs = (I, I.complement(), ch.CircleInterval(np.pi + 0.7, np.pi + 1.5),
             ch.CircleInterval(3 * w, np.pi + 3 * w),
@@ -177,12 +187,11 @@ def test_lattice_model_holds_order_L_bytes(L):
 
 @pytest.mark.parametrize("L", (16, 64, 256, 1024, 2048))
 def test_fft_encoding_matches_dense_product(L):
-    # The dense encoding evaluates exp(2 pi i k j / L) with k j up to L^2/2
-    # unreduced, so each of its entries carries a relative error of up to
-    # 1.54 L eps (8.4e-14, 3.5e-13, 7.0e-13 against the reduced-phase closed
-    # form at L = 256, 1024, 2048); row k of its product with F is then off
-    # by at most 2 L eps w_k ||F||_1, w_k = sqrt(2k) / L the entries' size.
-    # The FFT's componentwise error is a few eps log2(L) w_k ||F||_1.
+    # The dense encoding's entries are within about one ulp of the closed
+    # form, and row k of its product with F, a sum of L terms, rounds within
+    # L eps w_k ||F||_1 in the worst case, w_k = sqrt(2k) / L the entries'
+    # size; the bound allows twice that.  The FFT's componentwise error is a
+    # few eps log2(L) w_k ||F||_1.
     model = ch.build_model(L)
     eps = np.finfo(float).eps
     k = np.arange(1, model.m + 1)
@@ -565,12 +574,53 @@ def test_duality_defect_lattice_symmetries(models):
     for L in (64, 128):
         model = models[L]
         base = ch.duality_defect(model, I)
-        # whole-site rotation invariance
+        # whole-site rotation invariance, exact: the rotation has the half
+        # circle's parity blocks, bit for bit
         shift = 2 * np.pi * (L // 8) / L
         rot = ch.CircleInterval(I.a + shift, I.b + shift)
-        assert abs(base - ch.duality_defect(model, rot)) < 1e-10
+        assert base == ch.duality_defect(model, rot)
         # swapping I and I' leaves the defect unchanged
         assert abs(base - ch.duality_defect(model, I.complement())) < 1e-10
+
+
+def test_duality_factors_one_arc_when_the_complement_has_its_size(monkeypatch):
+    # a complement with as many sites as the arc is the arc turned by whole
+    # sites, and the arc's parity bases serve it up to the sign of each
+    # row: duality_defect factors one arc for the half circle, its L/8
+    # rotation and its complement, and both arcs when the complement holds
+    # another number of sites
+    model = ch.build_model(64)
+    arcs = _site_basis_arcs(model)
+    factored, bases = [], ch._parity_bases
+    monkeypatch.setattr(ch, "_parity_bases",
+                        lambda model, arc: factored.append(arc) or bases(model, arc))
+    for arc in arcs[:3]:
+        factored.clear()
+        ch.duality_defect(model, arc)
+        assert factored == [arc]
+    arc = arcs[11]
+    assert arc.sites(model).size != arc.complement().sites(model).size
+    factored.clear()
+    ch.duality_defect(model, arc)
+    assert factored == [arc, arc.complement()]
+
+
+@pytest.mark.parametrize("L", (256, 512))
+def test_lattice_values_against_correctly_rounded_phases(monkeypatch, L):
+    # the t = 0.25 bw defect, the pct angle and the duality angle from the
+    # table of roots of unity agree to 1e-12 with those from the correctly
+    # rounded table (dense_reference.roots_of_unity): at most 3.1e-13 for
+    # L = 256 and 512, and 1.7e-15 for the duality angle
+    model = ch.build_model(L)
+    I, probe = ch.half_circle(), ch.CircleInterval(np.pi + 0.7, np.pi + 1.5)
+
+    def values():
+        return np.array([ch.bw_defect(model, I, 0.25).defects[-1],
+                         ch.pct_geometry_defect(model, I, probe), ch.duality_defect(model, I)])
+
+    table = values()
+    monkeypatch.setattr(ch, "_roots_of_unity", dr.roots_of_unity)
+    np.testing.assert_allclose(values(), table, rtol=0, atol=1e-12)
 
 
 def _site_basis_arcs(model):
@@ -642,8 +692,7 @@ def test_duality_parity_pairing_gives_the_full_pairing(models, L):
     # with its complement (all but the last two of _site_basis_arcs),
     # multiplication by i swaps the parity blocks: the pairing's diagonal
     # blocks are zero, and its singular values are those of its two
-    # off-diagonal blocks together.  Above L = 256 the site columns'
-    # unreduced phases part the two computations by more than 1e-13 (next
+    # off-diagonal blocks together.  At L = 1024 they agree to 1e-14 (next
     # test).
     model = models.get(L) or ch.build_model(L)
     arcs = _site_basis_arcs(model)
@@ -663,18 +712,11 @@ def test_duality_parity_pairing_gives_the_full_pairing(models, L):
     assert ch._parity_bases(model, arcs[11])[0] != ch._parity_bases(model, arcs[12])[0]
 
 
-def test_duality_parity_pairing_with_reduced_phases(monkeypatch):
-    # The two pairings differ by what the site columns' unreduced phases
-    # (3.5e-13 relative at L = 1024) do to their smallest singular values,
-    # which the parity blocks read from half the sites: up to 1.0e-13 at
-    # L = 512 and 3.2e-13 at L = 1024.  With the phases reduced mod L they
-    # agree to rounding.
-    def reduced(model, sites):
-        k = np.arange(1, model.m + 1)
-        return np.sqrt(2.0 * k)[:, None] * np.exp(
-            2j * np.pi * (np.outer(k, sites) % model.L) / model.L) / model.L
-
-    monkeypatch.setattr(ch, "_site_coords", reduced)
+def test_duality_parity_pairing_with_reduced_phases():
+    # The parity pairing reads its blocks from half the sites, the
+    # Householder pairing its basis from all of them; with every phase
+    # reduced exactly (one table of roots of unity) they agree to rounding
+    # at L = 1024, where unreduced phases parted them by 3.2e-13.
     parity, full = _parity_and_full_pairing(ch.build_model(1024), ch.half_circle())
     assert np.max(np.abs(parity - full)) < 1e-14
 

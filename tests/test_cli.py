@@ -43,6 +43,18 @@ def test_bw_suite_deterministic_and_green():
     assert not r1.failed()
 
 
+def test_lattice_suites_ignore_the_seed():
+    # the bw, pct and duality suites draw no random numbers: at two seeds
+    # their records have the same names and statuses and float.hex-equal
+    # values
+    for suite in ("bw", "pct", "duality"):
+        records = [[(c["name"], c["status"], c["value"].hex())
+                    for c in cli.run(cli.SuiteConfig(suite=suite, sizes=(64, 128, 256),
+                                                     seed=seed)).checks]
+                   for seed in (42, 306)]
+        assert records[0] == records[1], suite
+
+
 @pytest.mark.parametrize("suite, tol", (("pct", 1e-9), ("group", 0.0), ("flows", 0.0),
                                        ("modular", 0.0), ("bw", 1e-11)),
                          ids=("pct", "group", "flows", "modular", "bw"))
