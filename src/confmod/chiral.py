@@ -72,8 +72,9 @@ RESOLVABLE_WINDOW = 1e-3
 
 @dataclass(frozen=True)
 class LatticeModel:
-    """Circle lattice with complex structure and energy form.  It stores
-    only L and the site angles: nothing of size L^2.
+    """Circle lattice with complex structure and energy form: L, the site
+    angles, the mode count m and the coordinates of site functions.  It
+    stores nothing of size L^2.
 
     The encoding of site functions, [Re z; Im z] with z = coords(u), is
     never stored.  The coordinates of site indicators, from which every
@@ -86,8 +87,7 @@ class LatticeModel:
     and a complement of the arc's size give the same bits up to sign.
     Products with site functions (coords, and the encodings in
     _encoded_family and _pull_back) go through np.fft.rfft and are exact
-    to FFT rounding.  coord_map_real, coord_map and coord_pinv build the
-    dense matrices on each access, for dense references."""
+    to FFT rounding."""
 
     L: int
     thetas: np.ndarray
@@ -96,32 +96,12 @@ class LatticeModel:
     def m(self) -> int:
         return self.L // 2 - 1
 
-    @property
-    def coord_map_real(self) -> np.ndarray:
-        """Site functions -> [Re z; Im z], real 2m x L."""
-        return _encoded_sites(self, np.arange(self.L))
-
-    @property
-    def coord_map(self) -> np.ndarray:
-        """Site functions -> C^m, complex m x L."""
-        return _site_coords(self, np.arange(self.L))
-
-    @property
-    def coord_pinv(self) -> np.ndarray:
-        """Right inverse of coord_map_real, L x 2m: the rows of that map are
-        orthogonal with squared norms k/L, so this is its scaled transpose."""
-        k = np.arange(1, self.m + 1)
-        return self.coord_map_real.T * (self.L / np.concatenate([k, k]))
-
     def coords(self, u: np.ndarray) -> np.ndarray:
         """Complex coordinates of real site functions along axis 0:
         z_k = sqrt(2k) c_{-k} = (sqrt(2k) / L) conj(rfft(u)_k), k = 1..m."""
         u = np.asarray(u, dtype=float)
         k = np.arange(1, self.m + 1).reshape((-1,) + (1,) * (u.ndim - 1))
         return np.sqrt(2.0 * k) / self.L * np.fft.rfft(u, axis=0)[1:self.m + 1].conj()
-
-    def energy_norm(self, u: np.ndarray) -> float:
-        return float(np.linalg.norm(self.coords(u)))
 
 
 def _roots_of_unity(L: int) -> np.ndarray:
@@ -175,7 +155,8 @@ def _encoded_sites(model: LatticeModel, sites: np.ndarray) -> np.ndarray:
 
 
 def _encode(model: LatticeModel, fields: np.ndarray) -> np.ndarray:
-    """coord_map_real @ fields, by the FFT (LatticeModel.coords)."""
+    """The real encodings [Re z; Im z] of site functions along axis 0, by
+    the FFT (LatticeModel.coords)."""
     z = model.coords(fields)
     return np.concatenate([z.real, z.imag])
 
@@ -205,13 +186,14 @@ class CircleInterval:
     def complement(self) -> "CircleInterval":
         return CircleInterval(self.b, self.a)
 
-    def contains_angle(self, theta: float) -> bool:
-        return 0.0 < (theta - self.a) % (2.0 * np.pi) < self.arc_length
-
     def sites(self, model: LatticeModel) -> np.ndarray:
+        """The sites strictly inside the arc, more than 1e-12 from either
+        endpoint, in arc order: (theta_j - a) mod 2 pi ascending, by a
+        stable sort, so that an arc across theta = 0 lists its sites from a
+        to b and pairs its ends (_parity_blocks)."""
         rel = (model.thetas - self.a) % (2.0 * np.pi)
-        inside = (rel > 1e-12) & (rel < self.arc_length - 1e-12)
-        return np.nonzero(inside)[0]
+        inside = np.nonzero((rel > 1e-12) & (rel < self.arc_length - 1e-12))[0]
+        return inside[np.argsort(rel[inside], kind="stable")]
 
 
 def half_circle() -> CircleInterval:
@@ -221,9 +203,9 @@ def half_circle() -> CircleInterval:
     return CircleInterval(0.0, np.pi)
 
 
-def _checked_sites(model: LatticeModel, interval: CircleInterval) -> np.ndarray:
-    """The sites inside the interval; raises when the interval or its
-    complement holds no site."""
+def _arc_sites(model: LatticeModel, interval: CircleInterval) -> np.ndarray:
+    """The sites inside the interval in arc order (CircleInterval.sites);
+    raises when the interval or its complement holds no site."""
     sites = interval.sites(model)
     if sites.size == 0:
         raise ValueError("interval contains no lattice sites")
@@ -238,21 +220,13 @@ def interval_subspace(model: LatticeModel, interval: CircleInterval) -> md.Stand
     # the parity pairing work on the parity bases (_parity_bases).  It gives
     # the standardness report of an arc that interval_tomita rejects, and the
     # tests' references.
-    return md.StandardSubspace(model.m, _site_coords(model, _checked_sites(model, interval)).T)
+    return md.StandardSubspace(model.m, _site_coords(model, _arc_sites(model, interval)).T)
 
 
 def _mirror_phases(model: LatticeModel, c: int) -> np.ndarray:
     """e^{-i pi k c / L}, k = 1..m: the roots of unity (_roots_of_unity) at
     index -k c mod 2L, so c = L/2 gives the phases (-i)^k exactly."""
     return _roots_of_unity(model.L)[-np.arange(1, model.m + 1) * c % (2 * model.L)]
-
-
-def _arc_sites(model: LatticeModel, interval: CircleInterval) -> np.ndarray:
-    """The sites inside the interval (_checked_sites) in arc order,
-    (theta_j - a) mod 2 pi ascending, so that an arc across theta = 0
-    pairs its ends."""
-    sites = _checked_sites(model, interval)
-    return sites[np.argsort((model.thetas[sites] - interval.a) % (2.0 * np.pi), kind="stable")]
 
 
 def _parity_blocks(model: LatticeModel, interval: CircleInterval) -> tuple:
@@ -676,10 +650,15 @@ def mobius_flow_unitary(model: LatticeModel, interval: CircleInterval,
     energy form (the invariance of the Dirichlet form).
 
     It is the pull-back that bw_defect applies to encoded columns, taken
-    of the encodings of all site indicators and mapped back to site
-    functions by coord_pinv; it costs O(L^3)."""
-    return model.coord_pinv @ _pull_back(model, model.coord_map_real,
-                                         mobius_point_flow(interval, -t, model.thetas))
+    of the encodings of all site indicators (_encoded_sites) and mapped
+    back to site functions by their right inverse: the encoding's rows are
+    orthogonal with squared norms k / L, so that is its transpose scaled
+    by L / k.  It costs O(L^3)."""
+    encoding = _encoded_sites(model, np.arange(model.L))
+    k = np.arange(1, model.m + 1)
+    right_inverse = encoding.T * (model.L / np.concatenate([k, k]))
+    return right_inverse @ _pull_back(model, encoding,
+                                      mobius_point_flow(interval, -t, model.thetas))
 
 
 # --- defect reports -----------------------------------------------------------

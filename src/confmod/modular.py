@@ -68,9 +68,10 @@ _DEGENERATE_SINE = 1e-7
 @dataclass(frozen=True)
 class StandardnessReport:
     """Diagnostics from the standardness test.  For a stack of subspaces,
-    angles has the stack dimensions in front, real_dim may be an array over
-    them, and min_angle, dimension_ok and standard are arrays over the
-    stack."""
+    angles has the stack dimensions in front, and min_angle and standard
+    are arrays over the stack; real_dim, and so dimension_ok, is one value
+    for the whole stack, as StandardSubspace rejects a stack whose spans
+    differ in dimension."""
 
     ambient_dim: int
     real_dim: int

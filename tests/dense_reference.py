@@ -131,6 +131,14 @@ def encoding(model):
     return np.vstack([z.real, z.imag])
 
 
+def coord_pinv(model):
+    """Right inverse of the encoding of every site (chiral._encoded_sites),
+    L x 2m: the encoding's rows are orthogonal with squared norms k / L, so
+    this is its transpose scaled by L / k."""
+    k = np.arange(1, model.m + 1)
+    return ch._encoded_sites(model, np.arange(model.L)).T * (model.L / np.concatenate([k, k]))
+
+
 def hilbert(model):
     """The complex structure, multiplier -i sign n, as a real L x L matrix."""
     mult = np.zeros(model.L, dtype=complex)
@@ -142,7 +150,7 @@ def hilbert(model):
 
 def mode_projector(model):
     """Projector of site functions onto the retained modes, L x L."""
-    return model.coord_pinv @ model.coord_map_real
+    return coord_pinv(model) @ ch._encoded_sites(model, np.arange(model.L))
 
 
 def mode_analysis(model):
@@ -184,10 +192,10 @@ def mobius_flow_unitary(model, interval, t):
 # --- interval bases -----------------------------------------------------------------
 
 def site_columns(model, interval):
-    """Encoded indicators of the sites inside the interval, 2m x n, built
-    per site (chiral._encoded_sites); raises when the interval or its
-    complement holds no site."""
-    return ch._encoded_sites(model, ch._checked_sites(model, interval))
+    """Encoded indicators of the sites inside the interval, 2m x n, in arc
+    order (chiral._arc_sites) and built per site (chiral._encoded_sites);
+    raises when the interval or its complement holds no site."""
+    return ch._encoded_sites(model, ch._arc_sites(model, interval))
 
 
 def site_basis(model, interval):

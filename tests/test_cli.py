@@ -80,6 +80,43 @@ def test_pct_suite_independent_of_blas_threads(tmp_path, suite, tol):
         assert values[1][name] == pytest.approx(value, rel=0, abs=tol), name
 
 
+# the records of the bw, duality and pct suites; pct-factorization-d* is a
+# flows record
+_LATTICE_RECORDS = ("bw-", "z-cocycle-", "duality-", "pct-angle-", "pct-conjugation-")
+
+
+@pytest.mark.parametrize("argv", ([], ["--suite", "bw", "--sizes", "256,512,1024,2048"],
+                                  ["--suite", "pct", "--sizes", "256,512,1024,2048"],
+                                  ["--suite", "duality", "--sizes", "256,512,1024,2048"]),
+                         ids=("default", "bw", "pct", "duality"))
+def test_reports_independent_of_blas_threads(tmp_path, argv):
+    # whole reports at 1 and 2 BLAS threads: the same records and statuses,
+    # the group, flows and modular values float-equal, the lattice values
+    # within 1e-12 and the z-cocycle within 5e-9 relative.  The largest
+    # moves measured are 2.2e-13 (bw defect), 1.3e-13 (pct angle), 6.7e-16
+    # (duality angle) and 2.0e-11 relative (z-cocycle)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(path))
+        done = subprocess.run([sys.executable, "-m", "confmod.cli", "--out", str(out)] + argv,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert out.exists(), done.stderr
+        reports.append(json.loads(out.read_text())["checks"])
+    one, two = reports
+    assert [(c["name"], c["status"]) for c in one] == [(c["name"], c["status"]) for c in two]
+    for a, b in zip(one, two):
+        name, value = a["name"], a["value"]
+        if name.startswith("z-cocycle-"):
+            assert b["value"] == pytest.approx(value, rel=5e-9, abs=0), name
+        elif name.startswith(_LATTICE_RECORDS):
+            assert b["value"] == pytest.approx(value, rel=0, abs=1e-12), name
+        else:
+            assert b["value"] == value, name
+
+
 def test_unknown_suite_is_configuration_error(tmp_path):
     out = tmp_path / "never.json"
     config = cli.SuiteConfig(suite="frobnicate", out=str(out))
@@ -356,6 +393,26 @@ def test_trajectory_main(tmp_path):
     assert code == 0
     lines = path.read_text().splitlines()
     assert len(lines) == 6
+
+
+def test_trajectory_drops_exactly_the_singular_times(tmp_path):
+    # a double-cone trajectory through the poles of its map, at
+    # e^{-2 pi t} = (1 + v) / (v - 1) for v = x0 +- |vec x|: the export
+    # drops exactly the times where closed_form is None, and its bytes are
+    # those of the per-point loop over closed_form
+    flow, point = fl.doublecone_flow(3), np.array([3.0, 0.5, 0.0])
+    v = np.array([3.5, 2.5])
+    poles = -np.log((1.0 + v) / (v - 1.0)) / (2 * np.pi)
+    grid = np.sort(np.concatenate([np.linspace(-2.0, 2.0, 9), poles]))
+    images = [flow.closed_form(float(t), point) for t in grid]
+    assert sum(y is None for y in images) == 2
+    ref = tmp_path / "loop.csv"
+    cli.export_csv([[float(t)] + [float(c) for c in y] for t, y in zip(grid, images)
+                    if y is not None], ["t", "x0", "x1", "x2"], str(ref))
+    path = tmp_path / "rows.csv"
+    cli.export_trajectory("doublecone", 3, point, grid, str(path))
+    assert len(path.read_text().splitlines()) == 1 + len(grid) - 2
+    assert path.read_bytes() == ref.read_bytes()
 
 
 def test_csv_formatting(tmp_path):
