@@ -297,11 +297,11 @@ def _modular_draws(rng: np.random.Generator, n: int,
                    angle_floor: float = md.DEFAULT_ANGLE_FLOOR) -> tuple:
     """The modular suite's n draws, (m, generators, x, y) each, in the
     stream order of a loop of m = integers(1, 9), random_standard_subspace
-    (m, rng, angle_floor) and x, y = normal(2m) twice, and their subspaces,
-    one StandardSubspace stack per m.  The draws are first all taken as
-    accepted; if a stack rejects one, or its spans differ in dimension, the
-    generator goes back to its state before the first draw and the loop
-    draws all n."""
+    (m, rng, angle_floor) and x, y = normal(2m) twice, and {m: (K,
+    tomita_operators(K, angle_floor))}, K the StandardSubspace stack of m.
+    The draws are first all taken as accepted; if a stack's tomita_operators
+    rejects one, or its spans differ in dimension, the generator goes back
+    to its state before the first draw and the loop draws all n."""
     def draw(generators):
         draws = []
         for _ in range(n):
@@ -309,41 +309,37 @@ def _modular_draws(rng: np.random.Generator, n: int,
             draws.append((m, generators(m), rng.normal(size=2 * m), rng.normal(size=2 * m)))
         return draws
 
-    def stacks(draws):
-        return {m: md.StandardSubspace(m, np.stack([d[1] for d in draws if d[0] == m]))
-                for m in sorted({d[0] for d in draws})}
+    def factored(draws):
+        stacks = [md.StandardSubspace(m, np.stack([d[1] for d in draws if d[0] == m]))
+                  for m in sorted({d[0] for d in draws})]
+        return {K.ambient_dim: (K, md.tomita_operators(K, angle_floor)) for K in stacks}
 
     state = rng.bit_generator.state
     draws = draw(lambda m: rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
     try:
-        subspaces = stacks(draws)
-        accepted = all(np.all(K.standardness(angle_floor).standard) for K in subspaces.values())
-    except ValueError:      # the spans of a stack differ in dimension
-        accepted = False
-    if accepted:
-        return draws, subspaces
-    rng.bit_generator.state = state
+        return draws, factored(draws)
+    except ValueError:      # StandardnessError, or the spans of a stack differ in dimension
+        rng.bit_generator.state = state
     draws = draw(lambda m: md.random_standard_subspace(m, rng, angle_floor).generators)
-    return draws, stacks(draws)
+    return draws, factored(draws)
 
 
 _DENSE_ENTRIES = ("S", "delta", "J", "delta_sqrt", *md._flow_entries((0.4, 0.9, 1.3)))
 _FLOW_ENTRIES = md._flow_entries((0.3, 1.0, 2.7))
 
 
-def _modular_stack_checks(K: md.StandardSubspace, stack: list) -> dict:
+def _modular_stack_checks(K: md.StandardSubspace, dat: md.ModularData, stack: list) -> dict:
     """The modular suite's check values, each the worst over the draws
-    (m, generators, x, y) of one dimension m, factored as their stack K.  The
-    stack makes two frame products, one dense call for S, Delta, J,
-    Delta^{1/2} and the cocycle's flows and one on the bases for the flow
-    check's times, and applies S to the stacked generators once."""
+    (m, generators, x, y) of one dimension m, whose stack K _modular_draws
+    factored as dat.  The stack makes two frame products, one dense call for
+    S, Delta, J, Delta^{1/2} and the cocycle's flows and one on the bases
+    for the flow check's times, and applies S to the stacked generators."""
     cplx, tr = md._complexify_vectors, md._tr
 
     def amax(a):
         return np.max(np.abs(a), axis=(-2, -1))
 
     m = K.ambient_dim
-    dat = md.tomita_operators(K)
     S, D, J, sq, *cocycle = md._split(md.dense(
         lambda cols: dat.apply_planes(_DENSE_ENTRIES, cols), 2 * m), len(_DENSE_ENTRIES))
     eye = np.eye(2 * m)
@@ -384,9 +380,9 @@ def run_modular_suite(config: SuiteConfig) -> list:
     rng = _suite_rng(config, "modular")
     checks = []
     tol = config.tol("modular_residual")
-    draws, subspaces = _modular_draws(rng, 100)
-    stacks = [_modular_stack_checks(K, [d for d in draws if d[0] == m])
-              for m, K in subspaces.items()]
+    draws, factored = _modular_draws(rng, 100)
+    stacks = [_modular_stack_checks(K, dat, [d for d in draws if d[0] == m])
+              for m, (K, dat) in factored.items()]
     worst = {name: max(values[name] for values in stacks) for name in stacks[0]}
     _check(checks, "tomita-involutions", "tomita-involutions", worst["involution"], tol)
     _check(checks, "modular-conjugation-inverts", "modular-conjugation-inverts",

@@ -415,9 +415,12 @@ def tomita_operators(subspace: StandardSubspace,
     Raises StandardnessError when a subspace fails the dimension test, its
     smallest principal angle is at or below angle_floor, or a plane's sine
     is at or below _DEGENERATE_SINE, whatever angle_floor is; for a stack
-    the error reports the first failing subspace.  The frame is one
+    the error reports the first failing subspace.  A NaN angle_floor, which
+    no angle compares at or below, raises ValueError.  The frame is one
     complete QR of each subspace's (b, perp) pairs in plane order.
     """
+    if np.isnan(angle_floor):
+        raise ValueError("angle_floor must not be NaN")
     m = subspace.ambient_dim
     shape = subspace.stack_shape
     if subspace.real_dim != m:
@@ -518,9 +521,13 @@ def subspace_angle(k1: StandardSubspace, k2: StandardSubspace) -> float:
 def random_standard_subspace(m: int, rng: np.random.Generator,
                              angle_floor: float = DEFAULT_ANGLE_FLOOR) -> StandardSubspace:
     """Random standard subspace: m generators with independent standard
-    normal real and imaginary parts, resampled until comfortably standard."""
+    normal real and imaginary parts, resampled until tomita_operators(K,
+    angle_floor) accepts them, as it accepts each member of a stack."""
     for _ in range(256):
         K = StandardSubspace(m, rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
-        if K.standardness(angle_floor).standard:
+        try:
+            tomita_operators(K, angle_floor)
             return K
+        except StandardnessError:
+            pass
     raise RuntimeError("failed to draw a standard subspace")

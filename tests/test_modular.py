@@ -635,8 +635,7 @@ def test_stacked_standardness_is_per_subspace():
     report = md.StandardSubspace(3, gens).standardness()
     assert report.standard.tolist() == [True, False, True]
     assert report.min_angle.shape == (3,) and report.min_angle[1] < 1e-8
-    # each member's verdict and angles are those of its one-subspace call,
-    # so a stack accepts exactly the draws random_standard_subspace accepts
+    # each member's verdict and angles are those of its one-subspace call
     for g, angles, standard in zip(gens, report.angles, report.standard):
         one = md.StandardSubspace(3, g).standardness()
         assert angles.tobytes() == one.angles.tobytes() and standard == one.standard
@@ -645,6 +644,20 @@ def test_stacked_standardness_is_per_subspace():
         md.tomita_operators(md.StandardSubspace(3, gens))
     one = md.StandardSubspace(3, gens[1]).standardness()
     assert err.value.report.angles.tobytes() == one.angles.tobytes()
+
+
+def test_nan_angle_floor_raises():
+    # no angle compares at or below NaN, so a NaN floor would accept every
+    # subspace whose sines clear _DEGENERATE_SINE; it raises ValueError, not
+    # StandardnessError, so random_standard_subspace stops at its first draw
+    rng, ref = np.random.default_rng(31), np.random.default_rng(31)
+    with pytest.raises(ValueError, match="NaN") as err:
+        md.random_standard_subspace(3, rng, float("nan"))
+    assert not isinstance(err.value, md.StandardnessError)
+    ref.normal(size=(2, 3, 3))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    with pytest.raises(ValueError, match="NaN"):
+        md.tomita_operators(md.StandardSubspace(2, np.eye(2)), np.nan)
 
 
 def test_stack_of_different_dimensions_raises():
