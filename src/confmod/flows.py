@@ -44,15 +44,15 @@ class CanonicalFlow:
     generator's three-term closed-form exponential.
 
     closed_form and _columns are two bodies of one map on purpose.  A point
-    adapter over _columns is bitwise equal, but slower.  On numpy
+    adapter over _columns is bitwise equal, but slower: on numpy
     one-element columns the 36,000 point calls of a region-sampling pass
-    take 0.95-1.3 s of CPU (1.5-1.9 s through rows).  With _columns bodies
-    that also take a point's Python floats, the adapter takes 0.155 s
-    against 0.083 s as written; these calls are about 0.08 s of the 0.12 s
-    pass.  A point-or-columns branch in every body brings it to 0.088 s,
-    but then code shared by both forms branches on its caller (Intel Xeon,
-    one core, one BLAS thread, process_time, min of 9).  The fork stays
-    until the point callers move to rows.
+    take 0.95-1.3 s of CPU (1.5-1.9 s through rows).  The point bodies take
+    numpy's cosh, sinh and exp once per time, as _columns does, and do a
+    point's arithmetic on Python floats.  The pass calls each flow at two
+    times, and its 36,000 calls take 0.056 s, against 0.069 s when each
+    call took its own factors and the wedge's its arithmetic on numpy
+    scalars (Intel Xeon, one core, one BLAS thread, process_time, min of
+    25).  The fork stays until the point callers move to rows.
     """
 
     region: Region
@@ -74,6 +74,26 @@ class CanonicalFlow:
         return _row_images(lambda c: self._columns(t, c), X, self.region.dim)
 
 
+def _once_per_time(factors: Callable[[float], object]) -> Callable[[float], object]:
+    """factors(t), kept for the last time it was called at: a point caller
+    moves many points at one time, and the factors' transcendentals cost
+    more than a point's arithmetic.  t is taken as float(t); the same float
+    object, or an equal one of the same sign (sinh(-0.0) is -0.0), reuses
+    the factors.  The time and its factors are one tuple, replaced whole,
+    so that no caller reads one time with another's factors."""
+    memo = (None, None)
+
+    def at(t):
+        nonlocal memo
+        t = float(t)
+        last, value = memo
+        if t is not last and (t != last or math.copysign(1.0, t) != math.copysign(1.0, last)):
+            value = factors(t)
+            memo = t, value
+        return value
+    return at
+
+
 def _everywhere(c) -> np.ndarray:
     """The regular mask of a flow without singular points."""
     return np.full(len(c[0]), True)
@@ -84,12 +104,16 @@ def wedge_flow(d: int) -> CanonicalFlow:
     if d < 2:
         raise ValueError("the wedge flow needs d >= 2")
 
+    boost = _once_per_time(
+        lambda t: (float(np.cosh(2 * np.pi * t)), float(np.sinh(2 * np.pi * t))))
+
     def closed_form(t, x):
-        y = np.array(x, dtype=float)
-        c, s = np.cosh(2 * np.pi * t), np.sinh(2 * np.pi * t)
-        y[0] = c * x[0] - s * x[1]
-        y[1] = -s * x[0] + c * x[1]
-        return y
+        c, s = boost(t)
+        y = np.asarray(x, dtype=float).tolist()
+        x0, x1 = y[0], y[1]
+        y[0] = c * x0 - s * x1
+        y[1] = -s * x0 + c * x1
+        return np.array(y)
 
     def columns(t, c):
         ch, sh = np.cosh(2 * np.pi * t), np.sinh(2 * np.pi * t)
@@ -127,23 +151,25 @@ def doublecone_flow(d: int) -> CanonicalFlow:
     if d < 2:
         raise ValueError("the double-cone flow needs d >= 2")
 
+    contraction = _once_per_time(lambda t: float(np.exp(-2 * np.pi * t)))
+
     def closed_form(t, x):
         # Python floats throughout; the norm is np.linalg.norm's sqrt(v . v)
         # and e numpy's exp, which keep the images bitwise: the map amplifies
         # an ulp of either to ~4e-14.  np.exp gives inf where math.exp raises.
+        e = contraction(t)
         x = np.asarray(x, dtype=float)
         v = x[1:]
         r = math.sqrt(v.dot(v))
-        e = float(np.exp(-2 * np.pi * t))
-        x0 = float(x[0])
+        x0, *vs = x.tolist()
         a = _mobius_pm(e, x0 + r)
         b = _mobius_pm(e, x0 - r)
         if a is None or b is None:
             return None
-        y = np.empty(x.shape)
-        y[0] = (a + b) / 2.0
-        y[1:] = ((a - b) / (2.0 * r)) * v if r > 0 else 0.0
-        return y
+        if not r > 0:
+            return np.array([(a + b) / 2.0] + [0.0] * len(vs))
+        k = (a - b) / (2.0 * r)
+        return np.array([(a + b) / 2.0] + [k * vi for vi in vs])
 
     def columns(t, c):
         # v . v of each row through dot's kernel, as v.dot(v) above; a sum
@@ -166,8 +192,10 @@ def doublecone_flow(d: int) -> CanonicalFlow:
 def cone_flow(d: int) -> CanonicalFlow:
     """Dilation flow x -> e^t x of the future cone."""
 
+    dilation = _once_per_time(lambda t: float(np.exp(t)))
+
     def closed_form(t, x):
-        return np.exp(t) * np.asarray(x, dtype=float)
+        return dilation(t) * np.asarray(x, dtype=float)
 
     def columns(t, c):
         return [np.exp(t) * ci for ci in c], _everywhere(c)

@@ -11,6 +11,7 @@ contains_many(X) tests the rows at once, contains(x) one point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -457,7 +458,13 @@ def sample_region(region: Region, n: int, seed: int,
 
     A double cone uses its own enclosing box; every other region is clipped
     to the cube |x_i| <= SAMPLING_BOX.  Each chunk of draws is decided by
-    one contains_many call, and the accepted points are kept in draw order.
+    one contains_many call, and the accepted points are kept in draw order:
+    the first n members of one uniform stream, whatever the chunks.  The
+    first chunk is 2n draws; each later one is what the acceptance seen so
+    far predicts for the points missing, with a tenth more, or twice the
+    draws so far while none was accepted.  A chunk holds 256 to
+    max(4096, 2n) draws, fewer where max_tries cuts it: the cap bounds the
+    memory a thin region's chunks take.
     Raises if the acceptance rate is too low to fill the request within
     max_tries draws.
     """
@@ -473,7 +480,13 @@ def sample_region(region: Region, n: int, seed: int,
             raise RuntimeError(
                 f"rejection sampling exhausted {tried} draws "
                 f"({got}/{n} accepted); region may not meet the sampling box")
-        chunk = min(max(256, 2 * (n - got)), max_tries - tried)
+        if not tried:
+            chunk = 2 * n
+        elif got:
+            chunk = math.ceil(1.1 * (n - got) * tried / got)
+        else:
+            chunk = 2 * tried
+        chunk = min(max(256, chunk), max(4096, 2 * n), max_tries - tried)
         pts = rng.uniform(lo, hi, size=(chunk, region.dim))
         tried += chunk
         kept = pts[region.contains_many(pts)][:n - got]

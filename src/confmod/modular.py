@@ -397,13 +397,14 @@ def dense(apply, n: int) -> np.ndarray:
 
 def _not_standard(subspace: StandardSubspace, angle_floor: float, failing) -> None:
     """Raise StandardnessError with the standardness report of the first
-    failing subspace (failing: a mask over the stack dimensions)."""
-    report = subspace.standardness(angle_floor)
+    failing subspace (failing: a mask over the stack dimensions).  Only
+    that member's angles are computed, with the arithmetic of the stack's."""
     if not subspace.stack_shape:
-        raise StandardnessError("subspace is not standard", report)
+        raise StandardnessError("subspace is not standard", subspace.standardness(angle_floor))
     i = tuple(int(k) for k in np.unravel_index(np.argmax(failing), failing.shape))
+    b = subspace.basis[i]
     raise StandardnessError(f"subspace {i} of the stack is not standard", StandardnessReport(
-        report.ambient_dim, report.real_dim, report.angles[i], angle_floor))
+        subspace.ambient_dim, subspace.real_dim, subspace_angles(b, _times_i(b)), angle_floor))
 
 
 def tomita_operators(subspace: StandardSubspace,

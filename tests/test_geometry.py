@@ -1,4 +1,5 @@
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -410,8 +411,9 @@ def test_contains_many_rejects_wrong_shapes():
 
 def _per_draw_sample(region, n, seed, lo, hi, max_tries):
     """Rejection sampling one region.contains call per draw: the same
-    generator and chunks of min(max(256, 2 * missing), draws left) uniform
-    draws from [lo, hi], stopping at the n-th member."""
+    generator, in chunks of min(max(256, 2 * missing), draws left) uniform
+    draws from [lo, hi] (the sampler's own chunks differ, its stream does
+    not), stopping at the n-th member."""
     rng = np.random.default_rng(seed)
     out = np.empty((n, region.dim))
     got = tried = 0
@@ -522,14 +524,59 @@ def test_sample_region_digests():
 
 
 def _chunks_to_fill(region, n, seed, lo, hi):
-    """The chunks the sampler draws to fill n points: max(256, 2 * missing)
-    uniform draws each, until n members are found."""
+    """The chunks the sampler draws to fill n points, until n members are
+    found: 2n uniform draws first; then 1.1 times the draws that the
+    acceptance so far predicts for the missing points, or twice the draws
+    so far while none was accepted; each chunk 256 to max(4096, 2n) draws."""
     rng = np.random.default_rng(seed)
-    chunks, got = [], 0
+    chunks, got, tried = [], 0, 0
     while got < n:
-        chunks.append(rng.uniform(lo, hi, size=(max(256, 2 * (n - got)), region.dim)))
+        if not tried:
+            rows = 2 * n
+        elif got:
+            rows = math.ceil(1.1 * (n - got) * tried / got)
+        else:
+            rows = 2 * tried
+        rows = min(max(256, rows), max(4096, 2 * n))
+        chunks.append(rng.uniform(lo, hi, size=(rows, region.dim)))
+        tried += rows
         got += int(region.contains_many(chunks[-1]).sum())
     return chunks
+
+
+def _sampled_kinds(d):
+    """The region kinds that the region-sampling benchmark draws from, with
+    the points asked of each; the conformal image of the double cone, at
+    0.56%, 0.034% and 0.0018% acceptance for d = 2, 3, 4, is asked fewer."""
+    cone = unit_double_cone(d)
+    moved = PoincareMap.from_translation(np.r_[0.3, -0.5, 0.2, 0.1][:d]).compose(
+        PoincareMap.from_boost(d, 1 if d == 2 else 2, 0.5))
+    return [(cone, 2000), (standard_wedge(d), 2000), (Wedge(d, moved), 2000),
+            (spacelike_complement(cone), 2000), (timelike_complement(cone), 2000),
+            (FutureCone(np.zeros(d)), 2000),
+            (TransformedRegion(cg.special(d, np.r_[0.1, 0.2, 0.0, 0.0][:d]), cone),
+             10 ** (4 - d))]
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_samples_are_the_first_members_of_one_stream(d):
+    # However the sampler cuts its draws into chunks, its points are the
+    # first n members, in draw order, of one uniform draw of N rows, for any
+    # N that holds n members: the stream of a generator does not depend on
+    # how the rows are asked of it.
+    box = np.full(d, SAMPLING_BOX)
+    for k, (region, n) in enumerate(_sampled_kinds(d)):
+        seed = 100 + 10 * d + k
+        lo, hi = ((np.r_[-1.0, -2.0 * np.ones(d - 1)], np.r_[1.0, 2.0 * np.ones(d - 1)])
+                  if k == 0 else (-box, box))
+        N = 2 * n
+        while True:
+            X = np.random.default_rng(seed).uniform(lo, hi, (N, d))
+            members = X[region.contains_many(X)]
+            if len(members) >= n:
+                break
+            N *= 2
+        np.testing.assert_array_equal(sample_region(region, n, seed), members[:n])
 
 
 def test_sample_region_calls_contains_many_once_per_chunk(monkeypatch):
@@ -558,6 +605,18 @@ def test_sample_region_calls_contains_many_once_per_chunk(monkeypatch):
         assert len(calls) == len(chunks) > 1
         for X, chunk in zip(calls, chunks):
             np.testing.assert_array_equal(X, chunk)
+        assert max(len(X) for X in calls) <= max(4096, 2 * 700)
+    # The double cone, at 6.5% acceptance, reaches the cap on its second chunk.
+    assert [len(X) for X in expected[0][:2]] == [1400, 4096]
+    # A region that accepts nothing draws 256 and then as many again as
+    # it has drawn, up to the cap; the last chunk is cut to the draws left
+    # under max_tries.
+    far = TransformedRegion(PoincareMap.from_translation([0.0, 100.0, 0.0]),
+                            unit_double_cone(3))
+    calls.clear()
+    with pytest.raises(RuntimeError, match="exhausted 50000 draws"):
+        sample_region(far, 5, seed=1, max_tries=50_000)
+    assert [len(X) for X in calls] == [256, 512, 1536] + [4096] * 11 + [2640]
     assert not points
     monkeypatch.undo()
     # A point is tested the same way as a list, a tuple or a 1-D array, and

@@ -646,6 +646,29 @@ def test_stacked_standardness_is_per_subspace():
     assert err.value.report.angles.tobytes() == one.angles.tobytes()
 
 
+@pytest.mark.parametrize("shape,failing", [((5,), (2,)), ((2, 3), (1, 1))])
+def test_stack_error_reports_its_member_as_the_stacked_standardness(shape, failing):
+    # The error's report is the failing member's row of the whole stack's
+    # standardness(), bit for bit, though only that member is computed.
+    rng = np.random.default_rng(37)
+    gens = np.empty(shape + (3, 3), dtype=complex)
+    for i in np.ndindex(shape):
+        gens[i] = (_degenerate_generators(3, 1, 1e-9, rng) if i == failing
+                   else md.random_standard_subspace(3, rng).generators)
+    K = md.StandardSubspace(3, gens)
+    floor = 1e-6
+    whole = K.standardness(floor)
+    assert np.argwhere(~whole.standard).tolist() == [list(failing)]
+    with pytest.raises(md.StandardnessError, match=rf"subspace \({failing[0]},") as err:
+        md.tomita_operators(K, floor)
+    report = err.value.report
+    assert report.angles.tobytes() == whole.angles[failing].tobytes()
+    assert (report.ambient_dim, report.real_dim, report.angle_floor) == (3, 3, floor)
+    assert str(err.value).startswith(f"subspace {failing} of the stack is not standard: "
+                                     f"real dim 3 of 3, min principal angle "
+                                     f"{whole.min_angle[failing]:.3e}")
+
+
 def test_nan_angle_floor_raises():
     # no angle compares at or below NaN, so a NaN floor would accept every
     # subspace whose sines clear _DEGENERATE_SINE; it raises ValueError, not
