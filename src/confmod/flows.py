@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 
 from . import confgroup as cg
-from .geometry import (FutureCone, Region, TransformedRegion, _row_images, standard_wedge,
-                       unit_double_cone)
+from .geometry import (FutureCone, Region, TransformedRegion, _dot, _point, _point_array,
+                       _row_images, standard_wedge, unit_double_cone)
 
 __all__ = [
     "CanonicalFlow",
@@ -46,13 +46,17 @@ class CanonicalFlow:
     closed_form and _columns are two bodies of one map on purpose.  A point
     adapter over _columns is bitwise equal, but slower: on numpy
     one-element columns the 36,000 point calls of a region-sampling pass
-    take 0.95-1.3 s of CPU (1.5-1.9 s through rows).  The point bodies take
+    take 0.95-1.3 s of CPU (1.5-1.9 s through rows).  The point bodies read
+    the point as confgroup.act does, raising on any other shape, take
     numpy's cosh, sinh and exp once per time, as _columns does, and do a
-    point's arithmetic on Python floats.  The pass calls each flow at two
-    times, and its 36,000 calls take 0.056 s, against 0.069 s when each
-    call took its own factors and the wedge's its arithmetic on numpy
-    scalars (Intel Xeon, one core, one BLAS thread, process_time, min of
-    25).  The fork stays until the point callers move to rows.
+    point's arithmetic on Python floats; the double cone sums |vec x|^2 as
+    _dot sums its columns.  The pass calls each flow at two times, and its
+    36,000 calls take 0.051 s, from 0.057 s: the double cone's 12,000 take
+    0.025 s, from 0.035 s when it took |vec x|^2 from numpy's dot kernel
+    and each Moebius factor from a call of its own, and the shape check
+    adds 0.002 s to the wedge's and the cone's 0.011 s each (Intel Xeon,
+    one core, one BLAS thread, process_time, min of 25).  The fork stays
+    until the point callers move to rows.
     """
 
     region: Region
@@ -109,7 +113,7 @@ def wedge_flow(d: int) -> CanonicalFlow:
 
     def closed_form(t, x):
         c, s = boost(t)
-        y = np.asarray(x, dtype=float).tolist()
+        y = _point(x, d)
         x0, x1 = y[0], y[1]
         y[0] = c * x0 - s * x1
         y[1] = -s * x0 + c * x1
@@ -123,18 +127,10 @@ def wedge_flow(d: int) -> CanonicalFlow:
                          closed_form, columns)
 
 
-def _mobius_pm(e: float, v: float):
-    """((1+v) - e (1-v)) / ((1+v) + e (1-v)) with e = e^{-2 pi t}; None at the
-    pole."""
-    den = (1.0 + v) + e * (1.0 - v)
-    if abs(den) < cg.INFINITY_TOL * max(1.0, abs(v)):
-        return None
-    return ((1.0 + v) - e * (1.0 - v)) / den
-
-
 def _mobius_pm_columns(e, v: np.ndarray):
-    """(_mobius_pm(e, v) on each entry, mask of the entries off the pole),
-    with e a scalar or one value per entry."""
+    """(((1+v) - e (1-v)) / ((1+v) + e (1-v)) on each entry, mask of the
+    entries off the pole), with e = e^{-2 pi t} a scalar or one value per
+    entry."""
     den = (1.0 + v) + e * (1.0 - v)
     regular = ~(np.abs(den) < cg.INFINITY_TOL * np.fmax(1.0, np.abs(v)))
     return ((1.0 + v) - e * (1.0 - v)) / den, regular
@@ -154,28 +150,34 @@ def doublecone_flow(d: int) -> CanonicalFlow:
     contraction = _once_per_time(lambda t: float(np.exp(-2 * np.pi * t)))
 
     def closed_form(t, x):
-        # Python floats throughout; the norm is np.linalg.norm's sqrt(v . v)
-        # and e numpy's exp, which keep the images bitwise: the map amplifies
-        # an ulp of either to ~4e-14.  np.exp gives inf where math.exp raises.
+        # _mobius_pm_columns on the floats x0 +- r, with r^2 summed left to
+        # right from 0.0 as _dot sums the columns, and e numpy's exp: the map
+        # amplifies an ulp of either to ~4e-14.  np.exp gives inf where
+        # math.exp raises.  The sum and max(1.0, |v|) are written out: a
+        # _dot call and two max calls would add about a third to its time.
         e = contraction(t)
-        x = np.asarray(x, dtype=float)
-        v = x[1:]
-        r = math.sqrt(v.dot(v))
-        x0, *vs = x.tolist()
-        a = _mobius_pm(e, x0 + r)
-        b = _mobius_pm(e, x0 - r)
-        if a is None or b is None:
+        y = _point(x, d)
+        x0 = y[0]
+        rr = 0.0
+        for v in y[1:]:
+            rr = rr + v * v
+        r = math.sqrt(rr)
+        p, m = x0 + r, x0 - r
+        den_p, den_m = (1.0 + p) + e * (1.0 - p), (1.0 + m) + e * (1.0 - m)
+        if (abs(den_p) < cg.INFINITY_TOL * (abs(p) if abs(p) > 1.0 else 1.0)
+                or abs(den_m) < cg.INFINITY_TOL * (abs(m) if abs(m) > 1.0 else 1.0)):
             return None
+        a = ((1.0 + p) - e * (1.0 - p)) / den_p
+        b = ((1.0 + m) - e * (1.0 - m)) / den_m
         if not r > 0:
-            return np.array([(a + b) / 2.0] + [0.0] * len(vs))
+            return np.array([(a + b) / 2.0] + [0.0] * (d - 1))
         k = (a - b) / (2.0 * r)
-        return np.array([(a + b) / 2.0] + [k * vi for vi in vs])
+        y = [k * v for v in y]
+        y[0] = (a + b) / 2.0
+        return np.array(y)
 
     def columns(t, c):
-        # v . v of each row through dot's kernel, as v.dot(v) above; a sum
-        # of elementwise products rounds differently on some rows
-        v = np.stack(c[1:], axis=1)
-        r = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+        r = np.sqrt(_dot(c[1:], c[1:]))
         e = np.exp(-2 * np.pi * t)
         a, regular_a = _mobius_pm_columns(e, c[0] + r)
         b, regular_b = _mobius_pm_columns(e, c[0] - r)
@@ -195,7 +197,7 @@ def cone_flow(d: int) -> CanonicalFlow:
     dilation = _once_per_time(lambda t: float(np.exp(t)))
 
     def closed_form(t, x):
-        return dilation(t) * np.asarray(x, dtype=float)
+        return _point_array(x, d) * dilation(t)
 
     def columns(t, c):
         return [np.exp(t) * ci for ci in c], _everywhere(c)

@@ -71,12 +71,17 @@ def _minus(c, a):
     return list(map(sub, c, a))
 
 
-def _point(x, d: int) -> list:
-    """The coordinates of a point of dimension d as Python floats."""
+def _point_array(x, d: int) -> np.ndarray:
+    """A point of dimension d as a float array."""
     x = np.asarray(x, dtype=float)
     if x.shape != (d,):
         raise ValueError(f"expected a point of dimension {d}")
-    return x.tolist()
+    return x
+
+
+def _point(x, d: int) -> list:
+    """The coordinates of a point of dimension d as Python floats."""
+    return _point_array(x, d).tolist()
 
 
 def _on_columns(f, X, d: int):
@@ -443,10 +448,23 @@ SAMPLING_BOX = 10.0
 
 
 def _bounding_box(region: Region) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of the box that sample_region draws from.
+
+    A double cone with tips a (past) and b (future), v0 = b0 - a0, gets
+    [a0, b0] in time and [(a_i + b_i - v0)/2, (a_i + b_i + v0)/2] on each
+    spatial axis: x - a and b - x future timelike give |x_i - a_i| < x0 - a0
+    and |x_i - b_i| < b0 - x0, whose sum bounds 2 x_i - a_i - b_i by v0.
+    The box is the region's exact extent in time, and on a spatial axis
+    wherever the spatial part of b - a is zero or lies along that axis
+    (always at d = 2): the unit double cone's box is [-1, 1]^d.  Elsewhere
+    it bounds the extent.  Every other region is clipped to the cube
+    |x_i| <= SAMPLING_BOX.
+    """
     if isinstance(region, DoubleCone):
-        v0 = region.tip_future[0] - region.tip_past[0]
-        lo = region.tip_past + np.concatenate([[0.0], -v0 * np.ones(region.dim - 1)])
-        hi = region.tip_past + v0 * np.ones(region.dim)
+        a, b = region.tip_past, region.tip_future
+        v0 = b[0] - a[0]
+        lo, hi = (a + b - v0) / 2.0, (a + b + v0) / 2.0
+        lo[0], hi[0] = a[0], b[0]
         return lo, hi
     return np.full(region.dim, -SAMPLING_BOX), np.full(region.dim, SAMPLING_BOX)
 
@@ -456,8 +474,10 @@ def sample_region(region: Region, n: int, seed: int,
     """n points drawn uniformly from the region by rejection sampling,
     deterministic for a fixed seed.
 
-    A double cone uses its own enclosing box; every other region is clipped
-    to the cube |x_i| <= SAMPLING_BOX.  Each chunk of draws is decided by
+    A double cone is drawn from its own box, every other region from the
+    cube |x_i| <= SAMPLING_BOX (_bounding_box).  A chunk is the affine image
+    lo + (hi - lo) u of rng.random draws u: bit for bit the stream of
+    rng.uniform(lo, hi), at less cost.  Each chunk of draws is decided by
     one contains_many call, and the accepted points are kept in draw order:
     the first n members of one uniform stream, whatever the chunks.  The
     first chunk is 2n draws; each later one is what the acceptance seen so
@@ -472,6 +492,7 @@ def sample_region(region: Region, n: int, seed: int,
         raise ValueError("need n >= 1")
     rng = np.random.default_rng(seed)
     lo, hi = _bounding_box(region)
+    width = hi - lo
     out = np.empty((n, region.dim))
     got = 0
     tried = 0
@@ -487,7 +508,7 @@ def sample_region(region: Region, n: int, seed: int,
         else:
             chunk = 2 * tried
         chunk = min(max(256, chunk), max(4096, 2 * n), max_tries - tried)
-        pts = rng.uniform(lo, hi, size=(chunk, region.dim))
+        pts = lo + width * rng.random((chunk, region.dim))
         tried += chunk
         kept = pts[region.contains_many(pts)][:n - got]
         out[got:got + len(kept)] = kept

@@ -130,6 +130,18 @@ def test_rows_match_closed_form_bitwise(d):
 
 
 @pytest.mark.parametrize("d", DIMS)
+def test_point_forms_reject_misshapen_points(d):
+    # A point form reads its point as confgroup.act does: a point of
+    # another dimension, or a row of an array, raises instead of passing
+    # through or coming back with its shape.
+    a = 0.3 * np.random.default_rng(19).normal(size=d)
+    for flow in _flows_for_rows(d, a):
+        for shape in ((d - 1,), (d + 1,), (1, d)):
+            with pytest.raises(ValueError, match=f"expected a point of dimension {d}"):
+                flow.closed_form(0.1, np.full(shape, 0.1))
+
+
+@pytest.mark.parametrize("d", DIMS)
 def test_rows_reject_misshapen_times(d):
     a = 0.3 * np.random.default_rng(19).normal(size=d)
     X = np.random.default_rng(5).normal(size=(10, d))

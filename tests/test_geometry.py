@@ -177,9 +177,10 @@ def test_sample_region_reports_exhaustion():
 
 
 def test_sample_region_spends_exactly_max_tries(monkeypatch):
-    # A cap below one chunk still draws: the first accepted of 100 draws.
+    # A cap below one chunk still draws: the first accepted of 100 draws
+    # from the double cone's box [-1, 1]^2.
     o = unit_double_cone(2)
-    draws = np.random.default_rng(0).uniform([-1.0, -2.0], [1.0, 2.0], size=(100, 2))
+    draws = np.random.default_rng(0).uniform([-1.0, -1.0], [1.0, 1.0], size=(100, 2))
     np.testing.assert_array_equal(sample_region(o, 1, seed=0, max_tries=100),
                                   draws[o.contains_many(draws)][:1])
     # The last chunk is cut to the draws left under the cap: 600 draws of
@@ -455,13 +456,12 @@ def test_sample_region_matches_reference_rejection(kind, box, d):
     # second chunk of a 300-point request.
     _, make, margin, exact = REGION_CASES[kind]
     region = make(d)
-    # A double cone's box spans its time extent and twice its radius in
-    # space: [-1, 1] x [-2, 2]^(d-1) for the unit double cone.
-    half = np.r_[1.0, 2.0 * np.ones(d - 1)]
+    # A double cone's box is its extent, its radius about its centre on
+    # every axis: [-1, 1]^d for the unit double cone.
     if kind == "double_cone":
-        lo, hi = -half, half
+        lo, hi = -np.ones(d), np.ones(d)
     elif box is None:
-        lo, hi = CENTER[:d] - RADIUS * half, CENTER[:d] + RADIUS * half
+        lo, hi = CENTER[:d] - RADIUS, CENTER[:d] + RADIUS
     else:
         lo, hi = -box * np.ones(d), box * np.ones(d)
     filled = 0
@@ -490,11 +490,12 @@ def test_sample_region_matches_reference_rejection(kind, box, d):
 # sha256 of sample_region(region, 100, seed=10).tobytes() per region kind and
 # dimension, recorded with the array-valued predicates that preceded the
 # coordinate-sequence ones: a predicate that decides one draw differently, or
-# a sampler that draws in another order, changes a digest.
+# a sampler that draws in another order, changes a digest.  The double cones'
+# were recorded again when they were drawn from their exact box.
 SAMPLE_DIGESTS = {
-    ("double_cone", 2): "edf2ad3cad075839d2a62287117bda8c758812e566ab2bfeca01a06f0ccdc897",
-    ("double_cone", 3): "78ff2de88451f949e6bd22c7042de804ff5fc94be831976ac19a47c15c719c09",
-    ("double_cone", 4): "965eb7767fcfb80efe19b08071c97c287a63bf0b9bb59db402556e4f90ad1b02",
+    ("double_cone", 2): "37d3b12e4190a103de192d6d5d0022f7b38bf50b6281e97914ca57a181edc378",
+    ("double_cone", 3): "e3709485ed1ad5dbba7367dfa4acd895f6c49f7d363a5e0db63d4672dc945b20",
+    ("double_cone", 4): "2c95457a2d6e475680eb6f18e12cda6cc2144e7067c293361ec1bd670a07bfc1",
     ("wedge", 2): "996a6010a4bfe9d75773f6439e3797bfe2eeb4c0912746e298e6637bd84a7e06",
     ("wedge", 3): "fbc009483c42ca942d232f8ac688537789a6c25c7e2240952b53711ad1eb47dd",
     ("wedge", 4): "90d363e4c8147497d0894377b6962043d4ed65eca0666c197e6892cde5147bea",
@@ -567,8 +568,7 @@ def test_samples_are_the_first_members_of_one_stream(d):
     box = np.full(d, SAMPLING_BOX)
     for k, (region, n) in enumerate(_sampled_kinds(d)):
         seed = 100 + 10 * d + k
-        lo, hi = ((np.r_[-1.0, -2.0 * np.ones(d - 1)], np.r_[1.0, 2.0 * np.ones(d - 1)])
-                  if k == 0 else (-box, box))
+        lo, hi = (-np.ones(d), np.ones(d)) if k == 0 else (-box, box)
         N = 2 * n
         while True:
             X = np.random.default_rng(seed).uniform(lo, hi, (N, d))
@@ -582,9 +582,9 @@ def test_samples_are_the_first_members_of_one_stream(d):
 def test_sample_region_calls_contains_many_once_per_chunk(monkeypatch):
     d = 3
     box = np.full(d, SAMPLING_BOX)
-    cone_lo, cone_hi = np.r_[-1.0, -2.0 * np.ones(d - 1)], np.r_[1.0, 2.0 * np.ones(d - 1)]
-    cases = [(unit_double_cone(d), cone_lo, cone_hi), (standard_wedge(d), -box, box),
-             (timelike_complement(unit_double_cone(d)), -box, box)]
+    cases = [(unit_double_cone(d), -np.ones(d), np.ones(d)), (standard_wedge(d), -box, box),
+             (timelike_complement(unit_double_cone(d)), -box, box),
+             (FutureCone(np.r_[4.0, 0.0, 0.0]), -box, box)]
     expected = [_chunks_to_fill(region, 700, 6, lo, hi) for region, lo, hi in cases]
     calls, points = [], []
     contains, contains_many = Region.contains, Region.contains_many
@@ -606,8 +606,12 @@ def test_sample_region_calls_contains_many_once_per_chunk(monkeypatch):
         for X, chunk in zip(calls, chunks):
             np.testing.assert_array_equal(X, chunk)
         assert max(len(X) for X in calls) <= max(4096, 2 * 700)
-    # The double cone, at 6.5% acceptance, reaches the cap on its second chunk.
-    assert [len(X) for X in expected[0][:2]] == [1400, 4096]
+    # The double cone, at 26% acceptance in its box, fills the request with
+    # the chunk its first chunk's acceptance predicts; the shifted cone, at
+    # 1.6% in the cube, reaches the cap on its second chunk and ends on
+    # the floor of 256 draws.
+    assert [len(X) for X in expected[0]] == [1400, 1275]
+    assert [len(X) for X in expected[3]] == [1400] + [4096] * 5 + [3826, 256]
     # A region that accepts nothing draws 256 and then as many again as
     # it has drawn, up to the cap; the last chunk is cut to the draws left
     # under max_tries.

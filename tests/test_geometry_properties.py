@@ -1,14 +1,15 @@
 """Property tests of region membership under Poincare maps: a point lies in
 a region exactly when its image lies in the image region, whether the image
 is re-tagged (transform_region) or wrapped (TransformedRegion), for every
-point outside a rounding band at the region's boundary."""
+point outside a rounding band at the region's boundary.  And the box that
+sample_region draws a double cone from holds every member."""
 
 import numpy as np
 import pytest
 
-from confmod.geometry import (FutureCone, PoincareMap, TransformedRegion, Wedge,
-                              spacelike_complement, standard_wedge, timelike_complement,
-                              transform_region, unit_double_cone)
+from confmod.geometry import (DoubleCone, FutureCone, PoincareMap, TransformedRegion, Wedge,
+                              _bounding_box, spacelike_complement, standard_wedge,
+                              timelike_complement, transform_region, unit_double_cone)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -84,3 +85,38 @@ def test_membership_invariant_under_poincare_maps(d, name, data, seed):
     Y = (X @ p.lorentz.T + p.translation)[stable]
     assert np.array_equal(transform_region(p, region).contains_many(Y), inside)
     assert np.array_equal(TransformedRegion(p, region).contains_many(Y), inside)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(DIMS), st.data(), st.floats(0.1, 3.0), st.floats(-2.0, 2.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_double_cone_box_holds_every_member(d, data, height, rapidity, seed):
+    # A past tip a and a future-timelike difference v, the boost of
+    # height * e0 along one axis: the double cone of a and b = a + v.
+    a = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)))
+    boost = PoincareMap.from_boost(d, data.draw(st.integers(1, d - 1)), rapidity)
+    v = boost.act(height * np.eye(d)[0])
+    region = DoubleCone(a, a + v)
+    lo, hi = _bounding_box(region)
+    # The box sample_region used to draw from: [a0, a0 + v0] in time and
+    # a_i +- v0 in space.
+    v0 = region.tip_future[0] - a[0]
+    wide_lo, wide_hi = a - np.r_[0.0, np.full(d - 1, v0)], a + v0
+    assert np.all(wide_lo <= lo) and np.all(hi <= wide_hi)
+    # Draws in the wide box, and the points of the edge sphere where the
+    # two light cones meet that lie farthest along each spatial axis in the
+    # rest frame, moved a thousandth of the way to the centre: along the
+    # boost axis they come within 0.1% of the box's faces.
+    X = np.random.default_rng(seed).uniform(wide_lo, wide_hi, size=(2048, d))
+    centre = a + v / 2
+    edge = [centre + 0.999 * boost.act(s * height / 2 * np.eye(d)[i])
+            for i in range(1, d) for s in (1.0, -1.0)]
+    assert region.contains_many(np.array(edge)).all()
+    members = region.contains_many(np.vstack([X, edge]))
+    Y = np.vstack([X, edge])[members]
+    assert np.all((lo <= Y) & (Y <= hi))
+    # The box is tight: cut by 1% in space about its centre, it misses a
+    # member.
+    mid, half = (lo + hi) / 2, (hi - lo) / 2
+    half[1:] *= 0.99
+    assert not np.all((mid - half <= Y) & (Y <= mid + half))
