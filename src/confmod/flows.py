@@ -43,20 +43,19 @@ class CanonicalFlow:
     of one time per row; rows(t, X) adapts it to the rows.  matrix(t) is the
     generator's three-term closed-form exponential.
 
-    closed_form and _columns are two bodies of one map on purpose.  A point
-    adapter over _columns is bitwise equal, but slower: on numpy
-    one-element columns the 36,000 point calls of a region-sampling pass
-    take 0.95-1.3 s of CPU (1.5-1.9 s through rows).  The point bodies read
-    the point as confgroup.act does, raising on any other shape, take
-    numpy's cosh, sinh and exp once per time, as _columns does, and do a
-    point's arithmetic on Python floats; the double cone sums |vec x|^2 as
-    _dot sums its columns.  The pass calls each flow at two times, and its
-    36,000 calls take 0.051 s, from 0.057 s: the double cone's 12,000 take
-    0.025 s, from 0.035 s when it took |vec x|^2 from numpy's dot kernel
-    and each Moebius factor from a call of its own, and the shape check
-    adds 0.002 s to the wedge's and the cone's 0.011 s each (Intel Xeon,
-    one core, one BLAS thread, process_time, min of 25).  The fork stays
-    until the point callers move to rows.
+    closed_form and _columns are two bodies of one map on purpose: a point
+    costs less on Python floats than through any shared body.  A point
+    adapter over _columns is bitwise equal but runs on numpy one-element
+    columns, about 20 times slower.  One body per flow on a coordinate
+    sequence, the Region._member / GroupElement._act_coords pattern, can
+    pass the flows, cli and geometry tests, but two prototypes of it cost
+    the 36,000 point calls of a region-sampling pass 20% and 40% more CPU,
+    the double cone most and the wedge least (Intel Xeon, one core,
+    process_time, min of 15).  The point bodies read the point as
+    confgroup.act does, raising on any other shape, take numpy's cosh,
+    sinh and exp once per time, as _columns does, and do a point's
+    arithmetic on Python floats; the double cone sums |vec x|^2 as _dot
+    sums its columns.  The fork stays until the point callers move to rows.
     """
 
     region: Region

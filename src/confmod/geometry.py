@@ -450,20 +450,22 @@ SAMPLING_BOX = 10.0
 def _bounding_box(region: Region) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) of the box that sample_region draws from.
 
-    A double cone with tips a (past) and b (future), v0 = b0 - a0, gets
-    [a0, b0] in time and [(a_i + b_i - v0)/2, (a_i + b_i + v0)/2] on each
-    spatial axis: x - a and b - x future timelike give |x_i - a_i| < x0 - a0
-    and |x_i - b_i| < b0 - x0, whose sum bounds 2 x_i - a_i - b_i by v0.
-    The box is the region's exact extent in time, and on a spatial axis
-    wherever the spatial part of b - a is zero or lies along that axis
-    (always at d = 2): the unit double cone's box is [-1, 1]^d.  Elsewhere
-    it bounds the extent.  Every other region is clipped to the cube
-    |x_i| <= SAMPLING_BOX.
+    A double cone with tips a (past) and b (future), v = b - a, gets its
+    exact extent: [a0, b0] in time and (a_i + b_i -+ h_i)/2 on spatial axis
+    i, where h_i = sqrt(v0^2 - sum_{j != i} v_j^2) = sqrt(v.v + v_i^2),
+    v.v Minkowski, is reached on the edge sphere where the two light cones
+    meet; h_i^2 rounds no lower than the v.v that DoubleCone checked
+    positive.  Where v has no spatial part off axis i (always at d = 2),
+    h_i is v0 bit for bit: the unit double cone's box is [-1, 1]^d.  Every
+    other region is clipped to the cube |x_i| <= SAMPLING_BOX.
     """
     if isinstance(region, DoubleCone):
         a, b = region.tip_past, region.tip_future
-        v0 = b[0] - a[0]
-        lo, hi = (a + b - v0) / 2.0, (a + b + v0) / 2.0
+        v = (b - a).tolist()
+        space = _dot(v[1:], v[1:])
+        h = np.array([0.0] + [math.sqrt(v[0] * v[0] - (space - vi * vi)) for vi in v[1:]])
+        mid = a + b
+        lo, hi = (mid - h) / 2.0, (mid + h) / 2.0
         lo[0], hi[0] = a[0], b[0]
         return lo, hi
     return np.full(region.dim, -SAMPLING_BOX), np.full(region.dim, SAMPLING_BOX)

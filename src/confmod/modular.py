@@ -220,12 +220,13 @@ class _PlaneOperators:
     modular planes.
 
     A record holds ambient_dim m, sigmas and sines, the cos/sin of the
-    principal angle of each plane, (..., m), and the orthogonal change
-    between real-encoded columns and plane coordinates: _to_planes takes
-    columns (..., 2m, k) to coordinates (..., m, 2, k), one pair per plane,
-    and _from_planes takes them back.  ModularData holds the change as a
-    dense frame; the lattice record of chiral.interval_tomita holds it as
-    one m x m factor.
+    principal angle of each plane, (..., m), each sine a residual norm and
+    not read from its cosine, and the orthogonal change between
+    real-encoded columns and plane coordinates: _to_planes takes columns
+    (..., 2m, k) to coordinates (..., m, 2, k), one pair per plane, and
+    _from_planes takes them back.  ModularData holds the change as a dense
+    frame; the lattice record of chiral.interval_tomita holds it as one
+    m x m factor.
 
     Each operator has one form, its application to real-encoded columns
     plane by plane, _from_planes (blocks (_to_planes cols)): apply_planes
@@ -352,8 +353,9 @@ class ModularData(_PlaneOperators):
 
     frame: orthogonal 2m x 2m matrix whose column pairs (2k, 2k+1) span the
     S-invariant principal planes; sigmas/sines hold cos/sin of the principal
-    angle of each plane.  For a stack, frame is (..., 2m, 2m) and sigmas
-    and sines are (..., m), with the stack dimensions of the subspace.
+    angle of each plane, the sines the norms of the iK residuals off K that
+    normalize the perp columns.  For a stack, frame is (..., 2m, 2m) and
+    sigmas and sines are (..., m), with the stack dimensions of the subspace.
     These four fields are the whole record; nothing is cached.  The plane
     coordinates of columns are frame^T cols, in O(m^2 k) for k columns.
     """
@@ -413,10 +415,10 @@ def tomita_operators(subspace: StandardSubspace,
     subspace of a stack (a ModularData with the same stack dimensions; each
     subspace is factored with the arithmetic of its one-subspace call).
 
-    Raises StandardnessError when a subspace fails the dimension test, its
-    smallest principal angle is at or below angle_floor, or a plane's sine
-    is at or below _DEGENERATE_SINE, whatever angle_floor is; for a stack
-    the error reports the first failing subspace.  A NaN angle_floor, which
+    Raises StandardnessError when a subspace fails the dimension test or
+    its smallest principal angle, arctan2(sines, sigmas), is at or below
+    max(angle_floor, _DEGENERATE_SINE), the floor the error reports; for a
+    stack, it reports the first failing subspace.  A NaN angle_floor, which
     no angle compares at or below, raises ValueError.  The frame is one
     complete QR of each subspace's (b, perp) pairs in plane order.
     """
@@ -429,26 +431,20 @@ def tomita_operators(subspace: StandardSubspace,
 
     # The body works on a flat (n, ...) stack, one subspace being n = 1.
     sig, bu, resid = _principal_planes(subspace.basis.reshape(-1, 2 * m, m))
-    resid_norm = np.linalg.norm(resid, axis=-2)
-    sines = np.sqrt((1.0 - sig) * (1.0 + sig))
-    # Standardness from the same SVD: the residual of plane k has norm
-    # sin(theta_k), accurate for small angles where the cosine rounds to 1.
-    # The SVD mixes planes whose cosines round alike (sines at or below
-    # _DEGENERATE_SINE), and their residuals carry no direction, so such
-    # planes are rejected at any floor.  Near that bound the sines read
-    # from the cosines differ from the residual norms by up to ~10%, and
-    # both must clear it: the record's S divides by the one, the frame by
-    # the other.  A failure reports standardness().
-    low = ((np.min(np.arctan2(resid_norm, sig), axis=-1) <= angle_floor)
-           | np.any(np.minimum(resid_norm, sines) <= _DEGENERATE_SINE, axis=-1))
+    sines = np.linalg.norm(resid, axis=-2)
+    # Standardness from the same SVD: plane k's residual norm is
+    # sin(theta_k), accurate where the cosine rounds to 1.  The floor is
+    # never below _DEGENERATE_SINE.  A failure reports standardness().
+    floor = max(angle_floor, _DEGENERATE_SINE)
+    low = np.min(np.arctan2(sines, sig), axis=-1) <= floor
     if np.any(low):
-        _not_standard(subspace, max(angle_floor, _DEGENERATE_SINE), low.reshape(shape))
+        _not_standard(subspace, floor, low.reshape(shape))
     # One complete QR per subspace orthonormalizes the (b, perp) pairs in
     # plane order, healthiest first; the signs of R's diagonal fix the
     # orientation of each column.
     x = np.empty(sig.shape[:-1] + (2 * m, 2 * m))
     x[..., 0::2] = bu
-    x[..., 1::2] = resid / resid_norm[..., None, :]
+    x[..., 1::2] = resid / sines[..., None, :]
     frame, r = np.linalg.qr(x, mode="complete")
     frame *= np.where(np.diagonal(r, axis1=-2, axis2=-1) >= 0.0, 1.0, -1.0)[:, None, :]
     return ModularData(m, frame.reshape(shape + (2 * m, 2 * m)),

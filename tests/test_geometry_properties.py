@@ -105,8 +105,8 @@ def test_double_cone_box_holds_every_member(d, data, height, rapidity, seed):
     assert np.all(wide_lo <= lo) and np.all(hi <= wide_hi)
     # Draws in the wide box, and the points of the edge sphere where the
     # two light cones meet that lie farthest along each spatial axis in the
-    # rest frame, moved a thousandth of the way to the centre: along the
-    # boost axis they come within 0.1% of the box's faces.
+    # rest frame, moved a thousandth of the way to the centre: they come
+    # within 0.1% of every spatial face of the box.
     X = np.random.default_rng(seed).uniform(wide_lo, wide_hi, size=(2048, d))
     centre = a + v / 2
     edge = [centre + 0.999 * boost.act(s * height / 2 * np.eye(d)[i])
@@ -115,8 +115,8 @@ def test_double_cone_box_holds_every_member(d, data, height, rapidity, seed):
     members = region.contains_many(np.vstack([X, edge]))
     Y = np.vstack([X, edge])[members]
     assert np.all((lo <= Y) & (Y <= hi))
-    # The box is tight: cut by 1% in space about its centre, it misses a
-    # member.
-    mid, half = (lo + hi) / 2, (hi - lo) / 2
-    half[1:] *= 0.99
-    assert not np.all((mid - half <= Y) & (Y <= mid + half))
+    # The box is tight: each spatial face lies within 0.1% of the half-width
+    # of a member.
+    half = (hi - lo) / 2
+    gap = 1.001e-3 * half[1:]
+    assert np.all(Y.min(axis=0)[1:] - lo[1:] <= gap) and np.all(hi[1:] - Y.max(axis=0)[1:] <= gap)

@@ -559,9 +559,8 @@ def test_tomita_rejects_degenerate_sines_at_any_floor(eps):
 
 
 def test_accepted_records_clear_the_degenerate_sine():
-    # near the bound the sines read from the cosines and the residual norms
-    # differ by up to ~10%; a record accepted at angle floor 0 has every
-    # sine above the bound, whichever way they fall
+    # a record accepted at angle floor 0 has its smallest angle above the
+    # bound, read from the sines it keeps, so every sine is above it too
     rng = np.random.default_rng(5)
     accepted = rejected = 0
     for _ in range(300):
@@ -575,6 +574,19 @@ def test_accepted_records_clear_the_degenerate_sine():
         assert dat.sines.min() > md._DEGENERATE_SINE
         assert np.isfinite(operator(dat, "S")).all()
     assert accepted and rejected
+
+
+def test_errors_near_the_degenerate_sine_report_a_failing_subspace():
+    # one plane of angle theta from _DEGENERATE_SINE to 6% above it: only
+    # the angle on the bound may be rejected, and a rejected subspace's own
+    # report is not standard
+    for phi in (0.0, 0.3, 1.1):
+        for theta in np.linspace(1.0e-7, 1.06e-7, 400):
+            gens = np.exp(1j * phi) * np.array([[1.0, 0.0], [1j * np.cos(theta), np.sin(theta)]])
+            try:
+                md.tomita_operators(md.StandardSubspace(2, gens), angle_floor=1e-12)
+            except md.StandardnessError as err:
+                assert theta == 1.0e-7 and not err.report.standard
 
 
 # --- stacks of subspaces -----------------------------------------------------------
